@@ -11,8 +11,9 @@ preconditions; no artifact written), 3 numeric-tolerance failure (artifact
 and sidecar are written so the breach can be inspected).
 
 ``--config file.json`` overlays values onto the parsed flags; unknown keys
-are rejected.  ``FOSC_THREADS`` caps internal parallelism (0 or unset =
-auto); it never changes the bytes produced.
+are rejected.  ``FOSC_THREADS`` is validated (a non-negative integer; 0 or
+unset = auto) but starts no threads: the Wigner maps are batched
+contractions.  It never changes the bytes produced.
 """
 
 from __future__ import annotations

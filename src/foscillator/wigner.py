@@ -1,8 +1,9 @@
 """Wigner quasidistributions on truncated number bases.
 
 The standard function is computed from the closed-form displacement matrix
-elements (associated Laguerre polynomials), evaluated diagonal by diagonal
-so only density-matrix entries that are actually populated cost anything.
+elements (associated Laguerre polynomials, Cahill & Glauber 1969), evaluated
+diagonal by diagonal with the three-term Laguerre recurrence, so only
+density-matrix entries that are actually populated cost anything.
 
 Two deformed variants are provided, differing in which parity enters the
 trace against the exponential of the deformed ladder generator:
@@ -14,19 +15,23 @@ trace against the exponential of the deformed ladder generator:
 
 U_f is the exponential of 2 (alpha A_f+ - alpha* A_f), evaluated on a padded
 basis and trimmed back, since the exponential mixes levels beyond any fixed
-truncation.
+truncation.  With alpha = r e^(i phi) and D = diag(e^(i n phi)) the generator
+is D 2r (A_f+ - A_f) D+, and H = i (A_f+ - A_f) is Hermitian and tridiagonal,
+so one eigendecomposition of H gives U_f at every point of a grid
+(Man'ko, Marmo, Sudarshan & Zaccaria, Phys. Scr. 55, 528 (1997)).
+
+Both maps are batched numpy contractions over blocks of ``_BLOCK`` points,
+which bounds their working memory whatever the grid size; neither starts
+threads.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import DomainError, NumericToleranceError
 from .fock import DensityMatrix, deformed_lowering
@@ -36,8 +41,10 @@ WIGNER_VARIANTS = ("usual_parity", "deformed_parity")
 
 # Entries below this magnitude contribute nothing at double precision.
 _RHO_SKIP = 1e-16
-# Unitarity defect allowed for the padded exponential.
-_UNITARITY_TOL = 1e-10
+# Absolute error allowed in the phases 2 r lambda of the deformed exponential.
+_PHASE_TOL = 1e-10
+# Phase-space points evaluated together by the batched maps.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,47 @@ class WignerGrid:
         return float(np.min(self.values.real))
 
 
+def _in_blocks(evaluate, points: np.ndarray) -> np.ndarray:
+    """``evaluate`` applied to consecutive blocks of ``_BLOCK`` points."""
+    out = np.empty(points.shape, dtype=complex)
+    for start in range(0, points.size, _BLOCK):
+        out[start:start + _BLOCK] = evaluate(points[start:start + _BLOCK])
+    return out
+
+
+def _laguerre_diagonals(k, x, count: int) -> np.ndarray:
+    """out[n] = sqrt(n!/(n+k)!) x^(k/2) e^(-x/2) L_n^(k)(x) for n < count.
+
+    At x = |beta|^2 this is <n+k|D(beta)|n> stripped of its phase
+    e^(i k arg beta), so every value is bounded by 1: carried in this
+    normalisation, the three-term Laguerre recurrence
+    (n+1) L_(n+1) = (2n+1+k-x) L_n - (n+k) L_(n-1) cannot overflow, and only
+    its start needs factorials (as a log table).  ``k`` and ``x`` broadcast
+    against each other.
+    """
+    k = np.asarray(k)
+    x = np.asarray(x, dtype=float)
+    out = np.empty((count,) + np.broadcast_shapes(k.shape, x.shape))
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, np.max(k) + 1.0)))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_power = np.where(k == 0, 0.0, 0.5 * k * np.log(x))
+    out[0] = np.exp(log_power - 0.5 * x - 0.5 * log_factorial[k])
+    levels = np.arange(count - 1).reshape((-1,) + (1,) * k.ndim)
+    coefs = [2 * levels + 1 + k, np.sqrt(levels * (levels + k)),
+             1.0 / np.sqrt((levels + 1) * (levels + k + 1))]
+    # Python floats for a scalar k: the loop runs once per level, on every diagonal.
+    a, b, c = (list(v) if k.ndim else v.ravel().tolist() for v in coefs)
+    back_term = np.empty(out.shape[1:])
+    for n in range(count - 1):
+        nxt = out[n + 1]
+        np.subtract(a[n], x, out=nxt)
+        nxt *= out[n]
+        if n:
+            nxt -= np.multiply(b[n], out[n - 1], out=back_term)
+        nxt *= c[n]
+    return out
+
+
 def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
     """Number-basis matrix of the displacement operator D(beta).
 
@@ -70,20 +118,45 @@ def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
     if dim < 2:
         raise DomainError("operator truncation needs dim >= 2")
     beta = complex(beta)
-    x = abs(beta) ** 2
-    envelope = math.exp(-0.5 * x)
+    unit = beta / abs(beta) if beta else 1.0
+    diagonals = _laguerre_diagonals(np.arange(dim), abs(beta) ** 2, dim)
     out = np.zeros((dim, dim), dtype=complex)
     for k in range(dim):
-        n = np.arange(dim - k, dtype=float)
-        lag = eval_genlaguerre(n, k, x)
-        ratio = np.exp(0.5 * (gammaln(n + 1.0) - gammaln(n + k + 1.0)))
-        lower = ratio * (beta ** k) * envelope * lag
         rows = np.arange(dim - k)
-        out[rows + k, rows] = lower
+        magnitude = diagonals[: dim - k, k]
+        out[rows + k, rows] = magnitude * unit ** k
         if k > 0:
-            upper = ratio * ((-beta.conjugate()) ** k) * envelope * lag
-            out[rows, rows + k] = upper
+            out[rows, rows + k] = magnitude * (-unit.conjugate()) ** k
     return out
+
+
+def _standard_block(m: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    # Diagonal k of rho meets diagonal k of D(beta): the recurrence runs up to
+    # the last populated entry of the diagonal, and a diagonal with none is
+    # skipped.
+    x = beta.real ** 2 + beta.imag ** 2
+    unit = np.exp(1j * np.angle(beta))
+    phase = np.ones_like(beta)
+    sign = np.where(np.arange(m.shape[0]) % 2 == 0, 1.0, -1.0)
+    acc = np.zeros_like(beta)
+    for k in range(m.shape[0]):
+        if k:
+            phase *= unit
+        lower = np.diagonal(m, -k)
+        upper = np.diagonal(m, k)
+        kept = np.nonzero(np.maximum(np.abs(lower), np.abs(upper)) >= _RHO_SKIP)[0]
+        if kept.size == 0:
+            continue
+        count = kept[-1] + 1
+        weight = np.zeros(count)
+        weight[kept] = sign[kept]
+        lo, up = weight * lower[:count], weight * upper[:count]
+        sums = np.stack([lo.real, lo.imag, up.real, up.imag]) @ _laguerre_diagonals(k, x, count)
+        if k == 0:
+            acc += sums[0] + 1j * sums[1]
+        else:
+            acc += (sums[0] + 1j * sums[1]) * phase.conj() + (sums[2] + 1j * sums[3]) * phase
+    return 2.0 * acc
 
 
 def wigner_values(rho: DensityMatrix, q, p) -> np.ndarray:
@@ -93,33 +166,9 @@ def wigner_values(rho: DensityMatrix, q, p) -> np.ndarray:
     faithful diagnostic of the input rather than zero by construction.
     """
     qa, pa = np.broadcast_arrays(np.asarray(q, float), np.asarray(p, float))
-    beta = math.sqrt(2.0) * (qa + 1j * pa)
-    x = (np.abs(beta) ** 2).astype(float)
+    beta = (math.sqrt(2.0) * (qa + 1j * pa)).ravel()
     m = rho.matrix
-    dim = rho.dim
-    acc = np.zeros(beta.shape, dtype=complex)
-
-    # k = 0: diagonal of rho against diagonal Laguerre values
-    for n in range(dim):
-        if abs(m[n, n]) < _RHO_SKIP:
-            continue
-        sign = -1.0 if n % 2 else 1.0
-        acc += sign * m[n, n] * eval_genlaguerre(n, 0, x)
-
-    power = np.ones_like(beta)
-    for k in range(1, dim):
-        power = power * beta
-        cpower = np.conjugate(power)
-        for n in range(dim - k):
-            a = m[n + k, n]
-            b = m[n, n + k]
-            if max(abs(a), abs(b)) < _RHO_SKIP:
-                continue
-            sign = -1.0 if n % 2 else 1.0
-            ratio = math.exp(0.5 * (gammaln(n + 1.0) - gammaln(n + k + 1.0)))
-            acc += (sign * ratio) * eval_genlaguerre(n, k, x) * (a * cpower + b * power)
-
-    w = 2.0 * np.exp(-0.5 * x) * acc
+    w = _in_blocks(lambda block: _standard_block(m, block), beta).reshape(qa.shape)
     return complex(w) if np.ndim(q) == 0 and np.ndim(p) == 0 else w
 
 
@@ -155,15 +204,28 @@ def deformed_parity_operator(spec: NonlinearitySpec, dim: int) -> np.ndarray:
     return np.exp(1j * math.pi * n * fvals * fvals)
 
 
-def _deformed_exponential(a_f: np.ndarray, alpha: complex) -> np.ndarray:
-    g = 2.0 * (alpha * a_f.conj().T - np.conjugate(alpha) * a_f)
-    u = expm(g)
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if defect > _UNITARITY_TOL:
+def _check_phase_precision(r_max: float, eigenvalues: np.ndarray) -> None:
+    # U_f = V diag(e^(-2i r lambda)) V+: a phase of size s carries a rounding
+    # error of eps * s, which no later step can recover.
+    span = 2.0 * r_max * float(np.max(np.abs(eigenvalues)))
+    error = np.finfo(float).eps * span
+    if error > _PHASE_TOL:
         raise NumericToleranceError(
-            f"deformed exponential lost unitarity (defect {defect:.3e})"
+            f"deformed exponential lost phase precision: phases 2 r lambda reach {span:.3e} rad, "
+            f"so they carry an absolute error of {error:.3e}"
         )
-    return u
+
+
+def _diagonal_weights(weighted: np.ndarray, vecs: np.ndarray):
+    """Offsets d = 1-dim..dim-1 and T[d, k] = sum over j - m = d of weighted[m, j] V[j, k] V*[m, k]."""
+    dim = weighted.shape[0]
+    offsets = np.arange(1 - dim, dim)
+    t = np.empty((offsets.size, vecs.shape[1]), dtype=complex)
+    for i, d in enumerate(offsets):
+        rows = np.arange(dim - abs(d))
+        m, j = rows + max(-d, 0), rows + max(d, 0)
+        t[i] = np.diagonal(weighted, d) @ (vecs[m].conj() * vecs[j])
+    return offsets, t
 
 
 def deformed_wigner_values(
@@ -177,10 +239,16 @@ def deformed_wigner_values(
 ) -> np.ndarray:
     """Deformed transform at phase-space points, broadcast over q, p.
 
-    Each point costs one matrix exponential on the padded basis (dim + pad),
-    trimmed back to dim before the trace.  ``workers`` threads the point
-    loop; results are written by index, so the output does not depend on
-    scheduling.
+    One eigendecomposition H = i (A_f+ - A_f) = V diag(lambda) V+ on the
+    padded basis (dim + pad) serves every point alpha = r e^(i phi):
+
+        W(alpha) = 2 sum_k e^(-2i r lambda_k) sum_d e^(i d phi) T[d, k],
+
+    with T[d, k] = sum over j - m = d (j, m < dim) of P_m rho_mj V_jk V*_mk.
+    Raises NumericToleranceError when the phases 2 r lambda are too large to
+    be carried at double precision.  ``workers`` is accepted for
+    compatibility and has no effect: the evaluation starts no threads, and
+    its result does not depend on it.
     """
     if variant not in WIGNER_VARIANTS:
         raise DomainError(f"unknown wigner variant {variant!r}")
@@ -195,21 +263,16 @@ def deformed_wigner_values(
 
     qa, pa = np.broadcast_arrays(np.asarray(q, float), np.asarray(p, float))
     alphas = ((qa + 1j * pa) / math.sqrt(2.0)).ravel()
-    out = np.empty(alphas.shape, dtype=complex)
-    m = rho.matrix
+    eigenvalues, vecs = np.linalg.eigh(1j * (a_f.conj().T - a_f))
+    _check_phase_precision(float(np.max(np.abs(alphas), initial=0.0)), eigenvalues)
+    offsets, t = _diagonal_weights(pvec[:, None] * rho.matrix, vecs[:dim])
 
-    def one_point(i: int):
-        u = _deformed_exponential(a_f, alphas[i])[:dim, :dim]
-        out[i] = 2.0 * np.einsum("m,mj,jm->", pvec, m, u)
+    def block(a: np.ndarray) -> np.ndarray:
+        terms = np.exp(1j * np.outer(np.angle(a), offsets)) @ t
+        terms *= np.exp(-2j * np.outer(np.abs(a), eigenvalues))
+        return 2.0 * terms.sum(axis=1)
 
-    if workers is not None and workers > 1 and alphas.size > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            list(pool.map(one_point, range(alphas.size)))
-    else:
-        for i in range(alphas.size):
-            one_point(i)
-
-    w = out.reshape(qa.shape)
+    w = _in_blocks(block, alphas).reshape(qa.shape)
     return complex(w) if np.ndim(q) == 0 and np.ndim(p) == 0 else w
 
 
@@ -222,6 +285,8 @@ def deformed_wigner(
     pad: int = 10,
     workers: int = None,
 ) -> WignerGrid:
+    """Deformed transform on the cartesian grid q_axis x p_axis (see
+    ``deformed_wigner_values``; ``workers`` has no effect)."""
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     qq, pp = np.meshgrid(q_axis, p_axis, indexing="ij")

@@ -10,10 +10,13 @@ Exit codes: 0 success, 2 validation error (bad flags/config/physics
 preconditions; no artifact written), 3 numeric-tolerance failure (artifact
 and sidecar are written so the breach can be inspected).
 
-``--config file.json`` overlays values onto the parsed flags; unknown keys
-are rejected.  ``FOSC_THREADS`` is validated (a non-negative integer; 0 or
-unset = auto) but starts no threads: the Wigner maps are batched
-contractions.  It never changes the bytes produced.
+Each subcommand is declared once, in ``_COMMAND_TABLE``: name, help,
+handler, default format and flags.  The parser is built from that table,
+and ``--config file.json`` is checked against it: each key names a flag of
+the command (``beta_steps`` or ``beta-steps``), its value goes through the
+flag's type and choices as if typed on the command line, and it overrides
+the flag.  Unknown keys are refused.  A ``"nonlinearity"`` object selects
+the profile.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
@@ -29,6 +31,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .classical import (
+    _leggauss,
     amplitude_trajectory,
     classical_invariants,
     gaussian_distribution,
@@ -59,29 +62,15 @@ from .thermo import deformed_partition, linear_thermo
 from .tomography import quantum_tomogram, radon_classical, ray_from_scale_angle
 from .wigner import deformed_wigner, wigner_from_density
 
-_FLOAT_FMT = ".17g"
-_COMMANDS = (
-    "classical-trajectory",
-    "classical-propagate",
-    "quantum-evolve",
-    "wigner",
-    "tomogram",
-    "coherent",
-    "two-mode",
-    "thermo",
-)
-
-
-def _fmt(v) -> str:
-    return format(float(v), _FLOAT_FMT)
-
 
 @dataclass
 class Artifact:
-    """Everything one command run produces, before rendering."""
+    """Everything one command run produces, before rendering: a float table
+    (one row per line, one column per name) and, for commands whose JSON
+    form is not that table, the JSON object."""
 
-    columns: Optional[list] = None
-    rows: Optional[list] = None
+    columns: list
+    data: np.ndarray
     json_object: Optional[dict] = None
     checks: Dict[str, dict] = field(default_factory=dict)
 
@@ -94,35 +83,105 @@ class Artifact:
         return [k for k, c in self.checks.items() if not c["ok"]]
 
 
+def _table(*columns) -> np.ndarray:
+    """Equal-sized arrays, each raveled in C order, as the columns of a float table."""
+    return np.column_stack([np.ravel(c) for c in columns]).astype(float, copy=False)
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 rounded as Python's ``abs(v) ** 2`` rounds it (libm hypot and pow),
+    not by numpy's SIMD loops, whose last bit may depend on the CPU."""
+    return np.array([abs(v) ** 2 for v in z.tolist()], dtype=float)
+
+
 def _render_csv(art: Artifact) -> str:
-    if art.columns is None:
-        raise DomainError("this command has no CSV representation")
     lines = [",".join(art.columns)]
-    for row in art.rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    for row in art.data.tolist():
+        lines.append(",".join(format(v, ".17g") for v in row))
     return "\n".join(lines) + "\n"
 
 
 def _render_json(art: Artifact) -> str:
     obj = art.json_object
     if obj is None:
-        obj = {"columns": art.columns, "rows": [[float(v) for v in row] for row in art.rows]}
+        obj = {"columns": art.columns, "rows": art.data.tolist()}
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# shared flag groups
+# flag declarations, shared by the parser and the --config overlay
 
-def _add_nonlinearity_flags(p: argparse.ArgumentParser):
-    p.add_argument("--kind", default="identity",
-                   choices=["identity", "q", "kerr", "custom"],
-                   help="deformation profile family")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="q-profile rate parameter (> 0)")
-    p.add_argument("--chi", type=float, default=None,
-                   help="kerr-profile strength")
-    p.add_argument("--table", type=str, default=None,
-                   help="comma-separated per-level samples for a custom profile")
+@dataclass(frozen=True)
+class _Flag:
+    """One option: its name and the keyword arguments of ``add_argument``."""
+
+    name: str
+    kwargs: dict
+
+    @property
+    def dest(self) -> str:
+        return self.kwargs.get("dest", self.name[2:].replace("-", "_"))
+
+    def from_config(self, key: str, value):
+        """``value`` from a config file, converted and checked as if typed
+        after this flag on the command line; a store_true flag takes a bool."""
+        if self.kwargs.get("action") == "store_true":
+            if not isinstance(value, bool):
+                raise DomainError(f"config field {key!r} must be true or false")
+            return value
+        convert = self.kwargs.get("type", str)
+        wanted = "a string" if convert is str else "a number or a string"
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)) \
+                or (convert is str and not isinstance(value, str)):
+            raise DomainError(f"config field {key!r} must be {wanted}, got {value!r}")
+        try:
+            out = convert(value if isinstance(value, str) else repr(value))
+        except ValueError:
+            raise DomainError(f"config field {key!r}: invalid {convert.__name__} value {value!r}")
+        choices = self.kwargs.get("choices")
+        if choices is not None and out not in choices:
+            raise DomainError(f"config field {key!r}: {out!r} is not one of {', '.join(choices)}")
+        return out
+
+
+def _flag(name: str, **kwargs) -> _Flag:
+    return _Flag(name, kwargs)
+
+
+_LAW = _flag("--law", default="amplitude", choices=("amplitude", "canonical"))
+
+_NONLINEARITY_FLAGS = (
+    _flag("--kind", default="identity", choices=("identity", "q", "kerr", "custom"),
+          help="deformation profile family"),
+    _flag("--lambda", dest="lam", type=float, default=None,
+          help="q-profile rate parameter (> 0)"),
+    _flag("--chi", type=float, default=None, help="kerr-profile strength"),
+    _flag("--table", type=str, default=None,
+          help="comma-separated per-level samples for a custom profile"),
+)
+# Keys of a config "nonlinearity" object, and the flags they set.
+_PROFILE_FIELDS = {"kind": "kind", "lambda": "lam", "chi": "chi", "table": "table"}
+
+_X_FLAGS = (
+    _flag("--x-min", type=float, default=-6.0),
+    _flag("--x-max", type=float, default=6.0),
+    _flag("--x-points", type=int, default=121),
+)
+
+
+def _grid_flags(extent: float, points: int) -> tuple:
+    return (
+        _flag("--extent", type=float, default=extent,
+              help="grid half-width; axes run over [-extent, extent]"),
+        _flag("--points", type=int, default=points, help="samples per axis"),
+    )
+
+
+_STATE_FORMS = "vacuum | fock:N | coherent:RE[,IM] | nl-coherent:RE[,IM] | file:PATH"
+_STATE_FLAGS = (
+    _flag("--state", default="vacuum", help=_STATE_FORMS),
+    _flag("--dim", type=int, default=32),
+)
 
 
 def _build_spec(args):
@@ -142,19 +201,6 @@ def _build_spec(args):
     return spec_from_dict(data)
 
 
-def _add_grid_flags(p: argparse.ArgumentParser, extent: float, points: int):
-    p.add_argument("--extent", type=float, default=extent,
-                   help="grid half-width; axes run over [-extent, extent]")
-    p.add_argument("--points", type=int, default=points,
-                   help="samples per axis")
-
-
-def _add_x_flags(p: argparse.ArgumentParser):
-    p.add_argument("--x-min", type=float, default=-6.0)
-    p.add_argument("--x-max", type=float, default=6.0)
-    p.add_argument("--x-points", type=int, default=121)
-
-
 def _x_axis(args) -> np.ndarray:
     if args.x_points < 2:
         raise DomainError("--x-points must be >= 2")
@@ -171,46 +217,29 @@ def _grid_axis(args) -> np.ndarray:
     return np.linspace(-args.extent, args.extent, args.points)
 
 
-def _parse_complex_token(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise DomainError(f"cannot parse complex value from {text!r}")
-
-
 def _parse_state(token: str, dim: int, spec) -> DensityMatrix:
-    """State selector: vacuum | fock:N | coherent:RE[,IM] | nl-coherent:RE[,IM] | file:PATH."""
+    """The density matrix named by a ``--state`` selector (see ``_STATE_FORMS``)."""
+    kind, _, value = token.partition(":")
     if token == "vacuum":
         return vacuum_density(dim)
-    if token.startswith("fock:"):
-        return fock_density(int(token[5:]), dim)
-    if token.startswith("coherent:"):
-        return coherent_density(_parse_complex_token(token[9:]), dim)
-    if token.startswith("nl-coherent:"):
-        state = nonlinear_coherent_state(_parse_complex_token(token[12:]), spec, dim)
-        return state.density()
-    if token.startswith("file:"):
-        with open(token[5:], "r", encoding="utf-8") as fh:
+    if kind == "file":
+        with open(value, "r", encoding="utf-8") as fh:
             return DensityMatrix.from_dict(json.load(fh))
-    raise DomainError(f"unknown state selector {token!r}")
-
-
-def _threads_from_env() -> Optional[int]:
-    raw = os.environ.get("FOSC_THREADS", "").strip()
-    if raw == "":
-        n = 0
-    else:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise DomainError(f"FOSC_THREADS must be an integer, got {raw!r}")
-        if n < 0:
-            raise DomainError("FOSC_THREADS must be >= 0")
-    if n == 0:
-        return min(4, os.cpu_count() or 1)
-    return n
+    parts = value.split(",")
+    try:
+        if kind == "fock":
+            n = int(value)
+        elif kind in ("coherent", "nl-coherent") and len(parts) <= 2:
+            alpha = complex(*(float(p) for p in parts))
+        else:
+            raise ValueError
+    except ValueError:
+        raise DomainError(f"cannot read --state {token!r}; expected {_STATE_FORMS}") from None
+    if kind == "fock":
+        return fock_density(n, dim)
+    if kind == "coherent":
+        return coherent_density(alpha, dim)
+    return nonlinear_coherent_state(alpha, spec, dim).density()
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +252,7 @@ def _cmd_classical_trajectory(args) -> Artifact:
     times = np.linspace(0.0, args.t_max, args.steps + 1)
     alpha0 = complex(args.q0, args.p0) / math.sqrt(2.0)
     alphas = amplitude_trajectory(spec, alpha0, times, args.law)
-    art = Artifact(columns=["t", "q", "p", "E", "q0", "p0"], rows=[])
+    rows = []
     e0 = 0.5 * (args.q0 ** 2 + args.p0 ** 2)
     spread = 0.0
     drift = 0.0
@@ -232,9 +261,10 @@ def _cmd_classical_trajectory(args) -> Artifact:
         p = math.sqrt(2.0) * a.imag
         e = 0.5 * (q * q + p * p)
         inv = classical_invariants(spec, PhasePoint(q, p), t, args.law)
-        art.rows.append((t, q, p, e, inv.q, inv.p))
+        rows.append((t, q, p, e, inv.q, inv.p))
         spread = max(spread, math.hypot(inv.q - args.q0, inv.p - args.p0))
         drift = max(drift, abs(e - e0))
+    art = Artifact(["t", "q", "p", "E", "q0", "p0"], np.array(rows, dtype=float))
     art.add_check("invariant_spread", spread, 1e-9)
     art.add_check("energy_drift", drift, 1e-12)
     return art
@@ -247,10 +277,7 @@ def _cmd_classical_propagate(args) -> Artifact:
     axis = _grid_axis(args)
     qq, pp = np.meshgrid(axis, axis, indexing="ij")
     vals = np.asarray(moved.density(qq, pp), dtype=float)
-    art = Artifact(columns=["q", "p", "value"], rows=[])
-    for i, qv in enumerate(axis):
-        for j, pv in enumerate(axis):
-            art.rows.append((qv, pv, vals[i, j]))
+    art = Artifact(["q", "p", "value"], _table(qq, pp, vals))
     art.add_check("norm_residual", abs(phase_space_integral(moved) - 1.0), 1e-6)
     art.add_check("min_value", float(vals.min()))
     return art
@@ -261,10 +288,8 @@ def _cmd_quantum_evolve(args) -> Artifact:
     rho0 = _parse_state(args.state, args.dim, spec)
     rho_t = evolve_density(rho0, spec, args.time, args.form)
     m = rho_t.matrix
-    art = Artifact(columns=["m", "n", "re", "im"], rows=[])
-    for i in range(rho_t.dim):
-        for j in range(rho_t.dim):
-            art.rows.append((i, j, m[i, j].real, m[i, j].imag))
+    mm, nn = np.indices(m.shape)
+    art = Artifact(["m", "n", "re", "im"], _table(mm, nn, m.real, m.imag))
     art.json_object = rho_t.to_dict()
     q0 = expectation(rho0, heisenberg_invariant(spec, rho0.dim, 0.0, args.form))
     qt = expectation(rho_t, heisenberg_invariant(spec, rho_t.dim, args.time, args.form))
@@ -286,13 +311,9 @@ def _cmd_wigner(args) -> Artifact:
         grid = wigner_from_density(rho, axis, axis)
     else:
         variant = args.variant.replace("-", "_")
-        grid = deformed_wigner(rho, spec, axis, axis, variant=variant,
-                               pad=args.pad, workers=_threads_from_env())
-    art = Artifact(columns=["q", "p", "re", "im"], rows=[])
-    for i, qv in enumerate(axis):
-        for j, pv in enumerate(axis):
-            w = grid.values[i, j]
-            art.rows.append((qv, pv, w.real, w.imag))
+        grid = deformed_wigner(rho, spec, axis, axis, variant=variant, pad=args.pad)
+    qq, pp = np.meshgrid(axis, axis, indexing="ij")
+    art = Artifact(["q", "p", "re", "im"], _table(qq, pp, grid.values.real, grid.values.imag))
     art.add_check("normalization", grid.normalization())
     imag_threshold = None if args.variant == "deformed-parity" else 1e-9
     art.add_check("max_imag", grid.max_imag(), imag_threshold)
@@ -317,7 +338,7 @@ def _cmd_tomogram(args) -> Artifact:
         if args.time != 0.0:
             dist = propagate_distribution(dist, spec, args.time, args.law)
         sl = radon_classical(dist, mu, nu, x_axis)
-    art = Artifact(columns=["x", "value"], rows=[(x, v) for x, v in zip(sl.x_axis, sl.values)])
+    art = Artifact(["x", "value"], _table(sl.x_axis, sl.values))
     art.add_check("norm_residual", abs(sl.norm - 1.0), 1e-6)
     art.add_check("negativity", max(0.0, -sl.min_value()), 1e-9)
     return art
@@ -330,16 +351,16 @@ def _cmd_coherent(args) -> Artifact:
     if args.wavefunction:
         x_axis = _x_axis(args)
         psi = position_wavefunction(state, x_axis)
-        art = Artifact(columns=["x", "re", "im", "abs2"],
-                       rows=[(x, v.real, v.imag, abs(v) ** 2) for x, v in zip(x_axis, psi)])
+        art = Artifact(["x", "re", "im", "abs2"],
+                       _table(x_axis, psi.real, psi.imag, _abs2(psi)))
         span = math.sqrt(2.0 * state.dim + 1.0) + 4.0
-        gx, gw = np.polynomial.legendre.leggauss(max(240, 4 * state.dim))
+        gx, gw = _leggauss(max(240, 4 * state.dim))
         dens = np.abs(position_wavefunction(state, span * gx)) ** 2
         art.add_check("wave_norm_residual", abs(float(np.dot(gw, dens) * span) - 1.0), 1e-6)
     else:
-        art = Artifact(columns=["n", "re", "im", "abs2"],
-                       rows=[(n, c.real, c.imag, abs(c) ** 2)
-                             for n, c in enumerate(state.amplitudes)])
+        amps = state.amplitudes
+        art = Artifact(["n", "re", "im", "abs2"],
+                       _table(np.arange(amps.size), amps.real, amps.imag, _abs2(amps)))
     art.add_check("norm_residual", abs(np.linalg.norm(state.amplitudes) - 1.0), 1e-12)
     art.add_check("eigen_residual", eigen_residual(state), 1e-8)
     art.add_check("top_weight", abs(state.amplitudes[-1]) ** 2, 1e-12)
@@ -353,7 +374,7 @@ def _cmd_two_mode(args) -> Artifact:
     state = two_mode_coherent_state(a1, a2, spec, (args.dim1, args.dim2))
     spectrum = schmidt_spectrum(state)
     sv = spectrum.singular_values
-    art = Artifact(columns=["k", "sigma"], rows=[(k, s) for k, s in enumerate(sv)])
+    art = Artifact(["k", "sigma"], _table(np.arange(sv.size), sv))
     art.json_object = {
         "alpha1": {"re": a1.real, "im": a1.imag},
         "alpha2": {"re": a2.real, "im": a2.imag},
@@ -383,14 +404,14 @@ def _cmd_thermo(args) -> Artifact:
         if not args.beta_max > args.beta_min:
             raise DomainError("--beta-max must exceed --beta-min")
         betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
-    art = Artifact(columns=["beta", "Z0", "Zf", "E", "S", "F", "correction"], rows=[])
+    rows = []
     identity_residual = 0.0
     min_entropy = math.inf
     for beta in betas:
         base = linear_thermo(float(beta))
         rep = deformed_partition(float(beta), args.g)
-        art.rows.append((rep.beta, base.z, rep.z, rep.energy, rep.entropy,
-                         rep.free_energy, rep.correction))
+        rows.append((rep.beta, base.z, rep.z, rep.energy, rep.entropy,
+                     rep.free_energy, rep.correction))
         log_zf = math.log(base.z) - beta * args.g * rep.chi_mean
         identity_residual = max(
             identity_residual,
@@ -398,181 +419,157 @@ def _cmd_thermo(args) -> Artifact:
             abs(rep.free_energy + log_zf / beta),
         )
         min_entropy = min(min_entropy, rep.entropy)
+    art = Artifact(["beta", "Z0", "Zf", "E", "S", "F", "correction"], np.array(rows, dtype=float))
     art.add_check("identity_residual", identity_residual, 1e-10)
     art.add_check("min_entropy", min_entropy)
     return art
 
 
-_DISPATCH: Dict[str, Callable] = {
-    "classical-trajectory": _cmd_classical_trajectory,
-    "classical-propagate": _cmd_classical_propagate,
-    "quantum-evolve": _cmd_quantum_evolve,
-    "wigner": _cmd_wigner,
-    "tomogram": _cmd_tomogram,
-    "coherent": _cmd_coherent,
-    "two-mode": _cmd_two_mode,
-    "thermo": _cmd_thermo,
-}
+# ---------------------------------------------------------------------------
+# the command table
 
-_DEFAULT_FORMAT = {
-    "classical-trajectory": "csv",
-    "classical-propagate": "csv",
-    "quantum-evolve": "json",
-    "wigner": "csv",
-    "tomogram": "csv",
-    "coherent": "csv",
-    "two-mode": "json",
-    "thermo": "csv",
-}
+@dataclass(frozen=True)
+class _Command:
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace], Artifact]
+    format: str
+    flags: tuple
+
+    @property
+    def options(self) -> tuple:
+        """The command's own flags, then the ones every command takes."""
+        return self.flags + (
+            _flag("--output", default=None,
+                  help="artifact path; '-' writes the artifact to stdout "
+                       "(default: <command>.<format>)"),
+            _flag("--format", default=self.format, choices=("csv", "json")),
+            _flag("--config", default=None, help="JSON file whose entries override the flags"),
+        )
+
+
+_COMMAND_TABLE = {cmd.name: cmd for cmd in (
+    _Command("classical-trajectory", "sample the deformed amplitude flow and its invariants",
+             _cmd_classical_trajectory, "csv", _NONLINEARITY_FLAGS + (
+                 _flag("--q0", type=float, default=1.0),
+                 _flag("--p0", type=float, default=0.0),
+                 _flag("--t-max", type=float, default=10.0),
+                 _flag("--steps", type=int, default=100),
+                 _LAW,
+             )),
+    _Command("classical-propagate", "transport a gaussian phase-space density along the flow",
+             _cmd_classical_propagate, "csv", _NONLINEARITY_FLAGS + (
+                 _flag("--center-q", type=float, default=1.0),
+                 _flag("--center-p", type=float, default=0.0),
+                 _flag("--sigma", type=float, default=0.5),
+                 _flag("--time", type=float, default=1.0),
+                 _LAW,
+             ) + _grid_flags(extent=4.0, points=41)),
+    _Command("quantum-evolve", "evolve a truncated density matrix under a deformed hamiltonian",
+             _cmd_quantum_evolve, "json", _NONLINEARITY_FLAGS + _STATE_FLAGS + (
+                 _flag("--time", type=float, default=1.0),
+                 _flag("--form", default="symmetric",
+                       choices=("symmetric", "normal", "normal_half", "kerr")),
+             )),
+    _Command("wigner", "Wigner function on a phase-space grid",
+             _cmd_wigner, "csv", _NONLINEARITY_FLAGS + _STATE_FLAGS + (
+                 _flag("--variant", default="standard",
+                       choices=("standard", "usual-parity", "deformed-parity")),
+                 _flag("--pad", type=int, default=10,
+                       help="extra levels for the deformed exponential"),
+             ) + _grid_flags(extent=3.0, points=41)),
+    _Command("tomogram", "symplectic tomogram along one ray",
+             _cmd_tomogram, "csv", _NONLINEARITY_FLAGS + (
+                 _flag("--mu", type=float, default=1.0),
+                 _flag("--nu", type=float, default=0.0),
+                 _flag("--s", type=float, default=None,
+                       help="ray scale; alternative to --mu/--nu, with --theta"),
+                 _flag("--theta", type=float, default=None,
+                       help="ray angle; alternative to --mu/--nu, with --s"),
+                 _flag("--source", default="quantum", choices=("quantum", "classical")),
+             ) + _STATE_FLAGS + (
+                 _flag("--center-q", type=float, default=0.0),
+                 _flag("--center-p", type=float, default=0.0),
+                 _flag("--sigma", type=float, default=1.0),
+                 _flag("--time", type=float, default=0.0),
+                 _LAW,
+             ) + _X_FLAGS),
+    _Command("coherent", "deformed coherent state amplitudes or position wavefunction",
+             _cmd_coherent, "csv", _NONLINEARITY_FLAGS + (
+                 _flag("--alpha-re", type=float, default=1.0),
+                 _flag("--alpha-im", type=float, default=0.0),
+                 _flag("--dim", type=int, default=40),
+                 _flag("--wavefunction", action="store_true",
+                       help="emit psi(x) on an x grid instead of the amplitude table"),
+             ) + _X_FLAGS),
+    _Command("two-mode", "two-mode deformed coherent state and its Schmidt spectrum",
+             _cmd_two_mode, "json", _NONLINEARITY_FLAGS + (
+                 _flag("--alpha1-re", type=float, default=1.0),
+                 _flag("--alpha1-im", type=float, default=0.0),
+                 _flag("--alpha2-re", type=float, default=1.0),
+                 _flag("--alpha2-im", type=float, default=0.0),
+                 _flag("--dim1", type=int, default=40),
+                 _flag("--dim2", type=int, default=40),
+             )),
+    _Command("thermo", "partition function and first-order deformed corrections",
+             _cmd_thermo, "csv", (
+                 _flag("--beta-min", type=float, default=0.5),
+                 _flag("--beta-max", type=float, default=2.0),
+                 _flag("--beta-steps", type=int, default=16),
+                 _flag("--g", type=float, default=0.0,
+                       help="first-order coupling of the level weight n^2"),
+             )),
+)}
 
 
 # ---------------------------------------------------------------------------
 # parser construction and config overlay
 
-def build_parser():
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fosc",
         description="Deformed (f-)oscillator toolkit: classical flows, Fock dynamics, "
                     "Wigner functions, tomograms, coherent states, thermodynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    dest_map: Dict[str, set] = {}
-
-    def common(p, fmt_default):
-        p.add_argument("--output", default=None,
-                       help="artifact path; '-' writes the artifact to stdout "
-                            "(default: <command>.<format>)")
-        p.add_argument("--format", default=fmt_default, choices=["csv", "json"])
-        p.add_argument("--config", default=None,
-                       help="JSON file whose entries override the flags")
-
-    p = sub.add_parser("classical-trajectory",
-                       help="sample the deformed amplitude flow and its invariants")
-    _add_nonlinearity_flags(p)
-    p.add_argument("--q0", type=float, default=1.0)
-    p.add_argument("--p0", type=float, default=0.0)
-    p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--law", default="amplitude", choices=["amplitude", "canonical"])
-    common(p, _DEFAULT_FORMAT["classical-trajectory"])
-    dest_map["classical-trajectory"] = {a.dest for a in p._actions}
-
-    p = sub.add_parser("classical-propagate",
-                       help="transport a gaussian phase-space density along the flow")
-    _add_nonlinearity_flags(p)
-    p.add_argument("--center-q", type=float, default=1.0)
-    p.add_argument("--center-p", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--time", type=float, default=1.0)
-    p.add_argument("--law", default="amplitude", choices=["amplitude", "canonical"])
-    _add_grid_flags(p, extent=4.0, points=41)
-    common(p, _DEFAULT_FORMAT["classical-propagate"])
-    dest_map["classical-propagate"] = {a.dest for a in p._actions}
-
-    p = sub.add_parser("quantum-evolve",
-                       help="evolve a truncated density matrix under a deformed hamiltonian")
-    _add_nonlinearity_flags(p)
-    p.add_argument("--state", default="vacuum")
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--time", type=float, default=1.0)
-    p.add_argument("--form", default="symmetric",
-                   choices=["symmetric", "normal", "normal_half", "kerr"])
-    common(p, _DEFAULT_FORMAT["quantum-evolve"])
-    dest_map["quantum-evolve"] = {a.dest for a in p._actions}
-
-    p = sub.add_parser("wigner", help="Wigner function on a phase-space grid")
-    _add_nonlinearity_flags(p)
-    p.add_argument("--state", default="vacuum")
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--variant", default="standard",
-                   choices=["standard", "usual-parity", "deformed-parity"])
-    p.add_argument("--pad", type=int, default=10,
-                   help="extra levels for the deformed exponential")
-    _add_grid_flags(p, extent=3.0, points=41)
-    common(p, _DEFAULT_FORMAT["wigner"])
-    dest_map["wigner"] = {a.dest for a in p._actions}
-
-    p = sub.add_parser("tomogram", help="symplectic tomogram along one ray")
-    _add_nonlinearity_flags(p)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--s", type=float, default=None,
-                   help="ray scale; alternative to --mu/--nu, with --theta")
-    p.add_argument("--theta", type=float, default=None,
-                   help="ray angle; alternative to --mu/--nu, with --s")
-    p.add_argument("--source", default="quantum", choices=["quantum", "classical"])
-    p.add_argument("--state", default="vacuum")
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--center-q", type=float, default=0.0)
-    p.add_argument("--center-p", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--time", type=float, default=0.0)
-    p.add_argument("--law", default="amplitude", choices=["amplitude", "canonical"])
-    _add_x_flags(p)
-    common(p, _DEFAULT_FORMAT["tomogram"])
-    dest_map["tomogram"] = {a.dest for a in p._actions}
-
-    p = sub.add_parser("coherent",
-                       help="deformed coherent state amplitudes or position wavefunction")
-    _add_nonlinearity_flags(p)
-    p.add_argument("--alpha-re", type=float, default=1.0)
-    p.add_argument("--alpha-im", type=float, default=0.0)
-    p.add_argument("--dim", type=int, default=40)
-    p.add_argument("--wavefunction", action="store_true",
-                   help="emit psi(x) on an x grid instead of the amplitude table")
-    _add_x_flags(p)
-    common(p, _DEFAULT_FORMAT["coherent"])
-    dest_map["coherent"] = {a.dest for a in p._actions}
-
-    p = sub.add_parser("two-mode",
-                       help="two-mode deformed coherent state and its Schmidt spectrum")
-    _add_nonlinearity_flags(p)
-    p.add_argument("--alpha1-re", type=float, default=1.0)
-    p.add_argument("--alpha1-im", type=float, default=0.0)
-    p.add_argument("--alpha2-re", type=float, default=1.0)
-    p.add_argument("--alpha2-im", type=float, default=0.0)
-    p.add_argument("--dim1", type=int, default=40)
-    p.add_argument("--dim2", type=int, default=40)
-    common(p, _DEFAULT_FORMAT["two-mode"])
-    dest_map["two-mode"] = {a.dest for a in p._actions}
-
-    p = sub.add_parser("thermo",
-                       help="partition function and first-order deformed corrections")
-    p.add_argument("--beta-min", type=float, default=0.5)
-    p.add_argument("--beta-max", type=float, default=2.0)
-    p.add_argument("--beta-steps", type=int, default=16)
-    p.add_argument("--g", type=float, default=0.0,
-                   help="first-order coupling of the level weight n^2")
-    common(p, _DEFAULT_FORMAT["thermo"])
-    dest_map["thermo"] = {a.dest for a in p._actions}
-
-    return parser, dest_map
+    for cmd in _COMMAND_TABLE.values():
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        for flag in cmd.options:
+            p.add_argument(flag.name, **flag.kwargs)
+    return parser
 
 
-def _apply_config(args, dest_map):
-    """Overlay --config JSON onto parsed flags; unknown keys are rejected."""
-    if not getattr(args, "config", None):
+def _apply_config(args, cmd: _Command):
+    """Overlay --config JSON onto parsed flags, each value typed by its flag."""
+    if args.config is None:
         return
     with open(args.config, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise DomainError("config must be a JSON object")
-    allowed = dest_map[args.command]
+    flags = {f.dest: f for f in cmd.options if f.dest != "config"}
     for key, value in data.items():
-        if key == "nonlinearity":
-            if not isinstance(value, dict):
-                raise DomainError("config nonlinearity must be an object")
-            spec = spec_from_dict(value)  # validates
-            args.kind = spec.kind
-            args.lam = value.get("lambda", None)
-            args.chi = value.get("chi", None)
-            table = value.get("table", None)
-            args.table = ",".join(str(v) for v in table) if table else None
+        if key == "nonlinearity" and "kind" in flags:
+            _apply_profile(args, flags, value)
             continue
-        dest = key.replace("-", "_")
-        if dest in ("command", "config") or dest not in allowed:
-            raise DomainError(f"unknown config field {key!r} for {args.command}")
-        setattr(args, dest, value)
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
+            raise DomainError(f"unknown config field {key!r} for {cmd.name}")
+        setattr(args, flag.dest, flag.from_config(key, value))
+
+
+def _apply_profile(args, flags: dict, block):
+    """A config "nonlinearity" object: it replaces the whole profile."""
+    if not isinstance(block, dict) or "kind" not in block:
+        raise DomainError("config nonlinearity must be an object with a 'kind' field")
+    args.lam = args.chi = args.table = None
+    for key, value in block.items():
+        if key not in _PROFILE_FIELDS:
+            raise DomainError(f"unknown config field 'nonlinearity.{key}'")
+        if key == "table" and isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        flag = flags[_PROFILE_FIELDS[key]]
+        setattr(args, flag.dest, flag.from_config(f"nonlinearity.{key}", value))
 
 
 def _resolved_parameters(args) -> dict:
@@ -613,11 +610,11 @@ def _write_outputs(args, art: Artifact) -> str:
 
 
 def main(argv=None) -> int:
-    parser, dest_map = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cmd = _COMMAND_TABLE[args.command]
     try:
-        _apply_config(args, dest_map)
-        artifact = _DISPATCH[args.command](args)
+        _apply_config(args, cmd)
+        artifact = cmd.handler(args)
     except NumericToleranceError as exc:
         print(f"numeric tolerance failure: {exc}", file=sys.stderr)
         return 3

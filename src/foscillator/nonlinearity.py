@@ -217,18 +217,7 @@ def f_factorial(spec: NonlinearitySpec, n: int) -> float:
     """Product f(0) f(1) ... f(n); requires every factor > 0."""
     if n != int(n) or n < 0:
         raise DomainError("f_factorial needs an integer n >= 0")
-    levels = np.arange(int(n) + 1)
-    try:
-        factors = np.atleast_1d(eval_f(spec, levels))
-    except DomainError as exc:
-        raise DegenerateDeformationError(
-            f"profile not positive on levels 0..{int(n)}"
-        ) from exc
-    if np.min(factors) <= 0.0:
-        raise DegenerateDeformationError(
-            f"profile not positive on levels 0..{int(n)}"
-        )
-    return float(np.prod(factors))
+    return float(np.prod(require_positive(spec, int(n))))
 
 
 def log_f_factorial(spec: NonlinearitySpec, n_max: int) -> np.ndarray:
@@ -238,18 +227,7 @@ def log_f_factorial(spec: NonlinearitySpec, n_max: int) -> np.ndarray:
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    levels = np.arange(int(n_max) + 1)
-    try:
-        factors = np.atleast_1d(eval_f(spec, levels))
-    except DomainError as exc:
-        raise DegenerateDeformationError(
-            f"profile not positive on levels 0..{int(n_max)}"
-        ) from exc
-    if np.min(factors) <= 0.0:
-        raise DegenerateDeformationError(
-            f"profile not positive on levels 0..{int(n_max)}"
-        )
-    return np.cumsum(np.log(factors))
+    return np.cumsum(np.log(require_positive(spec, n_max)))
 
 
 def require_positive(spec: NonlinearitySpec, n_max: int) -> np.ndarray:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .classical import PhaseSpaceDistribution, propagate_distribution
+from .classical import PhaseSpaceDistribution, _leggauss, propagate_distribution
 from .errors import DegenerateRayError, DomainError
 from .fock import DensityMatrix
 from .hermite import hermite_functions
@@ -41,11 +40,6 @@ class TomogramSlice:
 
     def min_value(self) -> float:
         return float(np.min(self.values))
-
-
-@lru_cache(maxsize=16)
-def _leggauss(nodes: int):
-    return np.polynomial.legendre.leggauss(nodes)
 
 
 def _check_ray(mu: float, nu: float) -> float:

@@ -13,8 +13,11 @@ from foscillator import (
     coherent_density,
     evolve_density,
     kerr,
+    nonlinear_coherent_state,
+    q_oscillator,
     schmidt_spectrum,
     two_mode_coherent_state,
+    wigner_from_density,
 )
 from foscillator.cli import main
 
@@ -72,14 +75,6 @@ def test_threaded_wigner_is_deterministic(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
     meta = _read_sidecar(a)
     assert meta["checks"]["max_imag"]["value"] < 1e-9
-
-
-def test_bad_thread_env_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setenv("FOSC_THREADS", "-1")
-    out = tmp_path / "w.csv"
-    code = main(["wigner", "--variant", "usual-parity", "--dim", "8",
-                 "--extent", "1", "--points", "3", "--output", str(out)])
-    assert code == 2
 
 
 def test_quantum_evolve_json_round_trip(tmp_path):
@@ -150,6 +145,27 @@ def test_state_selector_from_file(tmp_path):
                  "--extent", "6", "--points", "7", "--output", str(out)]) == 0
 
 
+def test_csv_rows_follow_the_library_grid(tmp_path):
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--state", "coherent:0.5,0.25", "--dim", "12", "--extent", "6",
+                 "--points", "5", "--output", str(out)]) == 0
+    axis = np.linspace(-6.0, 6.0, 5)
+    grid = wigner_from_density(coherent_density(complex(0.5, 0.25), 12), axis, axis)
+    rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    expected = [[q, p, grid.values[i, j].real, grid.values[i, j].imag]
+                for i, q in enumerate(axis) for j, p in enumerate(axis)]
+    assert rows == expected
+
+
+def test_coherent_abs2_column_is_abs_squared(tmp_path):
+    out = tmp_path / "amps.csv"
+    assert main(["coherent", "--kind", "q", "--lambda", "0.05", "--alpha-re", "1.3",
+                 "--alpha-im", "-0.7", "--dim", "50", "--output", str(out)]) == 0
+    amps = nonlinear_coherent_state(complex(1.3, -0.7), q_oscillator(0.05), 50).amplitudes
+    rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    assert rows == [[n, c.real, c.imag, abs(c) ** 2] for n, c in enumerate(amps)]
+
+
 def test_fock_state_selector_min_real(tmp_path):
     out = tmp_path / "w.csv"
     assert main(["wigner", "--state", "fock:1", "--dim", "24", "--extent", "4",
@@ -177,6 +193,34 @@ def test_unknown_config_key_exits_2(tmp_path):
     code = main(["thermo", "--config", str(cfg), "--output", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("quantum-evolve", {"dim": 40.5}),
+    ("quantum-evolve", {"dim": True}),
+    ("quantum-evolve", {"state": 5}),
+    ("quantum-evolve", {"format": "xml"}),
+    ("quantum-evolve", {"help": True}),
+    ("wigner", {"variant": "bogus"}),
+    ("coherent", {"wavefunction": "yes"}),
+])
+def test_config_values_are_typed_by_their_flags(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.dat"
+    assert main([command, "--config", str(cfg), "--output", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_string_is_converted_like_a_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta_steps": "3"}))
+    out = tmp_path / "t.csv"
+    assert main(["thermo", "--config", str(cfg), "--output", str(out)]) == 0
+    assert _read_sidecar(out)["parameters"]["beta_steps"] == 3
+    assert len(out.read_text().splitlines()) == 4
 
 
 def test_nonlinearity_config_block(tmp_path):
@@ -230,3 +274,13 @@ def test_missing_profile_parameter_exits_2(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["quantum-evolve", "--kind", "q", "--output", str(out)]) == 2
     assert main(["quantum-evolve", "--kind", "kerr", "--output", str(out)]) == 2
+
+
+@pytest.mark.parametrize("state", ["coherent:1.0+0.5j", "fock:x", "nl-coherent:1,2,3"])
+def test_bad_state_selector_names_the_accepted_forms(tmp_path, capsys, state):
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--state", state, "--dim", "8", "--output", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--state" in err
+    assert "vacuum | fock:N | coherent:RE[,IM] | nl-coherent:RE[,IM] | file:PATH" in err

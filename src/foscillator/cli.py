@@ -7,8 +7,8 @@ byte-deterministic: floats are printed with 17 significant digits, CSV uses
 time- or host-dependent is emitted.
 
 Exit codes: 0 success, 2 validation error (bad flags/config/physics
-preconditions; no artifact written), 3 numeric-tolerance failure (artifact
-and sidecar are written so the breach can be inspected).
+preconditions; one ``error:`` line, no artifact written), 3 numeric-tolerance
+failure (artifact and sidecar are written so the breach can be inspected).
 
 Each subcommand is declared once, in ``_COMMAND_TABLE``: name, help,
 handler, default format and flags.  The parser is built from that table,
@@ -525,8 +525,16 @@ _COMMAND_TABLE = {cmd.name: cmd for cmd in (
 # ---------------------------------------------------------------------------
 # parser construction and config overlay
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``DomainError`` on a bad command line instead of printing usage
+    and exiting, so ``main`` reports it like a bad --config value."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fosc",
         description="Deformed (f-)oscillator toolkit: classical flows, Fock dynamics, "
                     "Wigner functions, tomograms, coherent states, thermodynamics.",
@@ -610,9 +618,9 @@ def _write_outputs(args, art: Artifact) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cmd = _COMMAND_TABLE[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        cmd = _COMMAND_TABLE[args.command]
         _apply_config(args, cmd)
         artifact = cmd.handler(args)
     except NumericToleranceError as exc:

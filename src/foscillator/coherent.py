@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, TruncationError
-from .fock import DensityMatrix, density_from_amplitudes
+from .fock import DensityMatrix, _log_factorials, density_from_amplitudes
 from .hermite import hermite_functions
 from .nonlinearity import NonlinearitySpec, log_f_factorial
 
@@ -91,7 +90,7 @@ def nonlinear_coherent_state(
         amps = np.zeros(dim, dtype=complex)
         amps[0] = 1.0
     else:
-        logmag = n * math.log(r) - logf - 0.5 * gammaln(n + 1.0)
+        logmag = n * math.log(r) - logf - 0.5 * _log_factorials(dim - 1)
         logmag -= logmag.max()
         mag = np.exp(logmag)
         mag /= np.linalg.norm(mag)
@@ -138,7 +137,8 @@ def two_mode_coherent_state(
     l1 = n1 * math.log(r1) if r1 > 0.0 else np.where(n1 == 0, 0.0, -np.inf)
     l2 = n2 * math.log(r2) if r2 > 0.0 else np.where(n2 == 0, 0.0, -np.inf)
     total = (n1 + n2).astype(int)
-    logmag = l1 + l2 - 0.5 * gammaln(n1 + 1.0) - 0.5 * gammaln(n2 + 1.0) - logf[total]
+    log_fact = _log_factorials(max(d1, d2) - 1)
+    logmag = l1 + l2 - 0.5 * log_fact[:d1, None] - 0.5 * log_fact[None, :d2] - logf[total]
     logmag -= logmag.max()
     mag = np.exp(logmag)
     mag /= np.linalg.norm(mag)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from scipy.special import gammaln
 
 import numpy as np
 
@@ -216,6 +215,11 @@ def fock_density(n: int, dim: int) -> DensityMatrix:
     return density_from_amplitudes(c)
 
 
+def _log_factorials(n_max: int) -> np.ndarray:
+    """[log 0!, log 1!, ..., log n_max!] as a running sum of log k."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n_max + 1.0)))))
+
+
 def _poisson_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     alpha = complex(alpha)
     n = np.arange(dim, dtype=float)
@@ -224,7 +228,7 @@ def _poisson_amplitudes(alpha: complex, dim: int) -> np.ndarray:
         c = np.zeros(dim, dtype=complex)
         c[0] = 1.0
         return c
-    logmag = n * math.log(r) - 0.5 * gammaln(n + 1.0) - 0.5 * r * r
+    logmag = n * math.log(r) - 0.5 * _log_factorials(dim - 1) - 0.5 * r * r
     phase = n * math.atan2(alpha.imag, alpha.real)
     return np.exp(logmag) * (np.cos(phase) + 1j * np.sin(phase))
 

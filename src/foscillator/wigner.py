@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericToleranceError
-from .fock import DensityMatrix, deformed_lowering
+from .fock import DensityMatrix, _log_factorials, deformed_lowering
 from .nonlinearity import NonlinearitySpec, require_positive
 
 WIGNER_VARIANTS = ("usual_parity", "deformed_parity")
@@ -88,7 +88,7 @@ def _laguerre_diagonals(k, x, count: int) -> np.ndarray:
     k = np.asarray(k)
     x = np.asarray(x, dtype=float)
     out = np.empty((count,) + np.broadcast_shapes(k.shape, x.shape))
-    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, np.max(k) + 1.0)))))
+    log_factorial = _log_factorials(int(np.max(k)))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_power = np.where(k == 0, 0.0, 0.5 * k * np.log(x))
     out[0] = np.exp(log_power - 0.5 * x - 0.5 * log_factorial[k])

@@ -63,14 +63,12 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert _read_sidecar(a) == _read_sidecar(b)
 
 
-def test_threaded_wigner_is_deterministic(tmp_path, monkeypatch):
+def test_deformed_wigner_runs_are_byte_identical(tmp_path):
     argv = ["wigner", "--variant", "usual-parity", "--kind", "kerr", "--chi", "0.1",
             "--state", "coherent:0.8", "--dim", "12", "--extent", "1.5",
             "--points", "7"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("FOSC_THREADS", "3")
     assert main(argv + ["--output", str(a)]) == 0
-    monkeypatch.setenv("FOSC_THREADS", "1")
     assert main(argv + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     meta = _read_sidecar(a)
@@ -268,6 +266,41 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["thermo", "--g", "x"], "argument --g: invalid float value: 'x'"),
+    (["thermo", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["wigner", "--variant", "odd"], "argument --variant: invalid choice: 'odd'"),
+    ([], "required: command"),
+])
+def test_bad_command_line_returns_2_with_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: fosc")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["thermo", "--help"])
+    assert info.value.code == 0
+    assert "--beta-min" in capsys.readouterr().out
+
+
+def test_bad_flag_value_in_a_subprocess_exits_2_with_one_line(tmp_path):
+    out = tmp_path / "t.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "foscillator", "thermo", "--beta-steps", "many",
+         "--output", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: fosc thermo: argument --beta-steps: invalid int value: 'many'"]
+    assert not out.exists()
 
 
 def test_missing_profile_parameter_exits_2(tmp_path):

@@ -20,6 +20,13 @@ from foscillator import (
     two_mode_coherent_state,
     two_mode_eigen_residuals,
 )
+from foscillator.nonlinearity import log_f_factorial
+
+
+def _gammaln_weights(logmag, phase):
+    mag = np.exp(logmag - logmag.max())
+    mag /= np.linalg.norm(mag)
+    return mag * np.exp(1j * phase)
 
 
 def test_zero_amplitude_is_vacuum():
@@ -188,3 +195,29 @@ def test_entanglement_fades_with_the_deformation():
 def test_two_mode_truncation_guard():
     with pytest.raises(TruncationError):
         two_mode_coherent_state(2.5, 2.5, identity(), (12, 12))
+
+
+@pytest.mark.parametrize("spec", [kerr(0.1), q_oscillator(0.1)])
+@pytest.mark.parametrize("alpha", [0.6, 1.4 - 0.9j])
+def test_nonlinear_weights_match_gammaln_reference(spec, alpha):
+    dim = 60
+    n = np.arange(dim, dtype=float)
+    r, phase = abs(alpha), math.atan2(complex(alpha).imag, complex(alpha).real)
+    logmag = n * math.log(r) - log_f_factorial(spec, dim - 1) - 0.5 * gammaln(n + 1.0)
+    st = nonlinear_coherent_state(alpha, spec, dim)
+    np.testing.assert_allclose(st.amplitudes, _gammaln_weights(logmag, phase * n),
+                               rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("spec", [identity(), kerr(0.1)])
+def test_two_mode_weights_match_gammaln_reference(spec):
+    a1, a2, dims = 1.2, 0.8 - 0.5j, (34, 27)
+    n1 = np.arange(dims[0], dtype=float)[:, None]
+    n2 = np.arange(dims[1], dtype=float)[None, :]
+    logf = log_f_factorial(spec, sum(dims) - 2)
+    logmag = (n1 * math.log(abs(a1)) + n2 * math.log(abs(a2)) - 0.5 * gammaln(n1 + 1.0)
+              - 0.5 * gammaln(n2 + 1.0) - logf[(n1 + n2).astype(int)])
+    phase = n1 * math.atan2(0.0, a1) + n2 * math.atan2(a2.imag, a2.real)
+    st = two_mode_coherent_state(a1, a2, spec, dims)
+    np.testing.assert_allclose(st.coefficients, _gammaln_weights(logmag, phase),
+                               rtol=0.0, atol=1e-13)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from foscillator import (
     DensityMatrix,
@@ -30,6 +31,7 @@ from foscillator import (
     q_oscillator,
     vacuum_density,
 )
+from foscillator.fock import _log_factorials
 
 
 def test_lowering_dim2():
@@ -224,6 +226,24 @@ def test_coherent_density_poisson_weights():
     rho = coherent_density(1.0, 30)
     assert rho.matrix[0, 0].real == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert expectation(rho, number_operator(30)).real == pytest.approx(1.0, rel=1e-10)
+
+
+def test_log_factorials_match_gammaln():
+    table = _log_factorials(5000)
+    expected = gammaln(np.arange(5001) + 1.0)
+    assert table.shape == (5001,)
+    assert table[0] == table[1] == 0.0
+    np.testing.assert_allclose(table[2:], expected[2:], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha, dim", [(0.7, 12), (1.5 + 0.8j, 40), (-3.0 + 2.0j, 90)])
+def test_coherent_density_matches_gammaln_reference(alpha, dim):
+    n = np.arange(dim, dtype=float)
+    r, phase = abs(alpha), math.atan2(complex(alpha).imag, complex(alpha).real)
+    c = np.exp(n * math.log(r) - 0.5 * gammaln(n + 1.0) - 0.5 * r * r) * np.exp(1j * phase * n)
+    c /= np.linalg.norm(c)
+    rho = coherent_density(alpha, dim)
+    np.testing.assert_allclose(rho.matrix, np.outer(c, c.conj()), rtol=0.0, atol=1e-13)
 
 
 def test_coherent_truncation_dim_bounds_tail():

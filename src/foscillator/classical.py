@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -140,9 +140,17 @@ def gaussian_distribution(
     return PhaseSpaceDistribution(density=density, support_radius=float(support_radius))
 
 
-@lru_cache(maxsize=16)
+@cache
 def _leggauss(nodes: int):
-    return np.polynomial.legendre.leggauss(nodes)
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only.
+
+    Unbounded: the node counts in use track the state sizes (tomogram norms
+    take max(240, 6 dim)), and an entry is two float arrays.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def phase_space_integral(dist: PhaseSpaceDistribution, nodes: int = 200) -> float:

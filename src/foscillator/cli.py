@@ -58,7 +58,7 @@ from .fock import (
     vacuum_density,
 )
 from .nonlinearity import spec_from_dict, spec_to_dict
-from .thermo import deformed_partition, linear_thermo
+from .thermo import deformed_partition
 from .tomography import quantum_tomogram, radon_classical, ray_from_scale_angle
 from .wigner import deformed_wigner, wigner_from_density
 
@@ -355,7 +355,7 @@ def _cmd_coherent(args) -> Artifact:
                        _table(x_axis, psi.real, psi.imag, _abs2(psi)))
         span = math.sqrt(2.0 * state.dim + 1.0) + 4.0
         gx, gw = _leggauss(max(240, 4 * state.dim))
-        dens = np.abs(position_wavefunction(state, span * gx)) ** 2
+        dens = _abs2(position_wavefunction(state, span * gx))
         art.add_check("wave_norm_residual", abs(float(np.dot(gw, dens) * span) - 1.0), 1e-6)
     else:
         amps = state.amplitudes
@@ -408,11 +408,10 @@ def _cmd_thermo(args) -> Artifact:
     identity_residual = 0.0
     min_entropy = math.inf
     for beta in betas:
-        base = linear_thermo(float(beta))
         rep = deformed_partition(float(beta), args.g)
-        rows.append((rep.beta, base.z, rep.z, rep.energy, rep.entropy,
+        rows.append((rep.beta, rep.z0, rep.z, rep.energy, rep.entropy,
                      rep.free_energy, rep.correction))
-        log_zf = math.log(base.z) - beta * args.g * rep.chi_mean
+        log_zf = math.log(rep.z0) - beta * args.g * rep.chi_mean
         identity_residual = max(
             identity_residual,
             abs(rep.entropy - (beta * rep.energy + log_zf)),

@@ -27,6 +27,10 @@ _TRACE_TOL = 1e-10
 _EIG_TOL = 1e-10
 _TAIL_TOL = 1e-8
 _TAIL_FRACTION = 0.9
+# Largest a-priori eigenvalue drift for which evolve_density skips the
+# eigendecomposition: a hundredth of _EIG_TOL.
+_PHASE_DRIFT_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 def lowering_operator(dim: int) -> np.ndarray:
@@ -129,41 +133,64 @@ def heisenberg_invariant(
     return out
 
 
+def _validated(matrix, check_spectrum: bool) -> np.ndarray:
+    """Read-only complex copy of ``matrix`` after the density-matrix checks.
+
+    The order is fixed: shape, hermiticity, trace, spectrum, tail, so a
+    matrix that fails several checks always reports the same one.
+    """
+    m = np.array(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DomainError("density matrix must be square")
+    if m.shape[0] < 2:
+        raise DomainError("density matrix needs dim >= 2")
+    herm = np.max(np.abs(m - m.conj().T))
+    if herm > _HERM_TOL:
+        raise DomainError(f"not hermitian: max deviation {herm:.3e}")
+    tr = np.trace(m).real
+    if abs(tr - 1.0) > _TRACE_TOL:
+        raise DomainError(f"trace {tr!r} is not 1")
+    if check_spectrum:
+        w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+        if w.min() < -_EIG_TOL:
+            raise DomainError(f"negative eigenvalue {w.min():.3e}")
+    dim = m.shape[0]
+    cut = _TAIL_FRACTION * (dim - 1)
+    tail = float(np.sum(np.diag(m).real[np.arange(dim) > cut]))
+    if tail >= _TAIL_TOL:
+        raise TruncationError(
+            f"population {tail:.3e} in the top levels; increase dim"
+        )
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated truncated density matrix.
 
     Construction checks hermiticity, unit trace, positivity (up to roundoff)
     and that almost no population sits in the top tenth of the basis, where
-    truncation artifacts live.
+    truncation artifacts live.  Every matrix from outside the package
+    (``DensityMatrix(...)``, ``from_dict``, the CLI's ``file:`` states) gets
+    all four checks.  The package's own builders of states that are positive
+    by construction skip only the positivity check, a dense
+    eigendecomposition: ``density_from_amplitudes`` and the states built on
+    it always, ``evolve_density`` while its phases keep enough precision.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError("density matrix must be square")
-        if m.shape[0] < 2:
-            raise DomainError("density matrix needs dim >= 2")
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > _HERM_TOL:
-            raise DomainError(f"not hermitian: max deviation {herm:.3e}")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise DomainError(f"trace {tr!r} is not 1")
-        w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        if w.min() < -_EIG_TOL:
-            raise DomainError(f"negative eigenvalue {w.min():.3e}")
-        dim = m.shape[0]
-        cut = _TAIL_FRACTION * (dim - 1)
-        tail = float(np.sum(np.diag(m).real[np.arange(dim) > cut]))
-        if tail >= _TAIL_TOL:
-            raise TruncationError(
-                f"population {tail:.3e} in the top levels; increase dim"
-            )
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _validated(self.matrix, check_spectrum=True))
+
+    @classmethod
+    def _trusted(cls, matrix) -> "DensityMatrix":
+        """A state positive semidefinite by construction, up to roundoff far
+        below the eigenvalue tolerance: every check but the spectrum runs."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", _validated(matrix, check_spectrum=False))
+        return rho
 
     @property
     def dim(self) -> int:
@@ -198,7 +225,8 @@ def density_from_amplitudes(amplitudes) -> DensityMatrix:
     if norm == 0.0:
         raise DomainError("amplitude vector is zero")
     c = c / norm
-    return DensityMatrix(np.outer(c, c.conj()))
+    # rank one: its eigenvalues are 1 and zeros, up to ~2 eps
+    return DensityMatrix._trusted(np.outer(c, c.conj()))
 
 
 def vacuum_density(dim: int) -> DensityMatrix:
@@ -261,11 +289,24 @@ def evolve_density(
     """Exact evolution under the diagonal Hamiltonian.
 
     rho_mn(t) = rho_mn(0) exp(-i (H_m - H_n) t); populations never move, so
-    trace, spectrum and tail mass are preserved and the result revalidates.
+    trace and tail mass are preserved exactly.  The rotation is a conjugation
+    by a diagonal unitary, which keeps the spectrum up to the rounding of the
+    phases.  While that rounding provably moves the eigenvalues by less than
+    a hundredth of the positivity tolerance, the result is rechecked for
+    hermiticity, trace and tail only; past it (long times, where the phase
+    angles lose their low digits) it is fully validated, eigenvalues
+    included.
     """
     h = hamiltonian_diagonal(spec, rho.dim, form)
-    phase = np.exp(-1j * (h[:, None] - h[None, :]) * float(t))
-    return DensityMatrix(rho.matrix * phase)
+    angle = (h[:, None] - h[None, :]) * float(t)
+    out = rho.matrix * np.exp(-1j * angle)
+    # Rounding the angle, the exponential and the product moves entry mn by
+    # at most ~eps |rho_mn| (|angle_mn| + 4); the spectrum moves by at most
+    # the Frobenius norm of those moves.
+    drift = _EPS * np.linalg.norm(np.abs(rho.matrix) * (np.abs(angle) + 4.0))
+    if drift <= _PHASE_DRIFT_TOL:
+        return DensityMatrix._trusted(out)
+    return DensityMatrix(out)
 
 
 def expectation(rho: DensityMatrix, op: np.ndarray) -> complex:

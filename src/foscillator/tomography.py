@@ -126,7 +126,9 @@ def _quantum_eval(rho: DensityMatrix, mu: float, nu: float, x: np.ndarray) -> np
     phi = hermite_functions(rho.dim - 1, x / r)
     phases = np.exp(-1j * theta * np.arange(rho.dim))
     amp = (phases[:, None] * phi) / math.sqrt(r)
-    w = np.einsum("mn,mx,nx->x", rho.matrix, amp.conj(), amp)
+    # w(x) = sum_mn conj(amp_mx) rho_mn amp_nx: one matrix product, then a
+    # column-wise dot product
+    w = np.einsum("mx,mx->x", amp.conj(), rho.matrix @ amp)
     return w.real
 
 

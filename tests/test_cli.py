@@ -13,6 +13,7 @@ from foscillator import (
     coherent_density,
     evolve_density,
     kerr,
+    linear_thermo,
     nonlinear_coherent_state,
     q_oscillator,
     schmidt_spectrum,
@@ -52,6 +53,7 @@ def test_thermo_zero_coupling_columns_match(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     for row in rows:
         assert row[1] == row[2]  # Z0 and Zf byte-identical
+        assert row[1] == format(linear_thermo(float(row[0])).z, ".17g")
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -141,6 +143,19 @@ def test_state_selector_from_file(tmp_path):
     out = tmp_path / "w.csv"
     assert main(["wigner", "--state", f"file:{state_path}", "--dim", "12",
                  "--extent", "6", "--points", "7", "--output", str(out)]) == 0
+
+
+def test_state_file_with_a_negative_eigenvalue_exits_2(tmp_path, capsys):
+    # hermitian, unit trace and an empty tail: only the spectrum check fails
+    m = np.zeros((12, 12))
+    m[0, 0], m[1, 1], m[0, 1], m[1, 0] = 0.5, 0.5, 0.7, 0.7
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({"dim": 12, "re": m.tolist(), "im": np.zeros_like(m).tolist()}))
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--state", f"file:{state_path}", "--dim", "12",
+                 "--extent", "6", "--points", "7", "--output", str(out)]) == 2
+    assert "negative eigenvalue" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_csv_rows_follow_the_library_grid(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import gammaln
 
@@ -26,12 +28,13 @@ from foscillator import (
     identity,
     kerr,
     lowering_operator,
+    nonlinear_coherent_state,
     number_operator,
     parity_operator,
     q_oscillator,
     vacuum_density,
 )
-from foscillator.fock import _log_factorials
+from foscillator.fock import _log_factorials, _poisson_amplitudes
 
 
 def test_lowering_dim2():
@@ -271,3 +274,123 @@ def test_density_from_amplitudes_normalizes():
 def test_expectation_shape_guard():
     with pytest.raises(DomainError):
         expectation(vacuum_density(4), np.eye(5))
+
+
+# --- validation at the boundary: trusted builders vs full validation ---
+
+
+def _pure(c):
+    c = np.asarray(c, dtype=complex)
+    c = c / np.linalg.norm(c)
+    return np.outer(c, c.conj())
+
+
+def _trusted_builds():
+    """(name, trusted build, matrix the fully validated route starts from)."""
+    cases = [
+        ("vacuum", lambda: vacuum_density(20), _pure(np.eye(20)[0])),
+        ("fock", lambda: fock_density(5, 20), _pure(np.eye(20)[5])),
+        ("coherent", lambda: coherent_density(1.1 + 0.6j, 40), _pure(_poisson_amplitudes(1.1 + 0.6j, 40))),
+    ]
+    for spec in (kerr(0.1), q_oscillator(0.1)):
+        amps = nonlinear_coherent_state(1.2 - 0.3j, spec, 40).amplitudes
+        cases.append((f"nl-{spec.kind}",
+                      lambda spec=spec: nonlinear_coherent_state(1.2 - 0.3j, spec, 40).density(),
+                      _pure(amps)))
+    rho = DensityMatrix(0.6 * coherent_density(0.9 - 0.4j, 30).matrix + 0.4 * fock_density(3, 30).matrix)
+    h = hamiltonian_diagonal(kerr(0.2), rho.dim)
+    cases.append(("evolve-mixed", lambda: evolve_density(rho, kerr(0.2), 2.7),
+                  rho.matrix * np.exp(-1j * (h[:, None] - h[None, :]) * 2.7)))
+    return cases
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_trusted_builders_match_full_validation():
+    for name, build, raw in _trusted_builds():
+        trusted = build()
+        full = DensityMatrix(raw)
+        np.testing.assert_array_equal(trusted.matrix, full.matrix, err_msg=name)
+        assert not trusted.matrix.flags.writeable
+        assert np.linalg.eigvalsh(trusted.matrix).min() > -1e-14, name
+
+
+def test_trusted_builders_skip_only_the_eigendecomposition(eigvalsh_calls):
+    cases = _trusted_builds()
+    for name, build, _ in cases:
+        eigvalsh_calls.clear()
+        build()
+        assert len(eigvalsh_calls) == 0, name
+    for name, _, raw in cases:
+        eigvalsh_calls.clear()
+        rho = DensityMatrix(raw)
+        assert len(eigvalsh_calls) == 1, name
+        eigvalsh_calls.clear()
+        DensityMatrix.from_dict(rho.to_dict())
+        assert len(eigvalsh_calls) == 1, name
+
+
+def test_trusted_builders_keep_the_tail_check():
+    with pytest.raises(TruncationError):
+        coherent_density(3.0, 12)
+    with pytest.raises(TruncationError):
+        fock_density(9, 10)
+
+
+def test_evolve_past_phase_precision_revalidates(eigvalsh_calls):
+    # At t = 1e7 the phase angles of a dim-60 Kerr state have lost their low
+    # digits: the a-priori drift bound exceeds its limit, so the state is
+    # re-diagonalised, and here its rounding has pushed an eigenvalue below
+    # the tolerance.
+    rho = coherent_density(1.0, 60)
+    evolve_density(rho, kerr(0.1), 10.0)
+    assert len(eigvalsh_calls) == 0
+    with pytest.raises(DomainError, match="negative eigenvalue"):
+        evolve_density(rho, kerr(0.1), 1e7)
+    assert len(eigvalsh_calls) == 1
+
+
+def test_full_validation_check_order():
+    # fails both hermiticity and positivity: hermiticity is reported
+    with pytest.raises(DomainError, match="not hermitian"):
+        DensityMatrix(np.array([[1.5, 0.1], [0.4, -0.5]]))
+    # fails both positivity and the tail: positivity is reported
+    bad = np.diag([1.2, 0.0, 0.0, 0.0, -0.2]).astype(complex)
+    with pytest.raises(DomainError, match="negative eigenvalue"):
+        DensityMatrix(bad)
+
+
+_PROFILES = st.one_of(
+    st.floats(0.0, 0.3).map(kerr),
+    st.floats(0.01, 0.3).map(q_oscillator),
+    st.just(identity()),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    dim=st.integers(20, 90),
+    t=st.floats(-20.0, 20.0),
+    spec=_PROFILES,
+    form=st.sampled_from(["symmetric", "normal", "normal_half"]),
+    weights=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+)
+def test_evolution_keeps_populations_and_spectrum(dim, t, spec, form, weights):
+    top = int(0.9 * (dim - 1))  # highest level below the checked tail
+    parts = (vacuum_density(dim), fock_density(top, dim), coherent_density(0.8 - 0.5j, dim))
+    rho = DensityMatrix(sum(w * p.matrix for w, p in zip(weights, parts)) / sum(weights))
+    out = evolve_density(rho, spec, t, form)
+    np.testing.assert_array_equal(np.diag(out.matrix), np.diag(rho.matrix))
+    np.testing.assert_allclose(np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(rho.matrix),
+                               rtol=0.0, atol=1e-13)

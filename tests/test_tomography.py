@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foscillator import (
     DegenerateRayError,
+    DensityMatrix,
     PhaseSpaceDistribution,
     classical_tomogram_evolved,
     coherent_density,
@@ -23,6 +26,9 @@ from foscillator import (
     vacuum_density,
     wigner_values,
 )
+from foscillator.classical import _leggauss
+from foscillator.hermite import hermite_functions
+from foscillator.tomography import _quantum_eval
 
 
 def test_gaussian_marginal():
@@ -60,6 +66,75 @@ def test_quantum_homogeneity(s):
     base = quantum_tomogram(rho, 0.7, 0.4, x).values
     scaled = quantum_tomogram(rho, s * 0.7, s * 0.4, s * x).values
     np.testing.assert_allclose(scaled, base / abs(s), atol=1e-8)
+
+
+def _polar(r_min, r_max):
+    return st.tuples(st.floats(r_min, r_max), st.floats(-math.pi, math.pi)).map(
+        lambda ra: complex(ra[0] * math.cos(ra[1]), ra[0] * math.sin(ra[1])))
+
+
+_RAYS = _polar(0.3, 2.5).map(lambda z: (z.real, z.imag))
+_STATES = st.one_of(
+    # |alpha| <= 1.5 keeps the tail of a dim-25 basis empty
+    st.tuples(_polar(0.0, 1.5), st.integers(25, 60)).map(lambda ad: coherent_density(*ad)),
+    st.tuples(st.integers(0, 10), st.integers(25, 60)).map(lambda nd: fock_density(*nd)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(rho=_STATES, ray=_RAYS, s=st.floats(0.25, 4.0), flip=st.booleans())
+def test_quantum_homogeneity_property(rho, ray, s, flip):
+    s = -s if flip else s
+    mu, nu = ray
+    x = np.linspace(-5.0, 5.0, 21)
+    base = quantum_tomogram(rho, mu, nu, x).values
+    scaled = quantum_tomogram(rho, s * mu, s * nu, s * x).values
+    np.testing.assert_allclose(scaled, base / abs(s), rtol=0.0, atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(rho=_STATES, ray=_RAYS)
+def test_quantum_unit_norm_property(rho, ray):
+    assert quantum_tomogram(rho, *ray, np.array([0.0])).norm == pytest.approx(1.0, abs=1e-10)
+
+
+def _three_operand_reference(rho, mu, nu, x):
+    """The contraction as a single three-operand einsum, as first written."""
+    r = math.hypot(mu, nu)
+    phi = hermite_functions(rho.dim - 1, x / r)
+    phases = np.exp(-1j * math.atan2(nu, mu) * np.arange(rho.dim))
+    amp = (phases[:, None] * phi) / math.sqrt(r)
+    return np.einsum("mn,mx,nx->x", rho.matrix, amp.conj(), amp).real
+
+
+def test_contraction_matches_three_operand_einsum():
+    rng = np.random.default_rng(20240611)
+    x = np.linspace(-9.0, 9.0, 97)
+    worst = 0.0
+    for dim in range(2, 81):
+        # random mixed state on the levels below the checked tail
+        k = int(0.9 * (dim - 1)) + 1
+        g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        m = np.zeros((dim, dim), dtype=complex)
+        m[:k, :k] = g @ g.conj().T
+        rho = DensityMatrix(m / np.trace(m).real)
+        mu, nu = rng.uniform(-2.0, 2.0, size=2)
+        got = _quantum_eval(rho, mu, nu, x)
+        worst = max(worst, float(np.max(np.abs(got - _three_operand_reference(rho, mu, nu, x)))))
+    assert worst <= 1e-13
+
+
+def test_norm_quadrature_nodes_stay_cached():
+    def sweep():
+        for dim in range(25, 61):
+            quantum_tomogram(vacuum_density(dim), 1.0, 0.5, np.array([0.0]))
+
+    sweep()
+    misses = _leggauss.cache_info().misses
+    sweep()
+    assert _leggauss.cache_info().misses == misses
+    nodes, weights = _leggauss(6 * 60)
+    assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 def test_evolved_at_zero_time_is_plain_radon():

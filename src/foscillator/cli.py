@@ -8,7 +8,9 @@ time- or host-dependent is emitted.
 
 Exit codes: 0 success, 2 validation error (bad flags/config/physics
 preconditions; one ``error:`` line, no artifact written), 3 numeric-tolerance
-failure (artifact and sidecar are written so the breach can be inspected).
+failure: a guard raised ``NumericToleranceError`` (one line, no artifact), or
+a check breached its threshold (artifact and sidecar are written so the
+breach can be inspected).
 
 Each subcommand is declared once, in ``_COMMAND_TABLE``: name, help,
 handler, default format and flags.  The parser is built from that table,
@@ -31,11 +33,11 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .classical import (
-    _leggauss,
+    _QUAD_TOL,
+    _phase_space_quadrature,
     amplitude_trajectory,
     classical_invariants,
     gaussian_distribution,
-    phase_space_integral,
     propagate_distribution,
     PhasePoint,
 )
@@ -59,7 +61,7 @@ from .fock import (
 )
 from .nonlinearity import spec_from_dict, spec_to_dict
 from .thermo import deformed_partition
-from .tomography import quantum_tomogram, radon_classical, ray_from_scale_angle
+from .tomography import _leggauss, quantum_tomogram, radon_classical, ray_from_scale_angle
 from .wigner import deformed_wigner, wigner_from_density
 
 
@@ -278,7 +280,9 @@ def _cmd_classical_propagate(args) -> Artifact:
     qq, pp = np.meshgrid(axis, axis, indexing="ij")
     vals = np.asarray(moved.density(qq, pp), dtype=float)
     art = Artifact(["q", "p", "value"], _table(qq, pp, vals))
-    art.add_check("norm_residual", abs(phase_space_integral(moved) - 1.0), 1e-6)
+    norm, quadrature_error = _phase_space_quadrature(moved)
+    art.add_check("norm_residual", abs(norm - 1.0), 1e-6)
+    art.add_check("quadrature_error", quadrature_error, _QUAD_TOL)
     art.add_check("min_value", float(vals.min()))
     return art
 
@@ -341,6 +345,8 @@ def _cmd_tomogram(args) -> Artifact:
     art = Artifact(["x", "value"], _table(sl.x_axis, sl.values))
     art.add_check("norm_residual", abs(sl.norm - 1.0), 1e-6)
     art.add_check("negativity", max(0.0, -sl.min_value()), 1e-9)
+    if args.source == "classical":
+        art.add_check("quadrature_error", sl.quadrature_error, _QUAD_TOL)
     return art
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, NumericToleranceError, TruncationError
 from .nonlinearity import NonlinearitySpec, require_positive
 
 HAMILTONIAN_FORMS = ("symmetric", "normal", "normal_half", "kerr")
@@ -295,7 +295,8 @@ def evolve_density(
     a hundredth of the positivity tolerance, the result is rechecked for
     hermiticity, trace and tail only; past it (long times, where the phase
     angles lose their low digits) it is fully validated, eigenvalues
-    included.
+    included, and a state that lost its positivity that way raises
+    ``NumericToleranceError``.
     """
     h = hamiltonian_diagonal(spec, rho.dim, form)
     angle = (h[:, None] - h[None, :]) * float(t)
@@ -306,7 +307,16 @@ def evolve_density(
     drift = _EPS * np.linalg.norm(np.abs(rho.matrix) * (np.abs(angle) + 4.0))
     if drift <= _PHASE_DRIFT_TOL:
         return DensityMatrix._trusted(out)
-    return DensityMatrix(out)
+    try:
+        return DensityMatrix(out)
+    except DomainError as exc:
+        # the rotation keeps hermiticity, trace and tail exactly, so only the
+        # spectrum can fail, and only through the rounding of the phases
+        raise NumericToleranceError(
+            f"lost phase precision at t = {float(t):g}: rounding the angles "
+            f"(H_m - H_n) t moves the spectrum by up to {drift:.1e}, and the "
+            f"evolved state has a {exc}"
+        ) from None
 
 
 def expectation(rho: DensityMatrix, op: np.ndarray) -> complex:

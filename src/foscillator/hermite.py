@@ -28,8 +28,3 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
         )
     return out
 
-
-def hermite_function(n: int, x):
-    """Single phi_n; convenience wrapper over the stacked recurrence."""
-    vals = hermite_functions(n, x)[n]
-    return float(vals) if np.ndim(x) == 0 else vals

@@ -25,11 +25,9 @@ from .errors import DegenerateDeformationError, DomainError
 
 KINDS = ("identity", "q", "kerr", "custom")
 
-# Small-argument cutoff for sinh(x)/x: below this the quadratic series is
-# already exact to double precision.
+# Small-argument cutoff for log(sinh(x)/x): below this the quadratic series
+# is already exact to double precision.
 _Q_SERIES_CUTOFF = 1e-4
-# Above this, sinh overflows float64 before the division; switch to log form.
-_Q_LOG_CUTOFF = 350.0
 
 
 @dataclass(frozen=True)
@@ -92,37 +90,6 @@ def _log_sinhc(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sinhc(x: np.ndarray) -> np.ndarray:
-    """sinh(x)/x for x >= 0, stable at both ends."""
-    out = np.empty_like(x)
-    small = x < _Q_SERIES_CUTOFF
-    big = x > _Q_LOG_CUTOFF
-    mid = ~(small | big)
-    xs = x[small]
-    out[small] = 1.0 + xs * xs / 6.0
-    xm = x[mid]
-    out[mid] = np.sinh(xm) / xm
-    xb = x[big]
-    out[big] = np.exp(xb - np.log(2.0 * xb))
-    return out
-
-
-def _sinhc_prime(x: np.ndarray) -> np.ndarray:
-    """d/dx of sinh(x)/x, stable near 0."""
-    out = np.empty_like(x)
-    small = x < _Q_SERIES_CUTOFF
-    big = x > _Q_LOG_CUTOFF
-    mid = ~(small | big)
-    xs = x[small]
-    out[small] = xs / 3.0 + xs ** 3 / 30.0
-    xm = x[mid]
-    out[mid] = (xm * np.cosh(xm) - np.sinh(xm)) / (xm * xm)
-    xb = x[big]
-    # (x cosh x - sinh x)/x^2 -> e^x (x - 1)/(2 x^2) for large x
-    out[big] = np.exp(xb + np.log(xb - 1.0) - np.log(2.0 * xb * xb))
-    return out
-
-
 def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
     """Evaluate the profile at level/energy ``n`` (scalar or array, >= 0).
 
@@ -158,13 +125,7 @@ def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
 
 
 def _eval_f_prime(spec: NonlinearitySpec, e: np.ndarray) -> np.ndarray:
-    """df/dE on continuous energy; closed forms where available."""
-    if spec.kind == "identity":
-        return np.zeros_like(e)
-    if spec.kind == "q":
-        x = spec.lam * e
-        g = _sinhc(x)
-        return spec.lam * _sinhc_prime(x) / (2.0 * np.sqrt(g))
+    """df/dE on continuous energy for the kerr and custom profiles."""
     if spec.kind == "kerr":
         sq = 1.0 - spec.chi + spec.chi * e
         return spec.chi / (2.0 * np.sqrt(sq))
@@ -193,7 +154,9 @@ def frequency(spec: NonlinearitySpec, energy, law: str = "amplitude"):
     * ``canonical``  omega = d/dE [E f(E)^2] = f^2 + 2 E f f'; the
       Hamiltonian flow frequency of H = E f(E)^2.
 
-    Both reduce to 1 for the identity profile.
+    Both reduce to 1 for the identity profile.  The q profile has
+    f'/f = (lam/2)(coth x - 1/x) at x = lam E, so its laws take the closed
+    forms omega = f (1 + x coth x)/2 and omega = f^2 x coth x.
     """
     if law not in ("amplitude", "canonical"):
         raise DomainError(f"unknown frequency law {law!r}")
@@ -205,11 +168,14 @@ def frequency(spec: NonlinearitySpec, energy, law: str = "amplitude"):
         out = np.ones_like(e)
     else:
         f = np.atleast_1d(eval_f(spec, e))
-        fp = _eval_f_prime(spec, e)
-        if law == "amplitude":
-            out = f + e * fp
+        if spec.kind == "q":
+            x = spec.lam * e
+            x_coth = np.divide(x, np.tanh(x), out=np.ones_like(x), where=x > 0.0)
+            out = 0.5 * f * (1.0 + x_coth) if law == "amplitude" else f * f * x_coth
+        elif law == "amplitude":
+            out = f + e * _eval_f_prime(spec, e)
         else:
-            out = f * f + 2.0 * e * f * fp
+            out = f * f + 2.0 * e * f * _eval_f_prime(spec, e)
     return float(out[0]) if scalar else out.reshape(np.shape(energy))
 
 

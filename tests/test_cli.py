@@ -35,6 +35,7 @@ def test_tomogram_vacuum(tmp_path):
     meta = _read_sidecar(out)
     assert meta["status"] == "ok"
     assert meta["checks"]["norm_residual"]["value"] < 1e-6
+    assert "quadrature_error" not in meta["checks"]  # a quantum slice is a finite sum
     header = out.read_text().splitlines()[0]
     assert header == "x,value"
 
@@ -332,3 +333,42 @@ def test_bad_state_selector_names_the_accepted_forms(tmp_path, capsys, state):
     err = capsys.readouterr().err
     assert "--state" in err
     assert "vacuum | fock:N | coherent:RE[,IM] | nl-coherent:RE[,IM] | file:PATH" in err
+
+
+def test_quantum_evolve_past_phase_precision_exits_3(tmp_path, capsys):
+    out = tmp_path / "rho.json"
+    assert main(["quantum-evolve", "--kind", "kerr", "--chi", "0.1", "--state", "coherent:1.0",
+                 "--dim", "60", "--time", "1e7", "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric tolerance failure: lost phase precision at t = 1e+07")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+_FILAMENT = ["tomogram", "--source", "classical", "--kind", "q", "--lambda", "0.2",
+             "--center-q", "2", "--center-p", "0.5", "--sigma", "0.5", "--mu", "0.6", "--nu", "0.8"]
+
+
+def test_unresolved_filaments_exit_3(tmp_path, capsys):
+    out = tmp_path / "slice.csv"
+    assert main(_FILAMENT + ["--time", "300", "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "the density has filaments finer than 4096 line nodes resolve" in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    _FILAMENT + ["--time", "3"],
+    ["classical-propagate", "--kind", "q", "--lambda", "0.2", "--center-q", "1", "--time", "1.5"],
+])
+def test_classical_commands_report_the_quadrature_error(tmp_path, argv):
+    out = tmp_path / "a.csv"
+    assert main(argv + ["--output", str(out)]) == 0
+    check = _read_sidecar(out)["checks"]["quadrature_error"]
+    assert check["threshold"] == 1e-11
+    assert check["ok"] and 0.0 <= check["value"] <= 1e-11
+    b = tmp_path / "b.csv"
+    assert main(argv + ["--output", str(b)]) == 0
+    assert out.read_bytes() == b.read_bytes()
+    assert _read_sidecar(out) == _read_sidecar(b)

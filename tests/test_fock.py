@@ -12,6 +12,7 @@ from scipy.special import gammaln
 from foscillator import (
     DensityMatrix,
     DomainError,
+    NumericToleranceError,
     TruncationError,
     coherent_density,
     coherent_truncation_dim,
@@ -352,11 +353,13 @@ def test_evolve_past_phase_precision_revalidates(eigvalsh_calls):
     # At t = 1e7 the phase angles of a dim-60 Kerr state have lost their low
     # digits: the a-priori drift bound exceeds its limit, so the state is
     # re-diagonalised, and here its rounding has pushed an eigenvalue below
-    # the tolerance.
+    # the tolerance.  The input was valid, so this is a numeric failure that
+    # names the lost phase precision, not a validation error.
     rho = coherent_density(1.0, 60)
     evolve_density(rho, kerr(0.1), 10.0)
     assert len(eigvalsh_calls) == 0
-    with pytest.raises(DomainError, match="negative eigenvalue"):
+    with pytest.raises(NumericToleranceError,
+                       match=r"lost phase precision at t = 1e\+07.*negative eigenvalue"):
         evolve_density(rho, kerr(0.1), 1e7)
     assert len(eigvalsh_calls) == 1
 
@@ -378,7 +381,7 @@ _PROFILES = st.one_of(
 )
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(
     dim=st.integers(20, 90),
     t=st.floats(-20.0, 20.0),

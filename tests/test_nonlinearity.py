@@ -114,6 +114,61 @@ def test_frequency_q_amplitude_law():
     assert np.max(err) <= 1e-4
 
 
+def _frequency_as_first_written(lam, e, law):
+    """The q frequency through f' = lam g' / (2 f), g = sinh(x)/x, with
+    sinh and cosh taken directly, as before the closed form."""
+    x = lam * e
+    g = np.sinh(x) / x
+    g_prime = (x * np.cosh(x) - np.sinh(x)) / (x * x)
+    f = np.sqrt(g)
+    f_prime = lam * g_prime / (2.0 * f)
+    return f + e * f_prime if law == "amplitude" else f * f + 2.0 * e * f * f_prime
+
+
+@pytest.mark.parametrize("law, power", [("amplitude", 1), ("canonical", 2)])
+@pytest.mark.parametrize("lam", [0.05, 0.3, 1.0])
+def test_q_frequency_matches_a_central_difference(law, power, lam):
+    # amplitude: omega = d/dE [E f(E)]; canonical: omega = d/dE [E f(E)^2]
+    spec = q_oscillator(lam)
+    e = np.geomspace(1e-3, 60.0, 41) / lam
+    h = 1e-4 * e / (1.0 + lam * e)
+    energy = lambda z: z * eval_f(spec, z) ** power
+    diff = (energy(e + h) - energy(e - h)) / (2.0 * h)
+    np.testing.assert_allclose(frequency(spec, e, law), diff, rtol=1e-8)
+    assert frequency(spec, 0.0, law) == 1.0
+
+
+@pytest.mark.parametrize("law", ["amplitude", "canonical"])
+def test_q_frequency_matches_the_first_formulas(law):
+    for lam in (0.01, 0.2, 1.0):
+        e = np.geomspace(1e-3, 340.0, 400) / lam
+        np.testing.assert_allclose(frequency(q_oscillator(lam), e, law),
+                                   _frequency_as_first_written(lam, e, law), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("law", ["amplitude", "canonical"])
+def test_q_frequency_refuses_where_the_profile_does(law):
+    # f = sqrt(sinh(E)/E) overflows between E = 1427 and 1428 at lam = 1
+    spec = q_oscillator(1.0)
+    outcomes = set()
+    with np.errstate(over="ignore"):
+        for e in (1400.0, 1427.0, 1428.0, 2000.0):
+            try:
+                eval_f(spec, e)
+                refused = False
+            except DomainError:
+                refused = True
+            outcomes.add(refused)
+            if refused:
+                with pytest.raises(DomainError, match="profile evaluated to a non-finite value"):
+                    frequency(spec, e, law)
+                with pytest.raises(DomainError, match="profile evaluated to a non-finite value"):
+                    frequency(spec, np.array([1.0, e]), law)
+            else:
+                assert frequency(spec, e, law) > 0.0
+    assert outcomes == {False, True}
+
+
 def test_frequency_kerr_canonical_law():
     # d/dE [E f^2] = 1 - chi + 2 chi E: exactly 1.3 at chi = 0.1, E = 2
     assert frequency(kerr(0.1), 2.0, law="canonical") == pytest.approx(1.3, rel=1e-12)

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 from foscillator import (
     DegenerateRayError,
     DensityMatrix,
+    DomainError,
+    NumericToleranceError,
     PhaseSpaceDistribution,
     classical_tomogram_evolved,
     coherent_density,
@@ -19,6 +22,7 @@ from foscillator import (
     gaussian_distribution,
     identity,
     kerr,
+    propagate_distribution,
     q_oscillator,
     quantum_tomogram,
     radon_classical,
@@ -26,9 +30,9 @@ from foscillator import (
     vacuum_density,
     wigner_values,
 )
-from foscillator.classical import _leggauss
+from foscillator.classical import _BLOCK
 from foscillator.hermite import hermite_functions
-from foscillator.tomography import _quantum_eval
+from foscillator.tomography import _leggauss, _quantum_eval
 
 
 def test_gaussian_marginal():
@@ -81,7 +85,7 @@ _STATES = st.one_of(
 )
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(rho=_STATES, ray=_RAYS, s=st.floats(0.25, 4.0), flip=st.booleans())
 def test_quantum_homogeneity_property(rho, ray, s, flip):
     s = -s if flip else s
@@ -92,7 +96,7 @@ def test_quantum_homogeneity_property(rho, ray, s, flip):
     np.testing.assert_allclose(scaled, base / abs(s), rtol=0.0, atol=1e-12)
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(rho=_STATES, ray=_RAYS)
 def test_quantum_unit_norm_property(rho, ray):
     assert quantum_tomogram(rho, *ray, np.array([0.0])).norm == pytest.approx(1.0, abs=1e-10)
@@ -151,6 +155,103 @@ def test_energy_only_density_is_stationary():
     still = radon_classical(dist, 0.6, 0.8, x).values
     moved = classical_tomogram_evolved(dist, q_oscillator(0.3), 4.2, 0.6, 0.8, x).values
     np.testing.assert_allclose(moved, still, atol=1e-10)
+
+
+def _filament(t):
+    """A Gaussian sheared by the q flow into a spiral whose arms thin with t."""
+    return propagate_distribution(gaussian_distribution(2.0, 0.5, 0.5), q_oscillator(0.2), t)
+
+
+def _gauss_legendre_slice(dist, mu, nu, x, nodes):
+    r = math.hypot(mu, nu)
+    u, w = roots_legendre(nodes)
+    half = np.sqrt(np.maximum(dist.support_radius ** 2 - (x / r) ** 2, 0.0))[:, None]
+    q = (mu / r ** 2) * x[:, None] - (nu / r) * half * u
+    p = (nu / r ** 2) * x[:, None] + (mu / r) * half * u
+    return (dist.density(q, p) @ w) * half[:, 0] / r
+
+
+@pytest.mark.parametrize("t", [3.0, 30.0])
+def test_filamented_slice_matches_a_fine_reference(t):
+    # at t = 30 a fixed 240-node rule misses this slice by 2e-3
+    dist = _filament(t)
+    x = np.linspace(-3.5, 3.5, 29)
+    sl = radon_classical(dist, 0.6, 0.8, x)
+    ref = _gauss_legendre_slice(dist, 0.6, 0.8, x, 3000)
+    np.testing.assert_allclose(sl.values, ref, rtol=0.0, atol=1e-12)
+    assert sl.norm == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 <= sl.quadrature_error <= 1e-11
+
+
+def test_unresolved_filaments_are_refused():
+    with pytest.raises(NumericToleranceError,
+                       match="the density has filaments finer than 4096 line nodes resolve"):
+        radon_classical(_filament(300.0), 0.6, 0.8, np.linspace(-3.5, 3.5, 29))
+
+
+def test_non_finite_density_is_refused_at_once():
+    calls = []
+
+    def broken(q, p):
+        calls.append(1)
+        return np.where(np.hypot(q, p) < 0.5, np.nan, 0.0)
+
+    with pytest.raises(DomainError, match="not finite"):
+        radon_classical(PhaseSpaceDistribution(broken, 2.0), 1.0, 0.0, np.linspace(-1.0, 1.0, 5))
+    assert len(calls) == 2  # the first two levels, not all the way to the cap
+
+
+def test_density_calls_stay_within_one_block():
+    # a narrow blob drives the line rule to 2048 nodes; every density call
+    # still gets at most one block of points
+    sigma = 0.005
+    blob = gaussian_distribution(0.0, 0.0, sigma, support_radius=1.0)
+    shapes = []
+
+    def counted(q, p):
+        shapes.append(np.shape(q))
+        return blob.density(q, p)
+
+    x = np.linspace(-3.0 * sigma, 3.0 * sigma, 41)
+    sl = radon_classical(PhaseSpaceDistribution(counted, 1.0), 1.0, 0.0, x)
+    assert max(cols for _, cols in shapes) >= 512  # new nodes of a level >= 1024
+    assert max(rows * cols for rows, cols in shapes) <= _BLOCK
+    closed = np.exp(-0.5 * (x / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
+    np.testing.assert_allclose(sl.values, closed, rtol=0.0, atol=1e-9)
+
+
+_PROFILE_SPECS = st.one_of(
+    st.just(identity()),
+    st.floats(0.01, 0.3).map(q_oscillator),
+    st.floats(0.0, 0.3).map(kerr),
+)
+
+
+@settings(max_examples=25)
+@given(sigma=st.floats(0.3, 1.0), spec=_PROFILE_SPECS, t=st.floats(0.0, 5.0), ray=_RAYS)
+def test_centered_gaussian_slice_property(sigma, spec, t, ray):
+    # an isotropic centered density is invariant under the energy-dependent rotation
+    mu, nu = ray
+    sr = sigma * math.hypot(mu, nu)
+    x = np.linspace(-4.0 * sr, 4.0 * sr, 17)
+    vals = classical_tomogram_evolved(gaussian_distribution(0.0, 0.0, sigma), spec, t, mu, nu, x).values
+    closed = np.exp(-0.5 * (x / sr) ** 2) / (math.sqrt(2.0 * math.pi) * sr)
+    np.testing.assert_allclose(vals, closed, rtol=0.0, atol=1e-10)
+
+
+@settings(max_examples=25)
+@given(center=_polar(0.0, 1.5), sigma=st.floats(0.3, 1.0), t=st.floats(-6.0, 6.0), ray=_RAYS)
+def test_harmonic_transport_rotates_the_ray_property(center, sigma, t, ray):
+    # for f = 1 the flow is a rigid rotation by t, so the slice of the moved
+    # density along (mu, nu) is the slice of the initial one along the ray
+    # rotated by t
+    mu, nu = ray
+    dist = gaussian_distribution(center.real, center.imag, sigma)
+    x = np.linspace(-3.0, 3.0, 13) * math.hypot(mu, nu)
+    moved = classical_tomogram_evolved(dist, identity(), t, mu, nu, x).values
+    c, s = math.cos(t), math.sin(t)
+    still = radon_classical(dist, mu * c - nu * s, mu * s + nu * c, x).values
+    np.testing.assert_allclose(moved, still, rtol=0.0, atol=1e-10)
 
 
 def test_peak_rides_the_classical_flow():

@@ -1,9 +1,12 @@
 """Classical amplitude flow and phase-space transport.
 
 Conventions: alpha = (q + i p)/sqrt(2), energy E = |alpha|^2 = (q^2+p^2)/2.
-The deformed flow rotates each amplitude at its own energy-dependent rate
-omega(E), so circles of constant energy are invariant and any initial
-distribution is transported by composing it with the inverse rotation.
+The deformed flow turns each circle of constant energy at its own rate
+omega(E), so the flow, its integrals of motion and the Liouville transport
+are one map: (q, p) rotated by omega(E) t.  A positive t turns a point back
+along the flow (the initial point as an integral of motion, and the point
+whose initial density a transported density takes); a negative t runs the
+flow forward (amplitudes and trajectories).
 """
 
 from __future__ import annotations
@@ -30,16 +33,15 @@ _BLOCK = 8192
 # Lines integrated as one group, which bounds the stored node values to
 # _LINES (_QUAD_CAP + 1) floats however many lines a slice has.
 _LINES = 512
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class PhasePoint:
+    """A phase-space point; q and p may be floats or broadcastable arrays."""
+
     q: float
     p: float
-
-    @property
-    def energy(self) -> float:
-        return 0.5 * (self.q * self.q + self.p * self.p)
 
 
 @dataclass(frozen=True)
@@ -57,35 +59,30 @@ class PhaseSpaceDistribution:
         return self.density(q, p)
 
 
+def _rotate(spec, q, p, t, law):
+    """(q, p) turned counterclockwise by omega(E) t, E = (q^2 + p^2)/2, for
+    broadcastable q, p and t: the flow run back by t, or forward by -t."""
+    e = 0.5 * (q * q + p * p)
+    omega = frequency(spec, e, law)
+    c = np.cos(omega * t)
+    s = np.sin(omega * t)
+    return q * c - p * s, q * s + p * c
+
+
 def evolve_amplitude(
     spec: NonlinearitySpec, alpha0: complex, t: float, law: str = "amplitude"
 ) -> complex:
-    """alpha(t) = alpha0 * exp(-i omega(|alpha0|^2) t).
-
-    The modulus is carried through unchanged (polar construction), so energy
-    is conserved identically rather than up to roundoff in a complex product.
-    """
-    alpha0 = complex(alpha0)
-    r = abs(alpha0)
-    if r == 0.0:
-        return 0.0 + 0.0j
-    omega = frequency(spec, r * r, law)
-    theta = math.atan2(alpha0.imag, alpha0.real) - omega * float(t)
-    return complex(r * math.cos(theta), r * math.sin(theta))
+    """alpha(t) = alpha0 * exp(-i omega(|alpha0|^2) t)."""
+    return complex(amplitude_trajectory(spec, alpha0, float(t), law))
 
 
 def amplitude_trajectory(
     spec: NonlinearitySpec, alpha0: complex, times, law: str = "amplitude"
 ) -> np.ndarray:
     """Sample the flow at an array of times; single frequency evaluation."""
-    alpha0 = complex(alpha0)
-    ts = np.asarray(times, dtype=float)
-    r = abs(alpha0)
-    if r == 0.0:
-        return np.zeros(ts.shape, dtype=complex)
-    omega = frequency(spec, r * r, law)
-    theta = math.atan2(alpha0.imag, alpha0.real) - omega * ts
-    return r * (np.cos(theta) + 1j * np.sin(theta))
+    q, p = _rotate(spec, _SQRT2 * alpha0.real, _SQRT2 * alpha0.imag,
+                   -np.asarray(times, dtype=float), law)
+    return (q + 1j * p) / _SQRT2
 
 
 def classical_invariants(
@@ -95,20 +92,9 @@ def classical_invariants(
 
     The map is the rotation by +omega(E) t; since E is constant along the
     flow, evaluating omega at the current point equals evaluating it at the
-    initial one.
+    initial one.  Array fields of ``point`` broadcast against t.
     """
-    omega = frequency(spec, point.energy, law)
-    c = math.cos(omega * t)
-    s = math.sin(omega * t)
-    return PhasePoint(q=point.q * c - point.p * s, p=point.q * s + point.p * c)
-
-
-def _invariant_arrays(spec, q, p, t, law):
-    e = 0.5 * (q * q + p * p)
-    omega = frequency(spec, e, law)
-    c = np.cos(omega * t)
-    s = np.sin(omega * t)
-    return q * c - p * s, q * s + p * c
+    return PhasePoint(*_rotate(spec, point.q, point.p, t, law))
 
 
 def propagate_distribution(
@@ -125,9 +111,8 @@ def propagate_distribution(
     """
     t = float(t)
 
-    def moved(q, p, _f0=dist.density, _spec=spec, _t=t, _law=law):
-        q0, p0 = _invariant_arrays(_spec, np.asarray(q, float), np.asarray(p, float), _t, _law)
-        return _f0(q0, p0)
+    def moved(q, p):
+        return dist.density(*_rotate(spec, np.asarray(q, float), np.asarray(p, float), t, law))
 
     return PhaseSpaceDistribution(density=moved, support_radius=dist.support_radius)
 

@@ -51,6 +51,8 @@ from .coherent import (
 )
 from .errors import DomainError, NumericToleranceError
 from .fock import (
+    _TAIL_TOL,
+    _tail_mass,
     DensityMatrix,
     coherent_density,
     evolve_density,
@@ -252,23 +254,14 @@ def _cmd_classical_trajectory(args) -> Artifact:
     if args.steps < 1:
         raise DomainError("--steps must be >= 1")
     times = np.linspace(0.0, args.t_max, args.steps + 1)
-    alpha0 = complex(args.q0, args.p0) / math.sqrt(2.0)
-    alphas = amplitude_trajectory(spec, alpha0, times, args.law)
-    rows = []
-    e0 = 0.5 * (args.q0 ** 2 + args.p0 ** 2)
-    spread = 0.0
-    drift = 0.0
-    for t, a in zip(times, alphas):
-        q = math.sqrt(2.0) * a.real
-        p = math.sqrt(2.0) * a.imag
-        e = 0.5 * (q * q + p * p)
-        inv = classical_invariants(spec, PhasePoint(q, p), t, args.law)
-        rows.append((t, q, p, e, inv.q, inv.p))
-        spread = max(spread, math.hypot(inv.q - args.q0, inv.p - args.p0))
-        drift = max(drift, abs(e - e0))
-    art = Artifact(["t", "q", "p", "E", "q0", "p0"], np.array(rows, dtype=float))
-    art.add_check("invariant_spread", spread, 1e-9)
-    art.add_check("energy_drift", drift, 1e-12)
+    alphas = amplitude_trajectory(spec, complex(args.q0, args.p0) / math.sqrt(2.0), times, args.law)
+    q = math.sqrt(2.0) * alphas.real
+    p = math.sqrt(2.0) * alphas.imag
+    e = 0.5 * (q * q + p * p)
+    inv = classical_invariants(spec, PhasePoint(q, p), times, args.law)
+    art = Artifact(["t", "q", "p", "E", "q0", "p0"], _table(times, q, p, e, inv.q, inv.p))
+    art.add_check("invariant_spread", np.max(np.hypot(inv.q - args.q0, inv.p - args.p0)), 1e-9)
+    art.add_check("energy_drift", np.max(np.abs(e - 0.5 * (args.q0 ** 2 + args.p0 ** 2))), 1e-12)
     return art
 
 
@@ -300,9 +293,7 @@ def _cmd_quantum_evolve(args) -> Artifact:
     art.add_check("trace_residual", abs(np.trace(m).real - 1.0), 1e-10)
     art.add_check("hermiticity_residual", float(np.max(np.abs(m - m.conj().T))), 1e-12)
     art.add_check("purity_drift", abs(rho_t.purity() - rho0.purity()), 1e-10)
-    cut = 0.9 * (rho_t.dim - 1)
-    tail = float(np.sum(np.diag(m).real[np.arange(rho_t.dim) > cut]))
-    art.add_check("tail_mass", tail, 1e-8)
+    art.add_check("tail_mass", _tail_mass(m), _TAIL_TOL)
     art.add_check("invariant_drift", abs(qt - q0), 1e-9)
     return art
 

@@ -133,6 +133,12 @@ def heisenberg_invariant(
     return out
 
 
+def _tail_mass(m: np.ndarray) -> float:
+    """Population of the levels n > _TAIL_FRACTION (dim - 1) of a square matrix."""
+    dim = m.shape[0]
+    return float(np.sum(np.diag(m).real[np.arange(dim) > _TAIL_FRACTION * (dim - 1)]))
+
+
 def _validated(matrix, check_spectrum: bool) -> np.ndarray:
     """Read-only complex copy of ``matrix`` after the density-matrix checks.
 
@@ -154,9 +160,7 @@ def _validated(matrix, check_spectrum: bool) -> np.ndarray:
         w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
         if w.min() < -_EIG_TOL:
             raise DomainError(f"negative eigenvalue {w.min():.3e}")
-    dim = m.shape[0]
-    cut = _TAIL_FRACTION * (dim - 1)
-    tail = float(np.sum(np.diag(m).real[np.arange(dim) > cut]))
+    tail = _tail_mass(m)
     if tail >= _TAIL_TOL:
         raise TruncationError(
             f"population {tail:.3e} in the top levels; increase dim"

@@ -144,6 +144,7 @@ def _eval_f_prime(spec: NonlinearitySpec, e: np.ndarray) -> np.ndarray:
     return (eval_f(spec, hi) - eval_f(spec, lo)) / width
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def frequency(spec: NonlinearitySpec, energy, law: str = "amplitude"):
     """Energy-dependent oscillation frequency omega(E).
 
@@ -157,6 +158,10 @@ def frequency(spec: NonlinearitySpec, energy, law: str = "amplitude"):
     Both reduce to 1 for the identity profile.  The q profile has
     f'/f = (lam/2)(coth x - 1/x) at x = lam E, so its laws take the closed
     forms omega = f (1 + x coth x)/2 and omega = f^2 x coth x.
+
+    Overflow is not warned about: ``DomainError`` names the first energy
+    where omega is not finite, such as lam E past ~710 for the canonical law
+    of the q profile, where f is finite but f^2 is not.
     """
     if law not in ("amplitude", "canonical"):
         raise DomainError(f"unknown frequency law {law!r}")
@@ -176,6 +181,10 @@ def frequency(spec: NonlinearitySpec, energy, law: str = "amplitude"):
             out = f + e * _eval_f_prime(spec, e)
         else:
             out = f * f + 2.0 * e * f * _eval_f_prime(spec, e)
+    finite = np.isfinite(out)
+    if not np.all(finite):
+        bad = float(e[np.argmin(finite)])
+        raise DomainError(f"the {law} frequency overflows at E = {bad!r}")
     return float(out[0]) if scalar else out.reshape(np.shape(energy))
 
 

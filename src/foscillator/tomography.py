@@ -165,7 +165,6 @@ def quantum_tomogram(
     mu: float,
     nu: float,
     x_axis,
-    norm_nodes: int = None,
 ) -> TomogramSlice:
     """Tomogram of a truncated state along one ray.
 
@@ -176,10 +175,8 @@ def quantum_tomogram(
     r = _check_ray(mu, nu)
     x_axis = np.asarray(x_axis, dtype=float)
     values = _floor_roundoff(_quantum_eval(rho, mu, nu, x_axis))
-    if norm_nodes is None:
-        norm_nodes = max(240, 6 * rho.dim)
     span = r * (math.sqrt(2.0 * rho.dim + 1.0) + 4.0)
-    xg, wg = _leggauss(int(norm_nodes))
+    xg, wg = _leggauss(max(240, 6 * rho.dim))
     norm = float(np.dot(wg, _quantum_eval(rho, mu, nu, span * xg)) * span)
     return TomogramSlice(mu=float(mu), nu=float(nu), x_axis=x_axis, values=values, norm=norm)
 

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from foscillator import (
+    DomainError,
     PhasePoint,
     amplitude_trajectory,
     classical_invariants,
@@ -15,6 +18,7 @@ from foscillator import (
     frequency,
     gaussian_distribution,
     identity,
+    kerr,
     phase_space_integral,
     propagate_distribution,
     q_oscillator,
@@ -61,7 +65,7 @@ def test_trajectory_matches_single_steps():
 
 
 def test_modulus_is_conserved():
-    # polar construction: the radius never sees a complex multiply
+    # a rotation: the radius moves by roundoff only
     spec = q_oscillator(0.3)
     traj = amplitude_trajectory(spec, 1.1 - 0.3j, np.linspace(0.0, 50.0, 101))
     np.testing.assert_allclose(np.abs(traj), abs(1.1 - 0.3j), rtol=0, atol=1e-14)
@@ -171,3 +175,47 @@ def test_transport_satisfies_continuity_equation():
     d_p = (at(t, dp=h) - at(t, dp=-h)) / (2.0 * h)
     residual = d_t + omega * (pp * d_q - qq * d_p)
     assert np.max(np.abs(residual)) < 1e-4
+
+
+_PROFILES = st.one_of(
+    st.just(identity()),
+    st.floats(0.01, 0.5).map(q_oscillator),
+    st.floats(0.0, 0.5).map(kerr),
+)
+
+
+@settings(max_examples=60)
+@given(spec=_PROFILES, law=st.sampled_from(["amplitude", "canonical"]),
+       radius=st.floats(0.01, 3.0), angle=st.floats(-math.pi, math.pi),
+       times=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8))
+def test_invariants_undo_the_trajectory_property(spec, law, radius, angle, times):
+    # the flow is the rotation by -omega(E) t, the invariants the rotation by +omega(E) t
+    q0, p0 = radius * math.cos(angle), radius * math.sin(angle)
+    ts = np.asarray(times)
+    alphas = amplitude_trajectory(spec, complex(q0, p0) / math.sqrt(2.0), ts, law)
+    at = PhasePoint(math.sqrt(2.0) * alphas.real, math.sqrt(2.0) * alphas.imag)
+    back = classical_invariants(spec, at, ts, law)
+    assert np.max(np.hypot(back.q - q0, back.p - p0)) <= 1e-12 * radius
+
+
+def test_array_invariants_equal_the_per_point_calls():
+    spec = q_oscillator(0.3)
+    q = np.array([1.4, -0.2, 0.0, 2.5, -1.1])
+    p = np.array([0.3, 0.9, 0.0, -1.7, -0.4])
+    ts = np.array([[0.0], [1.5], [-7.25]])
+    back = classical_invariants(spec, PhasePoint(q, p), ts, "canonical")
+    assert back.q.shape == back.p.shape == (3, 5)
+    # a few ulp: numpy may take other SIMD paths for arrays than for scalars
+    for i, t in enumerate(ts[:, 0]):
+        for j in range(q.size):
+            one = classical_invariants(spec, PhasePoint(float(q[j]), float(p[j])), float(t), "canonical")
+            assert back.q[i, j] == pytest.approx(one.q, rel=1e-15, abs=1e-15)
+            assert back.p[i, j] == pytest.approx(one.p, rel=1e-15, abs=1e-15)
+
+
+def test_frequency_overflow_is_a_domain_error():
+    # lam E = 1000: f is finite, f^2 is not, so the canonical frequency overflows
+    with pytest.raises(DomainError, match="the canonical frequency overflows at E = 1000"):
+        evolve_amplitude(q_oscillator(1.0), math.sqrt(1000.0), 1.0, "canonical")
+    with pytest.raises(DomainError, match="the canonical frequency overflows"):
+        classical_invariants(q_oscillator(1.0), PhasePoint(np.array([1.0, 44.8]), 0.0), 1.0, "canonical")

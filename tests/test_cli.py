@@ -2,14 +2,21 @@
 
 import json
 import math
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import foscillator
 from foscillator import (
     DensityMatrix,
+    PhasePoint,
+    amplitude_trajectory,
+    classical_invariants,
     coherent_density,
     evolve_density,
     kerr,
@@ -20,7 +27,7 @@ from foscillator import (
     two_mode_coherent_state,
     wigner_from_density,
 )
-from foscillator.cli import main
+from foscillator.cli import _COMMAND_TABLE, main
 
 
 def _read_sidecar(path):
@@ -116,6 +123,37 @@ def test_classical_trajectory_checks(tmp_path):
     assert meta["checks"]["energy_drift"]["value"] < 1e-12
     header = out.read_text().splitlines()[0]
     assert header == "t,q,p,E,q0,p0"
+
+
+def test_classical_trajectory_columns_are_the_library_arrays(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["classical-trajectory", "--kind", "kerr", "--chi", "0.2", "--q0", "1.1",
+                 "--p0", "-0.7", "--t-max", "12", "--steps", "30", "--law", "canonical",
+                 "--output", str(out)]) == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    times = np.linspace(0.0, 12.0, 31)
+    alphas = amplitude_trajectory(kerr(0.2), complex(1.1, -0.7) / math.sqrt(2.0), times, "canonical")
+    q, p = math.sqrt(2.0) * alphas.real, math.sqrt(2.0) * alphas.imag
+    back = classical_invariants(kerr(0.2), PhasePoint(q, p), times, "canonical")
+    np.testing.assert_array_equal(table[:, 0], times)
+    np.testing.assert_array_equal(table[:, 1], q)
+    np.testing.assert_array_equal(table[:, 2], p)
+    np.testing.assert_array_equal(table[:, 4], back.q)
+    np.testing.assert_array_equal(table[:, 5], back.p)
+
+
+def test_frequency_overflow_exits_2_with_one_line(tmp_path):
+    # lam E = 1003.52: f is finite there, the canonical frequency is not
+    out = tmp_path / "traj.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "foscillator", "classical-trajectory", "--kind", "q",
+         "--lambda", "1", "--q0", "44.8", "--law", "canonical", "--output", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: the canonical frequency overflows at E = 1003.5199999999999"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_coherent_amplitude_table(tmp_path):
@@ -372,3 +410,26 @@ def test_classical_commands_report_the_quadrature_error(tmp_path, argv):
     assert main(argv + ["--output", str(b)]) == 0
     assert out.read_bytes() == b.read_bytes()
     assert _read_sidecar(out) == _read_sidecar(b)
+
+
+_README_COMMANDS = [line for line in
+                    (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+                    if line.startswith("fosc ")]
+
+
+def test_readme_lists_every_command():
+    assert sorted(line.split()[1] for line in _README_COMMANDS) == sorted(_COMMAND_TABLE)
+
+
+@pytest.mark.parametrize("line", _README_COMMANDS, ids=lambda line: line.split()[1])
+def test_readme_command_runs_clean(tmp_path, line):
+    # each README example, as typed, in a fresh process where a RuntimeWarning is an error
+    argv = shlex.split(line)[1:]
+    package_root = str(Path(foscillator.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "foscillator"] + argv,
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    output = argv[argv.index("--output") + 1]
+    assert _read_sidecar(tmp_path / output)["status"] == "ok"

@@ -1,6 +1,7 @@
 """Deformation profiles, frequency laws, and profile factorials."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,9 +165,35 @@ def test_q_frequency_refuses_where_the_profile_does(law):
                     frequency(spec, e, law)
                 with pytest.raises(DomainError, match="profile evaluated to a non-finite value"):
                     frequency(spec, np.array([1.0, e]), law)
+            elif _log_q_frequency(e, law) < math.log(np.finfo(float).max):
+                assert 0.0 < frequency(spec, e, law) < math.inf
             else:
-                assert frequency(spec, e, law) > 0.0
+                # f is finite but omega is not: refused, naming law and energy
+                with pytest.raises(DomainError, match=f"the {law} frequency overflows at E = {e!r}"):
+                    frequency(spec, e, law)
     assert outcomes == {False, True}
+
+
+def _log_q_frequency(x, law):
+    """log omega of the q profile at lam = 1, E = x, without overflow."""
+    log_f = 0.5 * (x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0 * x))
+    x_coth = x / math.tanh(x)
+    if law == "amplitude":
+        return log_f + math.log(0.5 * (1.0 + x_coth))
+    return 2.0 * log_f + math.log(x_coth)
+
+
+@pytest.mark.parametrize("law", ["amplitude", "canonical"])
+def test_frequency_overflow_is_refused_without_warnings(law):
+    # the canonical law overflows from lam E ~ 710, the amplitude law from ~1420
+    spec = q_oscillator(1.0)
+    e = np.array([1.0, 1000.0, 1425.0])
+    first_bad = 1000.0 if law == "canonical" else 1425.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"the {law} frequency overflows at E = {first_bad!r}"):
+            frequency(spec, e, law)
+        assert np.isfinite(frequency(spec, e[e < first_bad], law)).all()
 
 
 def test_frequency_kerr_canonical_law():

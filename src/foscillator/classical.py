@@ -199,55 +199,77 @@ def _nested_integrals(rows_at, scale):
     )
 
 
-def _on_lines(density, q0, p0, dq, dp, u) -> np.ndarray:
-    """density(q0 + u dq, p0 + u dp): one row per line, one column per u,
-    evaluated in blocks of at most _BLOCK points."""
-    out = np.empty((q0.size, u.size))
+def _on_rows(density, points, rows, u) -> np.ndarray:
+    """density(*points(rows, u)): one row per entry of the index array
+    ``rows``, one column per u, evaluated in blocks of at most _BLOCK
+    points."""
+    out = np.empty((rows.size, u.size))
     step = max(1, _BLOCK // u.size)
-    for lo in range(0, q0.size, step):
-        rows = slice(lo, lo + step)
-        out[rows] = density(q0[rows, None] + dq[rows, None] * u,
-                            p0[rows, None] + dp[rows, None] * u)
+    for lo in range(0, rows.size, step):
+        out[lo:lo + step] = density(*points(rows[lo:lo + step], u))
     return out
+
+
+def _row_integrals(density, points, scale):
+    """``scale`` times the integral over u in [-1, 1] of
+    density(*points(i, u)) for each row i = 0 .. scale.size - 1, and the
+    largest error estimate of the nested rule.  ``points(i, u)`` maps an
+    index array and the nodes to q, p arrays of shape (i.size, u.size).
+
+    Rows go through the rule in groups of _LINES, each group doubling until
+    its own rows agree.
+    """
+    out = np.empty(scale.shape)
+    worst = 0.0
+    for lo in range(0, scale.size, _LINES):
+        rows = np.arange(lo, min(lo + _LINES, scale.size))
+        out[rows], err = _nested_integrals(
+            lambda u: (_on_rows(density, points, rows, u), 0.0), scale[rows])
+        worst = max(worst, err)
+    return out, worst
 
 
 def _line_integrals(density, q0, p0, dq, dp, scale):
     """``scale`` times the integral over u in [-1, 1] of
     density(q0 + u dq, p0 + u dp), one line per entry of the equal-shape
-    arrays, and the largest error estimate of the nested rule.
+    arrays, and the largest error estimate of the nested rule."""
 
-    Lines go through the rule in groups of _LINES, each group doubling until
-    its own lines agree.
+    def points(i, u):
+        return q0[i, None] + dq[i, None] * u, p0[i, None] + dp[i, None] * u
+
+    return _row_integrals(density, points, np.broadcast_to(scale, q0.shape))
+
+
+def _disk_quadrature(dist: PhaseSpaceDistribution):
+    """Integral of the density over its support disk, and its error
+    estimate: nested in the radius r, each r node a ring integral in the
+    angle, dq dp = r dr dphi.
+
+    The flow turns each circle of constant energy rigidly, so a transported
+    density takes on each ring the values of the initial one, shifted in
+    angle: the ring integrals, and so the work, do not grow with t.
     """
-    scale = np.broadcast_to(scale, q0.shape)
-    out = np.empty(q0.shape)
-    worst = 0.0
-    for lo in range(0, q0.size, _LINES):
-        g = slice(lo, lo + _LINES)
-        out[g], err = _nested_integrals(
-            lambda u: (_on_lines(density, q0[g], p0[g], dq[g], dp[g], u), 0.0), scale[g])
-        worst = max(worst, err)
-    return out, worst
+    radius = float(dist.support_radius)
 
+    def rings(u):
+        r = 0.5 * radius * (1.0 + u)
 
-def _phase_space_quadrature(dist: PhaseSpaceDistribution):
-    """Integral of the density over its support square, and its error
-    estimate: nested in q, each q node an adaptive line integral in p."""
-    r = float(dist.support_radius)
+        def points(i, v):
+            return r[i, None] * np.cos(math.pi * v), r[i, None] * np.sin(math.pi * v)
 
-    def columns(v):
-        zero = np.zeros_like(v)
-        return _line_integrals(dist.density, r * v, zero, zero, np.full(v.shape, r), r)
+        mass, err = _row_integrals(dist.density, points, np.full(r.shape, math.pi))
+        return r * mass, err
 
-    total, err = _nested_integrals(columns, r)
+    total, err = _nested_integrals(rings, 0.5 * radius)
     return float(total), err
 
 
 def phase_space_integral(dist: PhaseSpaceDistribution) -> float:
-    """Integral of the density over its support square, to a relative
-    tolerance of _QUAD_TOL by nested Clenshaw-Curtis rules.
+    """Integral of the density over its support disk, to a relative
+    tolerance of _QUAD_TOL by nested Clenshaw-Curtis rules in polar
+    coordinates (radius outside, angle inside).
 
     Raises ``NumericToleranceError`` when the density has structure finer
-    than _QUAD_CAP nodes per line resolve.
+    than _QUAD_CAP nodes per ring or radius resolve.
     """
-    return _phase_space_quadrature(dist)[0]
+    return _disk_quadrature(dist)[0]

@@ -34,7 +34,7 @@ import numpy as np
 
 from .classical import (
     _QUAD_TOL,
-    _phase_space_quadrature,
+    _disk_quadrature,
     amplitude_trajectory,
     classical_invariants,
     gaussian_distribution,
@@ -273,7 +273,7 @@ def _cmd_classical_propagate(args) -> Artifact:
     qq, pp = np.meshgrid(axis, axis, indexing="ij")
     vals = np.asarray(moved.density(qq, pp), dtype=float)
     art = Artifact(["q", "p", "value"], _table(qq, pp, vals))
-    norm, quadrature_error = _phase_space_quadrature(moved)
+    norm, quadrature_error = _disk_quadrature(moved)
     art.add_check("norm_residual", abs(norm - 1.0), 1e-6)
     art.add_check("quadrature_error", quadrature_error, _QUAD_TOL)
     art.add_check("min_value", float(vals.min()))

@@ -12,7 +12,7 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class DegenerateDeformationError(ValueError):
+class DegenerateDeformationError(DomainError):
     """A deformation profile hit f(n) <= 0 where a positive value is required."""
 
 

@@ -5,8 +5,9 @@ small perturbation of the commutator: [a, a+] picks up a defect of order dim
 in the top corner, so every routine here treats dim as a hard boundary and
 states are required to have negligible weight near it.
 
-Deformed Hamiltonians are diagonal in the number basis, which makes time
-evolution an exact per-entry phase rotation rather than an ODE solve.
+Deformed Hamiltonians are diagonal in the number basis, so time evolution
+is no ODE solve but a congruence by the diagonal unitary diag(exp(-i H_n t)):
+one phase per level, and entry mn turned by the product of two of them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericToleranceError, TruncationError
+from .errors import DomainError, TruncationError
 from .nonlinearity import NonlinearitySpec, require_positive
 
 HAMILTONIAN_FORMS = ("symmetric", "normal", "normal_half", "kerr")
@@ -27,10 +28,6 @@ _TRACE_TOL = 1e-10
 _EIG_TOL = 1e-10
 _TAIL_TOL = 1e-8
 _TAIL_FRACTION = 0.9
-# Largest a-priori eigenvalue drift for which evolve_density skips the
-# eigendecomposition: a hundredth of _EIG_TOL.
-_PHASE_DRIFT_TOL = 1e-12
-_EPS = float(np.finfo(float).eps)
 
 
 def lowering_operator(dim: int) -> np.ndarray:
@@ -78,6 +75,31 @@ def deformed_lowering(spec: NonlinearitySpec, dim: int) -> np.ndarray:
     return np.diag(np.sqrt(n) * fvals[1:], k=1).astype(complex)
 
 
+def _level_energies(spec: NonlinearitySpec, dim: int, form: str):
+    """H(n) on levels 0..dim-1 and the profile values the form reads
+    (f(0..dim) for ``symmetric``, f(0..dim-1) for the normal forms, None for
+    ``kerr``, which reads no profile)."""
+    if dim < 2:
+        raise DomainError("operator truncation needs dim >= 2")
+    if form not in HAMILTONIAN_FORMS:
+        raise DomainError(f"unknown hamiltonian form {form!r}")
+    n = np.arange(dim, dtype=float)
+    if form == "kerr":
+        if spec.kind != "kerr":
+            raise DomainError("the kerr hamiltonian form needs a kerr profile")
+        return None, n + spec.chi * n * (n - 1.0)
+    if form == "symmetric":
+        # needs f one level past the top state
+        fvals = require_positive(spec, dim)
+        f2 = fvals * fvals
+        return fvals, 0.5 * (n * f2[:dim] + (n + 1.0) * f2[1:])
+    fvals = require_positive(spec, dim - 1)
+    h = n * fvals * fvals
+    if form == "normal_half":
+        h = h + 0.5
+    return fvals, h
+
+
 def hamiltonian_diagonal(
     spec: NonlinearitySpec, dim: int, form: str = "symmetric"
 ) -> np.ndarray:
@@ -90,25 +112,7 @@ def hamiltonian_diagonal(
     * ``kerr``         n + chi n (n-1), the Kerr medium form; requires a
                        kerr profile and coincides with ``normal`` for it
     """
-    if dim < 2:
-        raise DomainError("operator truncation needs dim >= 2")
-    if form not in HAMILTONIAN_FORMS:
-        raise DomainError(f"unknown hamiltonian form {form!r}")
-    n = np.arange(dim, dtype=float)
-    if form == "kerr":
-        if spec.kind != "kerr":
-            raise DomainError("the kerr hamiltonian form needs a kerr profile")
-        return n + spec.chi * n * (n - 1.0)
-    if form == "symmetric":
-        # needs f one level past the top state
-        fvals = require_positive(spec, dim)
-        f2 = fvals * fvals
-        return 0.5 * (n * f2[:dim] + (n + 1.0) * f2[1:])
-    fvals = require_positive(spec, dim - 1)
-    h = n * fvals * fvals
-    if form == "normal_half":
-        h = h + 0.5
-    return h
+    return _level_energies(spec, dim, form)[1]
 
 
 def hamiltonian(spec: NonlinearitySpec, dim: int, form: str = "symmetric") -> np.ndarray:
@@ -122,14 +126,16 @@ def heisenberg_invariant(
 
     Entries Q[n-1, n] = sqrt(n) f(n) exp(i (H(n) - H(n-1)) t); the phase
     factors undo the Heisenberg rotation level by level, so expectation
-    values in any evolving state stay frozen at their t = 0 value.
+    values in any evolving state stay frozen at their t = 0 value.  Only the
+    superdiagonal is built, from one evaluation of the profile.
     """
-    a_f = deformed_lowering(spec, dim)
-    h = hamiltonian_diagonal(spec, dim, form)
-    phases = np.exp(1j * (h[1:] - h[:-1]) * float(t))
-    out = a_f.copy()
+    fvals, h = _level_energies(spec, dim, form)
+    if fvals is None:
+        fvals = require_positive(spec, dim - 1)
     idx = np.arange(dim - 1)
-    out[idx, idx + 1] *= phases
+    out = np.zeros((dim, dim), dtype=complex)
+    out[idx, idx + 1] = (np.sqrt(np.arange(1.0, dim)) * fvals[1:dim]
+                         * np.exp(1j * (h[1:] - h[:-1]) * float(t)))
     return out
 
 
@@ -180,7 +186,8 @@ class DensityMatrix:
     all four checks.  The package's own builders of states that are positive
     by construction skip only the positivity check, a dense
     eigendecomposition: ``density_from_amplitudes`` and the states built on
-    it always, ``evolve_density`` while its phases keep enough precision.
+    it (rank-one projectors), and ``evolve_density`` (a congruence by a
+    diagonal unitary, which keeps the spectrum to a few eps at any time).
     """
 
     matrix: np.ndarray
@@ -190,8 +197,10 @@ class DensityMatrix:
 
     @classmethod
     def _trusted(cls, matrix) -> "DensityMatrix":
-        """A state positive semidefinite by construction, up to roundoff far
-        below the eigenvalue tolerance: every check but the spectrum runs."""
+        """A state positive semidefinite by construction (a rank-one
+        projector, or a valid state turned by a diagonal unitary), up to
+        roundoff far below the eigenvalue tolerance: every check but the
+        spectrum runs."""
         rho = object.__new__(cls)
         object.__setattr__(rho, "matrix", _validated(matrix, check_spectrum=False))
         return rho
@@ -292,35 +301,19 @@ def evolve_density(
 ) -> DensityMatrix:
     """Exact evolution under the diagonal Hamiltonian.
 
-    rho_mn(t) = rho_mn(0) exp(-i (H_m - H_n) t); populations never move, so
-    trace and tail mass are preserved exactly.  The rotation is a conjugation
-    by a diagonal unitary, which keeps the spectrum up to the rounding of the
-    phases.  While that rounding provably moves the eigenvalues by less than
-    a hundredth of the positivity tolerance, the result is rechecked for
-    hermiticity, trace and tail only; past it (long times, where the phase
-    angles lose their low digits) it is fully validated, eigenvalues
-    included, and a state that lost its positivity that way raises
-    ``NumericToleranceError``.
+    rho(t) = U rho U+ with U = diag(exp(-i H_m t)): one exponential per
+    level, then rho_mn(t) = rho_mn e_m conj(e_n), which is
+    rho_mn exp(-i (H_m - H_n) t).  The phase matrix has its diagonal set to
+    exactly 1, so populations, trace and tail mass never move.  A congruence
+    by a diagonal unitary rounded to working precision moves the spectrum by
+    at most a few eps ||rho||_F at any t (Weyl's inequality), so the result
+    is rechecked for hermiticity, trace and tail but not re-diagonalised.
     """
     h = hamiltonian_diagonal(spec, rho.dim, form)
-    angle = (h[:, None] - h[None, :]) * float(t)
-    out = rho.matrix * np.exp(-1j * angle)
-    # Rounding the angle, the exponential and the product moves entry mn by
-    # at most ~eps |rho_mn| (|angle_mn| + 4); the spectrum moves by at most
-    # the Frobenius norm of those moves.
-    drift = _EPS * np.linalg.norm(np.abs(rho.matrix) * (np.abs(angle) + 4.0))
-    if drift <= _PHASE_DRIFT_TOL:
-        return DensityMatrix._trusted(out)
-    try:
-        return DensityMatrix(out)
-    except DomainError as exc:
-        # the rotation keeps hermiticity, trace and tail exactly, so only the
-        # spectrum can fail, and only through the rounding of the phases
-        raise NumericToleranceError(
-            f"lost phase precision at t = {float(t):g}: rounding the angles "
-            f"(H_m - H_n) t moves the spectrum by up to {drift:.1e}, and the "
-            f"evolved state has a {exc}"
-        ) from None
+    e = np.exp(-1j * (h * float(t)))
+    phase = np.outer(e, e.conj())
+    np.fill_diagonal(phase, 1.0)
+    return DensityMatrix._trusted(rho.matrix * phase)
 
 
 def expectation(rho: DensityMatrix, op: np.ndarray) -> complex:

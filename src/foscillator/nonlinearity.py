@@ -103,11 +103,16 @@ def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
     if spec.kind == "identity":
         vals = np.ones_like(arr)
     elif spec.kind == "q":
-        vals = np.exp(0.5 * _log_sinhc(spec.lam * arr))
+        # past lam n ~ 1427 f leaves the float range; the check below names
+        # the first such level
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.exp(0.5 * _log_sinhc(spec.lam * arr))
     elif spec.kind == "kerr":
         sq = 1.0 - spec.chi + spec.chi * arr
         if arr.size and np.min(sq) <= 0.0:
-            raise DomainError("kerr profile hit 1 - chi + chi*n <= 0")
+            bad = float(arr[np.argmax(sq <= 0.0)])
+            raise DegenerateDeformationError(
+                f"kerr profile hit 1 - chi + chi*n <= 0 at n = {bad!r}")
         vals = np.sqrt(sq)
     else:
         if spec.table is not None:
@@ -119,8 +124,11 @@ def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
             vals = np.asarray(spec.fn(arr), dtype=float)
             if vals.shape != arr.shape:
                 vals = np.broadcast_to(vals, arr.shape).copy()
-    if arr.size and not np.all(np.isfinite(vals)):
-        raise DomainError("profile evaluated to a non-finite value")
+    finite = np.isfinite(vals)
+    if arr.size and not np.all(finite):
+        bad = float(arr[np.argmin(finite)])
+        cause = ": f overflows the float range" if spec.kind == "q" else ""
+        raise DomainError(f"profile evaluated to a non-finite value at n = {bad!r}{cause}")
     return float(vals[0]) if scalar else vals.reshape(np.shape(n))
 
 
@@ -206,13 +214,13 @@ def log_f_factorial(spec: NonlinearitySpec, n_max: int) -> np.ndarray:
 
 
 def require_positive(spec: NonlinearitySpec, n_max: int) -> np.ndarray:
-    """Return f(0..n_max) after checking positivity; raises otherwise."""
-    try:
-        factors = np.atleast_1d(eval_f(spec, np.arange(int(n_max) + 1)))
-    except DomainError as exc:
-        raise DegenerateDeformationError(
-            f"profile not positive on levels 0..{int(n_max)}"
-        ) from exc
+    """Return f(0..n_max) after checking positivity.
+
+    Raises ``DegenerateDeformationError`` naming the first level with
+    f <= 0, and passes on the ``DomainError`` of a profile that cannot be
+    evaluated there, such as an overflow.
+    """
+    factors = np.atleast_1d(eval_f(spec, np.arange(int(n_max) + 1)))
     if np.min(factors) <= 0.0:
         bad = int(np.argmax(factors <= 0.0))
         raise DegenerateDeformationError(f"profile hits f({bad}) <= 0")

@@ -7,13 +7,16 @@ truncated state it is assembled from rotated-and-scaled oscillator
 eigenfunctions.  Both satisfy the homogeneity w(sX, s mu, s nu) = w/|s| and
 integrate to one over X.
 
-Classical line integrals and their norm over X use nested Clenshaw-Curtis
-rules (Trefethen, SIAM Rev. 50, 67 (2008)): 16, 32, 64, ... nodes per line,
-each doubling evaluating the density only at the new nodes, until two
-successive levels agree to 1e-11 relative to max(1, peak).  The norm nests
-the X rule the same way, each new X node getting its own adaptive line
-integral.  A density with filaments finer than 4096 nodes per line resolve
-raises ``NumericToleranceError`` instead of returning an unresolved slice.
+Classical line integrals use nested Clenshaw-Curtis rules (Trefethen, SIAM
+Rev. 50, 67 (2008)): 16, 32, 64, ... nodes per line, each doubling
+evaluating the density only at the new nodes, until two successive levels
+agree to 1e-11 relative to max(1, peak).  A density with filaments finer
+than 4096 nodes per line resolve raises ``NumericToleranceError`` instead of
+returning an unresolved slice.  The norm, the integral of the slice over X,
+is by Fubini the integral of the density over its support disk; it runs on
+the same nested rules in polar coordinates, where a density transported
+along the flow is its initial one turned ring by ring, so its cost does not
+grow with the time.
 
 Sign conventions: tiny negative values (above -1e-9) are floored to zero as
 roundoff; anything more negative is left visible, since it signals a broken
@@ -30,8 +33,8 @@ import numpy as np
 
 from .classical import (
     PhaseSpaceDistribution,
+    _disk_quadrature,
     _line_integrals,
-    _nested_integrals,
     propagate_distribution,
 )
 from .errors import DegenerateRayError, DomainError
@@ -60,9 +63,11 @@ def _leggauss(nodes: int):
 class TomogramSlice:
     """Values of one tomogram ray on an X axis, with its quadrature norm.
 
-    ``quadrature_error`` is the nested rule's estimate for a classical
-    slice, relative to max(1, peak); a quantum slice is a finite sum and
-    leaves it 0.
+    A classical slice's norm is the density's integral over its support
+    disk, the same for every ray; a quantum slice's is a Gauss-Legendre sum
+    over X.  ``quadrature_error`` is the larger nested-rule estimate of a
+    classical slice's values and norm, relative to max(1, peak); a quantum
+    slice is a finite sum and leaves it 0.
     """
 
     mu: float
@@ -117,17 +122,17 @@ def _radon_lines(dist: PhaseSpaceDistribution, mu: float, nu: float, x: np.ndarr
 def radon_classical(dist: PhaseSpaceDistribution, mu: float, nu: float, x_axis) -> TomogramSlice:
     """Classical tomogram of a phase-space density along one ray.
 
-    Each line integral, and the norm over X, runs on nested Clenshaw-Curtis
-    rules that double until two successive levels agree to 1e-11 relative to
-    max(1, peak); ``quadrature_error`` carries the larger estimate.  A
-    density too filamented for 4096 nodes per line raises
+    Each line integral runs on nested Clenshaw-Curtis rules that double
+    until two successive levels agree to 1e-11 relative to max(1, peak); the
+    norm is ``phase_space_integral`` of the density, which by Fubini equals
+    the slice integrated over X.  ``quadrature_error`` carries the larger
+    estimate.  A density too filamented for 4096 nodes per line raises
     ``NumericToleranceError`` instead of returning a wrong slice.
     """
     r = _check_ray(mu, nu)
     x_axis = np.asarray(x_axis, dtype=float)
     values, err = _radon_lines(dist, mu, nu, x_axis)
-    span = r * dist.support_radius
-    norm, norm_err = _nested_integrals(lambda v: _radon_lines(dist, mu, nu, span * v), span)
+    norm, norm_err = _disk_quadrature(dist)
     return TomogramSlice(mu=float(mu), nu=float(nu), x_axis=x_axis,
                          values=_floor_roundoff(values), norm=float(norm),
                          quadrature_error=max(err, norm_err))

@@ -12,11 +12,11 @@ from scipy.special import gammaln
 from foscillator import (
     DensityMatrix,
     DomainError,
-    NumericToleranceError,
     TruncationError,
     coherent_density,
     coherent_truncation_dim,
     commutator_defect,
+    custom,
     deformed_lowering,
     density_from_amplitudes,
     eval_f,
@@ -129,6 +129,32 @@ def test_invariant_at_zero_time_is_deformed_lowering():
     np.testing.assert_array_equal(
         heisenberg_invariant(spec, 9, 0.0), deformed_lowering(spec, 9)
     )
+
+
+@pytest.mark.parametrize("spec, form", [
+    (identity(), "symmetric"), (kerr(0.2), "normal"), (kerr(0.2), "kerr"),
+    (q_oscillator(0.1), "symmetric"), (q_oscillator(0.1), "normal_half"),
+    (custom(table=np.linspace(1.0, 2.0, 41)), "symmetric"),
+])
+def test_invariant_matches_the_dense_construction(spec, form):
+    dim = 40
+    for t in (0.0, 1.7, -3.1, 1e6):
+        dense = deformed_lowering(spec, dim).copy()
+        h = hamiltonian_diagonal(spec, dim, form)
+        idx = np.arange(dim - 1)
+        dense[idx, idx + 1] *= np.exp(1j * (h[1:] - h[:-1]) * t)
+        np.testing.assert_array_equal(heisenberg_invariant(spec, dim, t, form), dense)
+
+
+def test_invariant_evaluates_the_profile_once():
+    calls = []
+
+    def profile(n):
+        calls.append(np.size(n))
+        return np.sqrt(1.0 + 0.1 * np.asarray(n))
+
+    heisenberg_invariant(custom(fn=profile), 12, 0.7)
+    assert calls == [13]
 
 
 def test_invariant_matches_conjugation():
@@ -299,9 +325,10 @@ def _trusted_builds():
                       lambda spec=spec: nonlinear_coherent_state(1.2 - 0.3j, spec, 40).density(),
                       _pure(amps)))
     rho = DensityMatrix(0.6 * coherent_density(0.9 - 0.4j, 30).matrix + 0.4 * fock_density(3, 30).matrix)
-    h = hamiltonian_diagonal(kerr(0.2), rho.dim)
-    cases.append(("evolve-mixed", lambda: evolve_density(rho, kerr(0.2), 2.7),
-                  rho.matrix * np.exp(-1j * (h[:, None] - h[None, :]) * 2.7)))
+    e = np.exp(-1j * (hamiltonian_diagonal(kerr(0.2), rho.dim) * 2.7))
+    phase = np.outer(e, e.conj())
+    np.fill_diagonal(phase, 1.0)
+    cases.append(("evolve-mixed", lambda: evolve_density(rho, kerr(0.2), 2.7), rho.matrix * phase))
     return cases
 
 
@@ -349,19 +376,17 @@ def test_trusted_builders_keep_the_tail_check():
         fock_density(9, 10)
 
 
-def test_evolve_past_phase_precision_revalidates(eigvalsh_calls):
-    # At t = 1e7 the phase angles of a dim-60 Kerr state have lost their low
-    # digits: the a-priori drift bound exceeds its limit, so the state is
-    # re-diagonalised, and here its rounding has pushed an eigenvalue below
-    # the tolerance.  The input was valid, so this is a numeric failure that
-    # names the lost phase precision, not a validation error.
+def test_evolve_past_phase_precision_stays_valid(eigvalsh_calls):
+    # At t = 1e7 the angles (H_m - H_n) t of a dim-60 Kerr state have lost
+    # their low digits, but the phases exp(-i H_m t) are still unit numbers:
+    # the congruence keeps the spectrum, so nothing is re-diagonalised and
+    # the state passes full validation.
     rho = coherent_density(1.0, 60)
-    evolve_density(rho, kerr(0.1), 10.0)
+    out = evolve_density(rho, kerr(0.1), 1e7)
     assert len(eigvalsh_calls) == 0
-    with pytest.raises(NumericToleranceError,
-                       match=r"lost phase precision at t = 1e\+07.*negative eigenvalue"):
-        evolve_density(rho, kerr(0.1), 1e7)
-    assert len(eigvalsh_calls) == 1
+    np.testing.assert_array_equal(DensityMatrix(out.matrix).matrix, out.matrix)
+    np.testing.assert_allclose(np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(rho.matrix),
+                               rtol=0.0, atol=1e-13)
 
 
 def test_full_validation_check_order():
@@ -397,3 +422,32 @@ def test_evolution_keeps_populations_and_spectrum(dim, t, spec, form, weights):
     np.testing.assert_array_equal(np.diag(out.matrix), np.diag(rho.matrix))
     np.testing.assert_allclose(np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(rho.matrix),
                                rtol=0.0, atol=1e-13)
+
+
+@settings(max_examples=60)
+@given(
+    dim=st.integers(20, 90),
+    t=st.floats(1e3, 1e8),
+    sign=st.sampled_from([1.0, -1.0]),
+    spec=_PROFILES,
+    form=st.sampled_from(["symmetric", "normal", "normal_half"]),
+    weights=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+)
+def test_long_time_evolution_is_a_congruence(dim, t, sign, spec, form, weights):
+    # however many digits the angles (H_m - H_n) t lose, populations stay
+    # bit-equal, the spectrum stays put, and each entry sits within the
+    # rounding of its two level phases of the exact-angle formula
+    t = sign * t
+    top = int(0.9 * (dim - 1))
+    parts = (vacuum_density(dim), fock_density(top, dim), coherent_density(0.8 - 0.5j, dim))
+    rho = DensityMatrix(sum(w * p.matrix for w, p in zip(weights, parts)) / sum(weights))
+    out = evolve_density(rho, spec, t, form).matrix
+    np.testing.assert_array_equal(np.diag(out), np.diag(rho.matrix))
+    np.testing.assert_allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho.matrix),
+                               rtol=0.0, atol=1e-13)
+    h = hamiltonian_diagonal(spec, dim, form)
+    angle = (h[:, None] - h[None, :]) * t
+    exact = rho.matrix * np.exp(-1j * angle)
+    ht = np.abs(h * t)
+    bound = np.finfo(float).eps * np.abs(rho.matrix) * (ht[:, None] + ht[None, :] + np.abs(angle) + 8.0)
+    assert np.all(np.abs(out - exact) <= bound)

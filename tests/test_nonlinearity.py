@@ -196,6 +196,22 @@ def test_frequency_overflow_is_refused_without_warnings(law):
         assert np.isfinite(frequency(spec, e[e < first_bad], law)).all()
 
 
+def test_q_profile_overflow_names_the_level_without_warnings():
+    # f = sqrt(sinh(n)/n) leaves the float range between n = 1427 and 1428;
+    # the level-table builders pass the overflow on instead of calling the
+    # profile non-positive
+    spec = q_oscillator(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(eval_f(spec, 1427.0))
+        for call in (lambda: eval_f(spec, np.arange(1500.0)),
+                     lambda: log_f_factorial(spec, 1499)):
+            with pytest.raises(DomainError, match=r"non-finite value at n = 1428\.0: "
+                                                  r"f overflows the float range") as info:
+                call()
+            assert not isinstance(info.value, DegenerateDeformationError)
+
+
 def test_frequency_kerr_canonical_law():
     # d/dE [E f^2] = 1 - chi + 2 chi E: exactly 1.3 at chi = 0.1, E = 2
     assert frequency(kerr(0.1), 2.0, law="canonical") == pytest.approx(1.3, rel=1e-12)

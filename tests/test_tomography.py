@@ -22,6 +22,7 @@ from foscillator import (
     gaussian_distribution,
     identity,
     kerr,
+    phase_space_integral,
     propagate_distribution,
     q_oscillator,
     quantum_tomogram,
@@ -181,6 +182,34 @@ def test_filamented_slice_matches_a_fine_reference(t):
     np.testing.assert_allclose(sl.values, ref, rtol=0.0, atol=1e-12)
     assert sl.norm == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= sl.quadrature_error <= 1e-11
+
+
+def test_transported_norm_does_not_resolve_the_filaments():
+    # at t = 30 the lines cross the spiral arms many times, but on each circle
+    # of constant energy the moved density is the initial one turned, so the
+    # disk rule needs no more points than at t = 0
+    dist = _filament(30.0)
+    points = []
+
+    def counted(q, p):
+        points.append(np.size(q))
+        return dist.density(q, p)
+
+    total = phase_space_integral(PhaseSpaceDistribution(counted, dist.support_radius))
+    assert sum(points) <= 50_000
+    assert total == pytest.approx(1.0, abs=1e-12)
+    assert radon_classical(dist, 0.6, 0.8, np.array([0.0])).norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_slice_values_integrate_to_the_norm():
+    # the norm is a disk integral and the values are line integrals; by
+    # Fubini the values integrated over the whole X span give the norm
+    dist = _filament(3.0)
+    mu, nu = 0.6, 0.8
+    span = math.hypot(mu, nu) * dist.support_radius
+    u, w = roots_legendre(2000)
+    sl = radon_classical(dist, mu, nu, span * u)
+    assert span * float(w @ sl.values) == pytest.approx(sl.norm, abs=1e-10)
 
 
 def test_unresolved_filaments_are_refused():

@@ -75,29 +75,34 @@ def deformed_lowering(spec: NonlinearitySpec, dim: int) -> np.ndarray:
     return np.diag(np.sqrt(n) * fvals[1:], k=1).astype(complex)
 
 
-def _level_energies(spec: NonlinearitySpec, dim: int, form: str):
-    """H(n) on levels 0..dim-1 and the profile values the form reads
-    (f(0..dim) for ``symmetric``, f(0..dim-1) for the normal forms, None for
-    ``kerr``, which reads no profile)."""
+def _check_form(spec: NonlinearitySpec, dim: int, form: str) -> None:
     if dim < 2:
         raise DomainError("operator truncation needs dim >= 2")
     if form not in HAMILTONIAN_FORMS:
         raise DomainError(f"unknown hamiltonian form {form!r}")
+    if form == "kerr" and spec.kind != "kerr":
+        raise DomainError("the kerr hamiltonian form needs a kerr profile")
+
+
+def _form_profile(spec: NonlinearitySpec, dim: int, form: str) -> np.ndarray:
+    """f(0..dim) for the symmetric form, which reads one level past the top
+    state, f(0..dim-1) for the others; checked positive."""
+    return require_positive(spec, dim if form == "symmetric" else dim - 1)
+
+
+def _level_energies(spec: NonlinearitySpec, dim: int, form: str, fvals) -> np.ndarray:
+    """H(n) on levels 0..dim-1 from the profile values ``fvals`` of
+    ``_form_profile``; the kerr form reads none."""
     n = np.arange(dim, dtype=float)
     if form == "kerr":
-        if spec.kind != "kerr":
-            raise DomainError("the kerr hamiltonian form needs a kerr profile")
-        return None, n + spec.chi * n * (n - 1.0)
+        return n + spec.chi * n * (n - 1.0)
     if form == "symmetric":
-        # needs f one level past the top state
-        fvals = require_positive(spec, dim)
         f2 = fvals * fvals
-        return fvals, 0.5 * (n * f2[:dim] + (n + 1.0) * f2[1:])
-    fvals = require_positive(spec, dim - 1)
+        return 0.5 * (n * f2[:dim] + (n + 1.0) * f2[1:])
     h = n * fvals * fvals
     if form == "normal_half":
         h = h + 0.5
-    return fvals, h
+    return h
 
 
 def hamiltonian_diagonal(
@@ -112,7 +117,9 @@ def hamiltonian_diagonal(
     * ``kerr``         n + chi n (n-1), the Kerr medium form; requires a
                        kerr profile and coincides with ``normal`` for it
     """
-    return _level_energies(spec, dim, form)[1]
+    _check_form(spec, dim, form)
+    fvals = None if form == "kerr" else _form_profile(spec, dim, form)
+    return _level_energies(spec, dim, form, fvals)
 
 
 def hamiltonian(spec: NonlinearitySpec, dim: int, form: str = "symmetric") -> np.ndarray:
@@ -129,9 +136,9 @@ def heisenberg_invariant(
     values in any evolving state stay frozen at their t = 0 value.  Only the
     superdiagonal is built, from one evaluation of the profile.
     """
-    fvals, h = _level_energies(spec, dim, form)
-    if fvals is None:
-        fvals = require_positive(spec, dim - 1)
+    _check_form(spec, dim, form)
+    fvals = _form_profile(spec, dim, form)
+    h = _level_energies(spec, dim, form, fvals)
     idx = np.arange(dim - 1)
     out = np.zeros((dim, dim), dtype=complex)
     out[idx, idx + 1] = (np.sqrt(np.arange(1.0, dim)) * fvals[1:dim]

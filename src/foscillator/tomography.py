@@ -13,10 +13,10 @@ evaluating the density only at the new nodes, until two successive levels
 agree to 1e-11 relative to max(1, peak).  A density with filaments finer
 than 4096 nodes per line resolve raises ``NumericToleranceError`` instead of
 returning an unresolved slice.  The norm, the integral of the slice over X,
-is by Fubini the integral of the density over its support disk; it runs on
-the same nested rules in polar coordinates, where a density transported
-along the flow is its initial one turned ring by ring, so its cost does not
-grow with the time.
+is by Fubini the integral of the density over its support disk; it runs in
+polar coordinates, Clenshaw-Curtis in the radius and the periodic trapezoid
+rule in the angle, where a density transported along the flow is its
+initial one turned ring by ring, so its cost does not grow with the time.
 
 Sign conventions: tiny negative values (above -1e-9) are floored to zero as
 roundoff; anything more negative is left visible, since it signals a broken
@@ -64,8 +64,9 @@ class TomogramSlice:
     """Values of one tomogram ray on an X axis, with its quadrature norm.
 
     A classical slice's norm is the density's integral over its support
-    disk, the same for every ray; a quantum slice's is a Gauss-Legendre sum
-    over X.  ``quadrature_error`` is the larger nested-rule estimate of a
+    disk, the same for every ray and computed apart from the values, so it
+    checks the density's mass rather than the line integrals; a quantum
+    slice's is a Gauss-Legendre sum of the values' formula over X.  ``quadrature_error`` is the larger nested-rule estimate of a
     classical slice's values and norm, relative to max(1, peak); a quantum
     slice is a finite sum and leaves it 0.
     """

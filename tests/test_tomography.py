@@ -249,6 +249,32 @@ def test_density_calls_stay_within_one_block():
     np.testing.assert_allclose(sl.values, closed, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("sigma", [0.01, 0.015])
+@pytest.mark.parametrize("angle", [0.0, 0.3, math.pi / 4, 2.0])
+def test_narrow_off_centre_blob_is_resolved_at_any_angle(sigma, angle):
+    # a blob of width r0/200 .. r0/130 at radius r0 = 2 drives the rings to
+    # 2048 or 4096 angular nodes; wherever it sits it is neither read as zero
+    # nor refused, and every density call gets at most one block of points
+    q0, p0 = 2.0 * math.cos(angle), 2.0 * math.sin(angle)
+    blob = gaussian_distribution(q0, p0, sigma)
+    shapes = []
+
+    def counted(q, p):
+        shapes.append(np.shape(q))
+        return blob.density(q, p)
+
+    dist = PhaseSpaceDistribution(counted, blob.support_radius)
+    assert abs(phase_space_integral(dist) - 1.0) <= 1e-12
+    assert max(cols for _, cols in shapes) >= 1024  # new nodes of a level >= 2048
+    mean = 0.6 * q0 + 0.8 * p0
+    x = np.linspace(mean - 3.0 * sigma, mean + 3.0 * sigma, 13)
+    sl = radon_classical(dist, 0.6, 0.8, x)
+    assert abs(sl.norm - 1.0) <= 1e-12
+    closed = np.exp(-0.5 * ((x - mean) / sigma) ** 2) / math.sqrt(2.0 * math.pi) / sigma
+    np.testing.assert_allclose(sl.values, closed, rtol=1e-9, atol=1e-9)
+    assert max(math.prod(shape) for shape in shapes) <= _BLOCK
+
+
 _PROFILE_SPECS = st.one_of(
     st.just(identity()),
     st.floats(0.01, 0.3).map(q_oscillator),

@@ -52,6 +52,7 @@ from .coherent import (
 from .errors import DomainError, NumericToleranceError
 from .fock import (
     _TAIL_TOL,
+    _hermiticity_residual,
     _tail_mass,
     DensityMatrix,
     coherent_density,
@@ -117,10 +118,16 @@ def _render_json(art: Artifact) -> str:
 
 @dataclass(frozen=True)
 class _Flag:
-    """One option: its name and the keyword arguments of ``add_argument``."""
+    """One option: its name, its short form if any, and the keyword
+    arguments of ``add_argument``."""
 
     name: str
     kwargs: dict
+    short: str = None
+
+    @property
+    def names(self) -> tuple:
+        return (self.short, self.name) if self.short else (self.name,)
 
     @property
     def dest(self) -> str:
@@ -148,8 +155,8 @@ class _Flag:
         return out
 
 
-def _flag(name: str, **kwargs) -> _Flag:
-    return _Flag(name, kwargs)
+def _flag(name: str, short: str = None, **kwargs) -> _Flag:
+    return _Flag(name, kwargs, short)
 
 
 _LAW = _flag("--law", default="amplitude", choices=("amplitude", "canonical"))
@@ -291,7 +298,7 @@ def _cmd_quantum_evolve(args) -> Artifact:
     q0 = expectation(rho0, heisenberg_invariant(spec, rho0.dim, 0.0, args.form))
     qt = expectation(rho_t, heisenberg_invariant(spec, rho_t.dim, args.time, args.form))
     art.add_check("trace_residual", abs(np.trace(m).real - 1.0), 1e-10)
-    art.add_check("hermiticity_residual", float(np.max(np.abs(m - m.conj().T))), 1e-12)
+    art.add_check("hermiticity_residual", _hermiticity_residual(m), 1e-12)
     art.add_check("purity_drift", abs(rho_t.purity() - rho0.purity()), 1e-10)
     art.add_check("tail_mass", _tail_mass(m), _TAIL_TOL)
     art.add_check("invariant_drift", abs(qt - q0), 1e-9)
@@ -436,7 +443,7 @@ class _Command:
     def options(self) -> tuple:
         """The command's own flags, then the ones every command takes."""
         return self.flags + (
-            _flag("--output", default=None,
+            _flag("--output", short="-o", default=None,
                   help="artifact path; '-' writes the artifact to stdout "
                        "(default: <command>.<format>)"),
             _flag("--format", default=self.format, choices=("csv", "json")),
@@ -539,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd in _COMMAND_TABLE.values():
         p = sub.add_parser(cmd.name, help=cmd.help)
         for flag in cmd.options:
-            p.add_argument(flag.name, **flag.kwargs)
+            p.add_argument(*flag.names, **flag.kwargs)
     return parser
 
 

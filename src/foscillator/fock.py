@@ -152,18 +152,30 @@ def _tail_mass(m: np.ndarray) -> float:
     return float(np.sum(np.diag(m).real[np.arange(dim) > _TAIL_FRACTION * (dim - 1)]))
 
 
-def _validated(matrix, check_spectrum: bool) -> np.ndarray:
-    """Read-only complex copy of ``matrix`` after the density-matrix checks.
+def _hermiticity_residual(m: np.ndarray) -> float:
+    """max |m_ij - conj(m_ji)| of a square complex matrix.
+
+    The conjugate transpose is written once, in row order, and the
+    difference lands in it, so the subtraction reads both operands row by
+    row; the value is that of np.max(np.abs(m - m.conj().T)), bit for bit.
+    """
+    t = np.conjugate(m.T, order="C")
+    np.subtract(m, t, out=t)
+    return float(np.max(np.abs(t)))
+
+
+def _validated(m: np.ndarray, check_spectrum: bool) -> np.ndarray:
+    """``m``, a complex array the caller owns, made read-only after the
+    density-matrix checks.
 
     The order is fixed: shape, hermiticity, trace, spectrum, tail, so a
     matrix that fails several checks always reports the same one.
     """
-    m = np.array(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("density matrix must be square")
     if m.shape[0] < 2:
         raise DomainError("density matrix needs dim >= 2")
-    herm = np.max(np.abs(m - m.conj().T))
+    herm = _hermiticity_residual(m)
     if herm > _HERM_TOL:
         raise DomainError(f"not hermitian: max deviation {herm:.3e}")
     tr = np.trace(m).real
@@ -200,16 +212,22 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _validated(self.matrix, check_spectrum=True))
+        object.__setattr__(self, "matrix",
+                           _validated(np.array(self.matrix, dtype=complex), check_spectrum=True))
 
     @classmethod
     def _trusted(cls, matrix) -> "DensityMatrix":
         """A state positive semidefinite by construction (a rank-one
         projector, or a valid state turned by a diagonal unitary), up to
         roundoff far below the eigenvalue tolerance: every check but the
-        spectrum runs."""
+        spectrum runs.
+
+        The state takes ownership of ``matrix``, a complex array its caller
+        has just built and does not keep: no copy is made, and the array is
+        made read-only."""
         rho = object.__new__(cls)
-        object.__setattr__(rho, "matrix", _validated(matrix, check_spectrum=False))
+        object.__setattr__(rho, "matrix", _validated(np.asarray(matrix, dtype=complex),
+                                                     check_spectrum=False))
         return rho
 
     @property
@@ -320,7 +338,8 @@ def evolve_density(
     e = np.exp(-1j * (h * float(t)))
     phase = np.outer(e, e.conj())
     np.fill_diagonal(phase, 1.0)
-    return DensityMatrix._trusted(rho.matrix * phase)
+    np.multiply(rho.matrix, phase, out=phase)
+    return DensityMatrix._trusted(phase)
 
 
 def expectation(rho: DensityMatrix, op: np.ndarray) -> complex:

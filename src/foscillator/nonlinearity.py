@@ -25,10 +25,6 @@ from .errors import DegenerateDeformationError, DomainError
 
 KINDS = ("identity", "q", "kerr", "custom")
 
-# Small-argument cutoff for log(sinh(x)/x): below this the quadratic series
-# is already exact to double precision.
-_Q_SERIES_CUTOFF = 1e-4
-
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
@@ -79,17 +75,6 @@ def custom(fn: Callable = None, table: Sequence[float] = None) -> NonlinearitySp
     return NonlinearitySpec(kind="custom", fn=fn, table=table)
 
 
-def _log_sinhc(x: np.ndarray) -> np.ndarray:
-    """log(sinh(x)/x) for x >= 0; never overflows, unlike sinh itself."""
-    out = np.empty_like(x)
-    small = x < _Q_SERIES_CUTOFF
-    xs = x[small]
-    out[small] = xs * xs / 6.0
-    xb = x[~small]
-    out[~small] = xb + np.log1p(-np.exp(-2.0 * xb)) - np.log(2.0 * xb)
-    return out
-
-
 def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
     """Evaluate the profile at level/energy ``n`` (scalar or array, >= 0).
 
@@ -103,10 +88,14 @@ def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
     if spec.kind == "identity":
         vals = np.ones_like(arr)
     elif spec.kind == "q":
-        # past lam n ~ 1427 f leaves the float range; the check below names
-        # the first such level
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.exp(0.5 * _log_sinhc(spec.lam * arr))
+        # f = exp((x + log(-expm1(-2x)/(2x)))/2) = sqrt(sinh(x)/x) at
+        # x = lam n: no sinh to overflow and no cancellation near x = 0.  Past
+        # lam n ~ 1427 f leaves the float range; the check below names the
+        # first such level
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x = spec.lam * arr
+            ratio = np.divide(-np.expm1(-2.0 * x), 2.0 * x, out=np.ones_like(x), where=x > 0.0)
+            vals = np.exp(0.5 * (x + np.log(ratio)))
     elif spec.kind == "kerr":
         sq = 1.0 - spec.chi + spec.chi * arr
         if arr.size and np.min(sq) <= 0.0:
@@ -133,11 +122,8 @@ def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
 
 
 def _eval_f_prime(spec: NonlinearitySpec, e: np.ndarray) -> np.ndarray:
-    """df/dE on continuous energy for the kerr and custom profiles."""
-    if spec.kind == "kerr":
-        sq = 1.0 - spec.chi + spec.chi * e
-        return spec.chi / (2.0 * np.sqrt(sq))
-    # custom: central difference, clipped into the table domain if any
+    """df/dE on continuous energy for a custom profile: a central
+    difference, clipped into the table domain if any."""
     h = 1e-6 * np.maximum(1.0, np.abs(e))
     lo, hi = e - h, e + h
     if spec.table is not None:
@@ -185,10 +171,10 @@ def frequency(spec: NonlinearitySpec, energy, law: str = "amplitude"):
             x = spec.lam * e
             x_coth = np.divide(x, np.tanh(x), out=np.ones_like(x), where=x > 0.0)
             out = 0.5 * f * (1.0 + x_coth) if law == "amplitude" else f * f * x_coth
-        elif law == "amplitude":
-            out = f + e * _eval_f_prime(spec, e)
         else:
-            out = f * f + 2.0 * e * f * _eval_f_prime(spec, e)
+            # kerr: f = sqrt(1 - chi + chi E), so f' = chi / (2 f)
+            fp = spec.chi / (2.0 * f) if spec.kind == "kerr" else _eval_f_prime(spec, e)
+            out = f + e * fp if law == "amplitude" else f * f + 2.0 * e * f * fp
     finite = np.isfinite(out)
     if not np.all(finite):
         bad = float(e[np.argmin(finite)])

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import _cos_sin
 from .errors import DomainError, NumericToleranceError
 from .fock import DensityMatrix, _log_factorials, deformed_lowering
 from .nonlinearity import NonlinearitySpec, require_positive
@@ -72,6 +73,15 @@ def _in_blocks(evaluate, points: np.ndarray) -> np.ndarray:
     out = np.empty(points.shape, dtype=complex)
     for start in range(0, points.size, _BLOCK):
         out[start:start + _BLOCK] = evaluate(points[start:start + _BLOCK])
+    return out
+
+
+def _expi(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta), its cosine and sine from ``_cos_sin``."""
+    c, s = _cos_sin(theta)
+    out = np.empty(c.shape, dtype=complex)
+    out.real = c
+    out.imag = s
     return out
 
 
@@ -135,7 +145,7 @@ def _standard_block(m: np.ndarray, beta: np.ndarray) -> np.ndarray:
     # the last populated entry of the diagonal, and a diagonal with none is
     # skipped.
     x = beta.real ** 2 + beta.imag ** 2
-    unit = np.exp(1j * np.angle(beta))
+    unit = _expi(np.angle(beta))
     phase = np.ones_like(beta)
     sign = np.where(np.arange(m.shape[0]) % 2 == 0, 1.0, -1.0)
     acc = np.zeros_like(beta)
@@ -268,8 +278,8 @@ def deformed_wigner_values(
     offsets, t = _diagonal_weights(pvec[:, None] * rho.matrix, vecs[:dim])
 
     def block(a: np.ndarray) -> np.ndarray:
-        terms = np.exp(1j * np.outer(np.angle(a), offsets)) @ t
-        terms *= np.exp(-2j * np.outer(np.abs(a), eigenvalues))
+        terms = _expi(np.outer(np.angle(a), offsets)) @ t
+        terms *= _expi(-2.0 * np.outer(np.abs(a), eigenvalues))
         return 2.0 * terms.sum(axis=1)
 
     w = _in_blocks(block, alphas).reshape(qa.shape)

@@ -23,6 +23,7 @@ from foscillator import (
     propagate_distribution,
     q_oscillator,
 )
+from foscillator.classical import _cos_sin
 
 
 def test_harmonic_half_period():
@@ -75,6 +76,25 @@ def test_invariants_at_zero_time():
     pt = PhasePoint(q=0.7, p=-1.2)
     back = classical_invariants(q_oscillator(0.1), pt, 0.0)
     assert (back.q, back.p) == (pt.q, pt.p)
+    q, p = np.random.default_rng(7).uniform(-4.0, 4.0, size=(2, 500))
+    for spec in (q_oscillator(0.1), kerr(0.2), identity()):
+        for law in ("amplitude", "canonical"):
+            for t in (0.0, -0.0):
+                back = classical_invariants(spec, PhasePoint(q, p), t, law)
+                np.testing.assert_array_equal(back.q, q)
+                np.testing.assert_array_equal(back.p, p)
+
+
+def test_half_angle_rotation_matches_cos_and_sin():
+    rng = np.random.default_rng(20261018)
+    odd = (2.0 * np.arange(-2000, 2000) + 1.0) * np.pi
+    theta = np.concatenate((rng.uniform(-1e7, 1e7, 200_000), rng.uniform(-10.0, 10.0, 50_000),
+                            odd, [0.0, -0.0, np.pi, -np.pi, 1e7, -1e7]))
+    c, s = _cos_sin(theta)
+    assert np.max(np.abs(c - np.cos(theta))) <= 4.5e-16
+    assert np.max(np.abs(s - np.sin(theta))) <= 4.5e-16
+    c, s = _cos_sin(np.array([0.0, -0.0]))
+    assert np.all(c == 1.0) and np.all(s == 0.0)
 
 
 def test_invariants_quarter_period_identity():

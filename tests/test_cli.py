@@ -73,6 +73,28 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert _read_sidecar(a) == _read_sidecar(b)
 
 
+def test_short_output_flag_writes_the_same_artifact(tmp_path, capsys):
+    argv = ["tomogram", "--state", "vacuum", "--x-points", "9"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(argv + ["-o", str(a)]) == 0
+    assert main(argv + ["--output", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert _read_sidecar(a) == _read_sidecar(b)
+    # the config key is still the long name; the short form is no key
+    for cmd in _COMMAND_TABLE.values():
+        keys = {f.dest for f in cmd.options}
+        assert "output" in keys and "o" not in keys
+    c = tmp_path / "c.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output": str(c)}))
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert c.read_bytes() == a.read_bytes()
+    cfg.write_text(json.dumps({"o": str(c)}))
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: unknown config field 'o' for tomogram\n"
+
+
 def test_deformed_wigner_runs_are_byte_identical(tmp_path):
     argv = ["wigner", "--variant", "usual-parity", "--kind", "kerr", "--chi", "0.1",
             "--state", "coherent:0.8", "--dim", "12", "--extent", "1.5",
@@ -98,6 +120,8 @@ def test_quantum_evolve_json_round_trip(tmp_path):
     np.testing.assert_array_equal(parsed.matrix, expected.matrix)
     meta = _read_sidecar(out)
     assert meta["checks"]["invariant_drift"]["value"] < 1e-9
+    m = expected.matrix
+    assert meta["checks"]["hermiticity_residual"]["value"] == float(np.max(np.abs(m - m.conj().T)))
     assert meta["checks"]["trace_residual"]["ok"]
 
 

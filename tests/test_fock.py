@@ -35,7 +35,7 @@ from foscillator import (
     q_oscillator,
     vacuum_density,
 )
-from foscillator.fock import _log_factorials, _poisson_amplitudes
+from foscillator.fock import _hermiticity_residual, _log_factorials, _poisson_amplitudes
 
 
 def test_lowering_dim2():
@@ -235,6 +235,37 @@ def test_density_matrix_is_read_only():
     rho = vacuum_density(4)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 0.0
+
+
+def test_density_matrix_never_aliases_its_input():
+    a = _pure(np.eye(6)[1] + 0.5j * np.eye(6)[0])
+    rho = DensityMatrix(a)
+    kept = rho.matrix.copy()
+    a[:] = 0.0
+    np.testing.assert_array_equal(rho.matrix, kept)
+    assert not np.shares_memory(rho.matrix, a)
+
+
+def test_trusted_states_own_their_matrix_read_only():
+    raw = _pure(np.eye(6)[2])
+    rho = DensityMatrix._trusted(raw)
+    assert rho.matrix is raw  # ownership passes, no copy
+    assert not rho.matrix.flags.writeable
+    real = DensityMatrix._trusted(np.diag([0.25, 0.75, 0.0, 0.0, 0.0, 0.0]))
+    assert real.matrix.dtype == complex and not real.matrix.flags.writeable
+    rho0 = coherent_density(0.8 - 0.2j, 20)
+    for out in (evolve_density(rho0, kerr(0.1), 1.7), evolve_density(rho0, identity(), 0.0),
+                vacuum_density(5), nonlinear_coherent_state(0.5, kerr(0.1), 20).density()):
+        assert not out.matrix.flags.writeable
+        assert not np.shares_memory(out.matrix, rho0.matrix)
+
+
+@pytest.mark.parametrize("dim", [2, 17, 60, 130, 201])
+def test_hermiticity_residual_equals_the_direct_formula(dim):
+    rng = np.random.default_rng(dim)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for a in (m, m + m.conj().T, 0.5 * (m + m.conj().T) + 1e-13 * rng.normal(size=(dim, dim))):
+        assert _hermiticity_residual(a) == np.max(np.abs(a - a.conj().T))
 
 
 def test_density_json_round_trip():

@@ -56,6 +56,15 @@ def test_q_profile_large_argument_finite():
     assert v == pytest.approx(math.exp(0.5 * (800.0 - math.log(1600.0))), rel=1e-12)
 
 
+def test_q_profile_matches_a_long_double_reference():
+    x = np.concatenate((np.geomspace(1e-6, 50.0, 5000), np.linspace(0.9e-4, 1.1e-4, 201)))
+    xl = x.astype(np.longdouble)
+    ref = np.sqrt(np.sinh(xl) / xl)
+    got = eval_f(q_oscillator(1.0), x)
+    assert float(np.max(np.abs((got - ref) / ref))) <= 5e-15
+    assert eval_f(q_oscillator(1.0), 0.0) == 1.0
+
+
 def test_kerr_profile_values():
     spec = kerr(0.1)
     assert eval_f(spec, 1) == pytest.approx(1.0, rel=1e-15)

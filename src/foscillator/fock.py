@@ -158,9 +158,12 @@ def _hermiticity_residual(m: np.ndarray) -> float:
     The conjugate transpose is written once, in row order, and the
     difference lands in it, so the subtraction reads both operands row by
     row; the value is that of np.max(np.abs(m - m.conj().T)), bit for bit.
+    A non-finite entry makes it NaN or inf (inf - inf is NaN here, not a
+    warning), so the residual also screens the entries for finiteness.
     """
     t = np.conjugate(m.T, order="C")
-    np.subtract(m, t, out=t)
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.subtract(m, t, out=t)
     return float(np.max(np.abs(t)))
 
 
@@ -168,15 +171,19 @@ def _validated(m: np.ndarray, check_spectrum: bool) -> np.ndarray:
     """``m``, a complex array the caller owns, made read-only after the
     density-matrix checks.
 
-    The order is fixed: shape, hermiticity, trace, spectrum, tail, so a
-    matrix that fails several checks always reports the same one.
+    The order is fixed: shape, finiteness and hermiticity (one pass),
+    trace, spectrum, tail, so a matrix that fails several checks always
+    reports the same one.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("density matrix must be square")
     if m.shape[0] < 2:
         raise DomainError("density matrix needs dim >= 2")
     herm = _hermiticity_residual(m)
-    if herm > _HERM_TOL:
+    if not herm <= _HERM_TOL:
+        # NaN fails every comparison, so the test is written to fail on it
+        if not np.all(np.isfinite(m)):
+            raise DomainError("density matrix has non-finite entries (NaN or inf)")
         raise DomainError(f"not hermitian: max deviation {herm:.3e}")
     tr = np.trace(m).real
     if abs(tr - 1.0) > _TRACE_TOL:

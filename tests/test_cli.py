@@ -221,6 +221,20 @@ def test_state_file_with_a_negative_eigenvalue_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_state_file_with_nan_exits_2_with_one_line(tmp_path, capsys):
+    # Python's json writes and reads NaN; such a state is refused as input
+    m = np.diag([0.5, 0.5] + [0.0] * 10)
+    m[1, 1] = float("nan")
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({"dim": 12, "re": m.tolist(), "im": np.zeros_like(m).tolist()}))
+    out = tmp_path / "evolved.json"
+    assert main(["quantum-evolve", "--state", f"file:{state_path}", "--dim", "12",
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
+    assert not out.exists()
+
+
 def test_csv_rows_follow_the_library_grid(tmp_path):
     out = tmp_path / "w.csv"
     assert main(["wigner", "--state", "coherent:0.5,0.25", "--dim", "12", "--extent", "6",

@@ -231,6 +231,27 @@ def test_density_matrix_validation():
         DensityMatrix(heavy_top)
 
 
+def test_non_finite_entries_are_refused_by_name():
+    nan, inf = float("nan"), float("inf")
+    pair = np.array([[0.5, nan], [nan, 0.5]])
+    inf_entry = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    inf_entry[1, 0] = inf
+    imag_pair = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    imag_pair[0, 1], imag_pair[1, 0] = complex(0.0, inf), complex(0.0, -inf)
+    for m in (np.diag([nan, nan]), pair, inf_entry, np.diag([inf, 0.0]), imag_pair):
+        with pytest.raises(DomainError, match="non-finite"):
+            DensityMatrix(m)
+        with pytest.raises(DomainError, match="non-finite"):
+            DensityMatrix._trusted(np.array(m, dtype=complex))
+
+
+def test_overflowing_asymmetry_is_reported_as_not_hermitian():
+    m = np.diag([0.5, 0.5]).astype(complex)
+    m[0, 1], m[1, 0] = 1e308, -1e308
+    with pytest.raises(DomainError, match="not hermitian: max deviation inf"):
+        DensityMatrix(m)
+
+
 def test_density_matrix_is_read_only():
     rho = vacuum_density(4)
     with pytest.raises(ValueError):

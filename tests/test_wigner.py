@@ -4,15 +4,20 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import eval_laguerre
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import comb, eval_laguerre, gammaln
 
 import foscillator
 from foscillator import (
+    DensityMatrix,
     NumericToleranceError,
     coherent_density,
+    coherent_truncation_dim,
     custom,
     deformed_lowering,
     deformed_parity_operator,
@@ -20,6 +25,7 @@ from foscillator import (
     deformed_wigner_values,
     displacement_matrix,
     fock_density,
+    hermite_functions,
     identity,
     kerr,
     nonlinear_coherent_state,
@@ -210,7 +216,7 @@ def test_batched_deformed_map_matches_expm_per_point(variant, spec):
 
 
 def test_standard_map_matches_direct_laguerre_sum():
-    from scipy.special import eval_genlaguerre, gammaln
+    from scipy.special import eval_genlaguerre
 
     dim = 60
     rho = coherent_density(2.0 + 1.0j, dim)
@@ -291,3 +297,160 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# The standard map on Hermite-Gauss coefficients
+
+
+def _rotation_matrices(top, dim):
+    """R^0 .. R^top from the step, on the columns a dim-level state uses."""
+    r = np.array([[0.0, 1.0, 0.0]])
+    out = [r[:, 1:-1]]
+    for order in range(1, top + 1):
+        r = wigner_module._rotation_step(r, order, dim)
+        out.append(r[:, 1:-1])
+    return out
+
+
+def _binomial_rotation(order):
+    # <j, N-j | m, N-m> of the 50:50 beam splitter, from the binomial expansion
+    # of (a+ + b+)^m (a+ - b+)^n / sqrt(2^N m! n!)
+    out = np.zeros((order + 1, order + 1))
+    for m in range(order + 1):
+        n = order - m
+        for j in range(order + 1):
+            total = sum(comb(m, r, exact=True) * comb(n, j - r, exact=True) * (-1) ** (n - j + r)
+                        for r in range(max(0, j - n), min(m, j) + 1))
+            log_norm = 0.5 * (gammaln(j + 1.0) + gammaln(order - j + 1.0)
+                              - gammaln(m + 1.0) - gammaln(n + 1.0)) - 0.5 * order * math.log(2.0)
+            out[j, m] = total * math.exp(log_norm)
+    return out
+
+
+def test_rotation_matrices_stay_orthogonal():
+    # dim 200 reaches order 398; rounding grows linearly, not geometrically
+    for order, r in enumerate(_rotation_matrices(398, 399)):
+        assert r.shape == (order + 1, order + 1)
+        assert np.max(np.abs(r @ r.T - np.eye(order + 1))) <= 1e-13, order
+
+
+def test_rotation_matrices_match_the_binomial_sum():
+    for order, r in enumerate(_rotation_matrices(40, 41)):
+        np.testing.assert_allclose(r, _binomial_rotation(order), rtol=0, atol=1e-14)
+
+
+def test_rotation_step_carries_only_the_columns_a_state_uses():
+    dim = 7
+    for order, (full, kept) in enumerate(zip(_rotation_matrices(12, 13), _rotation_matrices(12, dim))):
+        lo, hi = max(0, order - dim + 1), min(order, dim - 1)
+        np.testing.assert_array_equal(kept, full[:, lo:hi + 1])
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 9])
+def test_fock_map_stops_at_order_two_n(monkeypatch, n):
+    orders = []
+    step = wigner_module._rotation_step
+
+    def counted(r, order, dim):
+        orders.append(order)
+        return step(r, order, dim)
+
+    monkeypatch.setattr(wigner_module, "_rotation_step", counted)
+    ax = np.linspace(-7.0, 7.0, 11)
+    wigner_from_density(fock_density(n, 40), ax, ax)
+    assert orders == list(range(1, 2 * n + 1))
+    orders.clear()
+    wigner_values(fock_density(n, 40), 0.3, -0.2)
+    assert orders == list(range(1, 2 * n + 1))
+
+
+def test_standard_grid_larger_than_one_block_matches_point_calls():
+    ax = np.linspace(-7.0, 7.0, 91)  # 8281 points, past one block
+    assert ax.size ** 2 > wigner_module._BLOCK
+    rho = nonlinear_coherent_state(1.1 - 0.7j, kerr(0.1), 30).density()
+    grid = wigner_from_density(rho, ax, ax).values
+    qq, pp = np.meshgrid(ax, ax, indexing="ij")
+    np.testing.assert_allclose(wigner_values(rho, qq, pp), grid, rtol=0, atol=1e-14)
+    for i, j in [(0, 0), (45, 90), (90, 1), (90, 90), (17, 64)]:
+        assert abs(grid[i, j] - wigner_values(rho, ax[i], ax[j])) < 1e-14
+
+
+def _laguerre_reference(rho, qq, pp):
+    # The closed form 2 Tr[P rho D(beta)], beta = sqrt2 (q + i p), summed
+    # diagonal by diagonal: <n+k|D|n> = e^(i k arg beta) l_n^k(x), x = |beta|^2,
+    # with l_n^k = sqrt(n!/(n+k)!) x^(k/2) e^(-x/2) L_n^(k)(x) carried by the
+    # normalised three-term Laguerre recurrence
+    m = rho.matrix
+    dim = m.shape[0]
+    beta = math.sqrt(2.0) * (qq + 1j * pp)
+    x = np.abs(beta) ** 2
+    unit = np.exp(1j * np.angle(beta))
+    acc = np.zeros(beta.shape, dtype=complex)
+    for k in range(dim):
+        with np.errstate(divide="ignore"):
+            power = 0.5 * k * np.log(x) if k else 0.0
+        prev, cur = 0.0, np.exp(power - 0.5 * x - 0.5 * gammaln(k + 1.0))
+        lower = upper = 0.0
+        for n in range(dim - k):
+            lower = lower + (-1) ** n * m[n + k, n] * cur
+            upper = upper + (-1) ** n * m[n, n + k] * cur
+            prev, cur = cur, (((2 * n + 1 + k) - x) * cur - math.sqrt(n * (n + k)) * prev) / math.sqrt(
+                (n + 1) * (n + k + 1))
+        acc += lower * unit.conj() ** k
+        if k:
+            acc += upper * unit ** k
+    return 2.0 * acc
+
+
+def _random_mixed_state(dim, seed):
+    # complex entries, support below the checked tail of the basis
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a[np.arange(dim) > 0.9 * (dim - 1)] = 0.0
+    rho = a @ a.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+_STATES = st.one_of(
+    st.builds(_random_mixed_state, st.integers(2, 60), st.integers(0, 2 ** 32 - 1)),
+    st.builds(lambda r, phi: coherent_density(r * np.exp(1j * phi), coherent_truncation_dim(r) + 5),
+              st.floats(0.0, 2.5), st.floats(-math.pi, math.pi)),
+    st.builds(lambda r, phi, spec: nonlinear_coherent_state(r * np.exp(1j * phi), spec, 40).density(),
+              st.floats(0.0, 1.5), st.floats(-math.pi, math.pi),
+              st.one_of(st.floats(0.0, 0.2).map(kerr), st.floats(0.01, 0.2).map(q_oscillator))),
+)
+
+
+@settings(max_examples=40)
+@given(rho=_STATES)
+def test_standard_map_grid_points_and_laguerre_reference_agree(rho):
+    ax = np.linspace(-8.0, 8.0, 33)
+    qq, pp = np.meshgrid(ax, ax, indexing="ij")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "grid extent", RuntimeWarning)
+        grid = wigner_from_density(rho, ax, ax).values
+    points = wigner_values(rho, qq, pp)
+    np.testing.assert_allclose(grid, points, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(grid, _laguerre_reference(rho, qq, pp), rtol=0, atol=1e-13)
+
+
+@settings(max_examples=20)
+@given(rho=_STATES)
+def test_standard_map_marginals_are_the_position_and_momentum_densities(rho):
+    # int W dp / 2 pi = <q|rho|q> and int W dq / 2 pi = <p|rho|p>, with
+    # <p|m> = (-i)^m phi_m(p); the trapezoid rule is spectrally accurate on a
+    # grid that resolves the top order and reaches past the state's support
+    dim = rho.dim
+    reach = math.sqrt(2.0 * dim + 1.0)
+    ax = np.linspace(-(reach + 7.0), reach + 7.0, int(40.0 * (reach + 7.0) * reach / 8.0) | 1)
+    w = wigner_from_density(rho, ax, ax).values
+    phi = hermite_functions(dim - 1, ax)
+    m = rho.matrix
+    levels = np.arange(dim)
+    q_density = np.einsum("mn,mx,nx->x", m, phi, phi)
+    p_density = np.einsum("mn,mx,nx->x", m * 1j ** (levels[None, :] - levels[:, None]), phi, phi)
+    np.testing.assert_allclose(np.trapezoid(w, ax, axis=1) / (2.0 * math.pi), q_density,
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(np.trapezoid(w, ax, axis=0) / (2.0 * math.pi), p_density,
+                               rtol=0, atol=1e-10)

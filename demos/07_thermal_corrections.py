@@ -15,13 +15,13 @@ from foscillator import (
     linear_thermo,
     occupation,
     partition_closed,
-    partition_series,
+    thermal_series,
 )
 
 # --- 1. closed form vs direct Boltzmann sums
 print(" beta     Z closed          Z series          |rel diff|")
 for beta in (0.1, 0.5, 1.0, 2.0, 10.0):
-    zc, zs = partition_closed(beta), partition_series(beta)
+    zc, zs = partition_closed(beta), thermal_series(beta)
     print(f"{beta:5.1f}   {zc:16.12f}  {zs:16.12f}  {abs(zs - zc) / zc:.2e}")
 print()
 

@@ -269,17 +269,6 @@ def _row_integrals(density, points, scale, rule=_clenshaw_curtis, start=_QUAD_ST
     return out, worst
 
 
-def _line_integrals(density, q0, p0, dq, dp, scale):
-    """``scale`` times the integral over u in [-1, 1] of
-    density(q0 + u dq, p0 + u dp), one line per entry of the equal-shape
-    arrays, and the largest error estimate of the nested rule."""
-
-    def points(i, u):
-        return q0[i, None] + dq[i, None] * u, p0[i, None] + dp[i, None] * u
-
-    return _row_integrals(density, points, np.broadcast_to(scale, q0.shape))
-
-
 def _disk_quadrature(dist: PhaseSpaceDistribution):
     """Integral of the density over its support disk, and its error
     estimate: Clenshaw-Curtis in the radius r, each r node a ring integral

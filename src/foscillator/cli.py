@@ -51,6 +51,7 @@ from .coherent import (
 )
 from .errors import DomainError, NumericToleranceError
 from .fock import (
+    HAMILTONIAN_FORMS,
     _TAIL_TOL,
     _hermiticity_residual,
     _tail_mass,
@@ -62,7 +63,7 @@ from .fock import (
     heisenberg_invariant,
     vacuum_density,
 )
-from .nonlinearity import spec_from_dict, spec_to_dict
+from .nonlinearity import KINDS, spec_from_dict, spec_to_dict
 from .thermo import deformed_partition
 from .tomography import _leggauss, quantum_tomogram, radon_classical, ray_from_scale_angle
 from .wigner import deformed_wigner, wigner_from_density
@@ -162,7 +163,7 @@ def _flag(name: str, short: str = None, **kwargs) -> _Flag:
 _LAW = _flag("--law", default="amplitude", choices=("amplitude", "canonical"))
 
 _NONLINEARITY_FLAGS = (
-    _flag("--kind", default="identity", choices=("identity", "q", "kerr", "custom"),
+    _flag("--kind", default="identity", choices=KINDS,
           help="deformation profile family"),
     _flag("--lambda", dest="lam", type=float, default=None,
           help="q-profile rate parameter (> 0)"),
@@ -471,8 +472,7 @@ _COMMAND_TABLE = {cmd.name: cmd for cmd in (
     _Command("quantum-evolve", "evolve a truncated density matrix under a deformed hamiltonian",
              _cmd_quantum_evolve, "json", _NONLINEARITY_FLAGS + _STATE_FLAGS + (
                  _flag("--time", type=float, default=1.0),
-                 _flag("--form", default="symmetric",
-                       choices=("symmetric", "normal", "normal_half", "kerr")),
+                 _flag("--form", default="symmetric", choices=HAMILTONIAN_FORMS),
              )),
     _Command("wigner", "Wigner function on a phase-space grid",
              _cmd_wigner, "csv", _NONLINEARITY_FLAGS + _STATE_FLAGS + (

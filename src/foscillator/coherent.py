@@ -19,9 +19,9 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .fock import DensityMatrix, _log_factorials, density_from_amplitudes
+from .fock import DensityMatrix, _log_factorials, deformed_lowering, density_from_amplitudes
 from .hermite import hermite_functions
-from .nonlinearity import NonlinearitySpec, log_f_factorial
+from .nonlinearity import NonlinearitySpec, eval_f, log_f_factorial
 
 _TAIL_TOL = 1e-12
 _SCHMIDT_SEPARABLE_TOL = 1e-9
@@ -161,8 +161,6 @@ def eigen_residual(state: CoherentStateVector, drop_top: int = 5) -> float:
     the ladder has nowhere to lower from above the cut, so they are excluded
     from the residual by default.
     """
-    from .fock import deformed_lowering
-
     a_f = deformed_lowering(state.spec, state.dim)
     resid = a_f @ state.amplitudes - state.alpha * state.amplitudes
     keep = max(1, state.dim - int(drop_top))
@@ -175,8 +173,6 @@ def two_mode_eigen_residuals(state: TwoModeState, drop_top: int = 5):
     Each deformed mode operator lowers one index and evaluates the profile
     at the total level: (A_1 c)[n1, n2] = sqrt(n1+1) f(n1+n2+1) c[n1+1, n2].
     """
-    from .nonlinearity import eval_f
-
     c = state.coefficients
     d1, d2 = c.shape
     n1 = np.arange(d1, dtype=float)[:, None]

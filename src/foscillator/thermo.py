@@ -133,11 +133,6 @@ def thermal_series(beta: float, fn: Optional[Callable] = None) -> float:
     raise SeriesDivergenceError("thermal series did not converge")
 
 
-def partition_series(beta: float) -> float:
-    """Direct geometric sum; cross-check for the closed form."""
-    return thermal_series(beta)
-
-
 def linear_thermo(beta: float) -> ThermoReport:
     """Closed-form partition function, energy, entropy and free energy.
 

@@ -41,7 +41,7 @@ import numpy as np
 from .classical import (
     PhaseSpaceDistribution,
     _disk_quadrature,
-    _line_integrals,
+    _row_integrals,
     propagate_distribution,
 )
 from .errors import DegenerateRayError, DomainError
@@ -147,8 +147,13 @@ def _radon_lines(dist: PhaseSpaceDistribution, mu: float, nu: float, x: np.ndarr
     r = math.sqrt(mu * mu + nu * nu)
     radius = dist.support_radius
     half = np.sqrt(np.maximum(radius * radius - (x / r) ** 2, 0.0))
-    return _line_integrals(dist.density, (mu / (r * r)) * x, (nu / (r * r)) * x,
-                           (-nu / r) * half, (mu / r) * half, half / r)
+    q0, p0 = (mu / (r * r)) * x, (nu / (r * r)) * x
+    dq, dp = (-nu / r) * half, (mu / r) * half
+
+    def points(i, u):
+        return q0[i, None] + dq[i, None] * u, p0[i, None] + dp[i, None] * u
+
+    return _row_integrals(dist.density, points, half / r)
 
 
 def radon_classical(dist: PhaseSpaceDistribution, mu: float, nu: float, x_axis) -> TomogramSlice:

@@ -11,9 +11,7 @@ al. (Opt. Commun. 96, 123 (1993)).  So
 with C computed once per state through the orthogonal rotation matrices of
 each order m + n, built by Risbo's stable recursion (J. Geodesy 70, 383
 (1996)).  On a cartesian grid the map is two matrix products; orders past
-the last populated entry of rho cost nothing.  ``displacement_matrix`` keeps
-the closed Laguerre form of the displacement matrix elements (Cahill &
-Glauber 1969), carried by the three-term Laguerre recurrence.
+the last populated entry of rho cost nothing.
 
 Two deformed variants are provided, differing in which parity enters the
 trace against the exponential of the deformed ladder generator:
@@ -45,7 +43,7 @@ import numpy as np
 
 from .classical import _cos_sin
 from .errors import DomainError, NumericToleranceError
-from .fock import DensityMatrix, _log_factorials, deformed_lowering
+from .fock import DensityMatrix, deformed_lowering
 from .hermite import hermite_functions
 from .nonlinearity import NonlinearitySpec, require_positive
 
@@ -95,59 +93,6 @@ def _expi(theta: np.ndarray) -> np.ndarray:
     out = np.empty(c.shape, dtype=complex)
     out.real = c
     out.imag = s
-    return out
-
-
-def _laguerre_diagonals(x: float, dim: int) -> np.ndarray:
-    """out[n, k] = sqrt(n!/(n+k)!) x^(k/2) e^(-x/2) L_n^(k)(x) for n, k < dim,
-    the entries of ``displacement_matrix``.
-
-    At x = |beta|^2 this is <n+k|D(beta)|n> stripped of its phase
-    e^(i k arg beta), so every value is bounded by 1: carried in this
-    normalisation, the three-term Laguerre recurrence
-    (n+1) L_(n+1) = (2n+1+k-x) L_n - (n+k) L_(n-1) cannot overflow, and only
-    its start needs factorials (as a log table).  Each step advances every
-    diagonal k at once.
-    """
-    k = np.arange(dim)
-    out = np.empty((dim, dim))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_power = np.where(k == 0, 0.0, 0.5 * k * np.log(x))
-    out[0] = np.exp(log_power - 0.5 * x - 0.5 * _log_factorials(dim - 1))
-    levels = np.arange(dim - 1)[:, None]
-    a = 2 * levels + 1 + k
-    b = np.sqrt(levels * (levels + k))
-    c = 1.0 / np.sqrt((levels + 1) * (levels + k + 1))
-    back_term = np.empty(dim)
-    for n in range(dim - 1):
-        nxt = out[n + 1]
-        np.subtract(a[n], x, out=nxt)
-        nxt *= out[n]
-        if n:
-            nxt -= np.multiply(b[n], out[n - 1], out=back_term)
-        nxt *= c[n]
-    return out
-
-
-def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
-    """Number-basis matrix of the displacement operator D(beta).
-
-    Exact infinite-space matrix elements restricted to the first dim levels:
-    for m >= n, <m|D|n> = sqrt(n!/m!) beta^(m-n) e^(-|beta|^2/2) L_n^(m-n)(|beta|^2),
-    and the upper triangle follows by replacing beta with -conj(beta).
-    """
-    if dim < 2:
-        raise DomainError("operator truncation needs dim >= 2")
-    beta = complex(beta)
-    unit = beta / abs(beta) if beta else 1.0
-    diagonals = _laguerre_diagonals(abs(beta) ** 2, dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        rows = np.arange(dim - k)
-        magnitude = diagonals[: dim - k, k]
-        out[rows + k, rows] = magnitude * unit ** k
-        if k > 0:
-            out[rows, rows + k] = magnitude * (-unit.conjugate()) ** k
     return out
 
 

@@ -36,13 +36,13 @@ from foscillator import (
     nonlinear_coherent_state,
     occupation_second_moment,
     partition_closed,
-    partition_series,
     propagate_distribution,
     q_oscillator,
     quantum_tomogram,
     radon_classical,
     ray_from_scale_angle,
     schmidt_spectrum,
+    thermal_series,
     two_mode_coherent_state,
     vacuum_density,
     wigner_values,
@@ -271,7 +271,7 @@ def test_criterion_09_entanglement():
 
 def test_criterion_10_thermodynamics():
     closed_dev = max(
-        abs(partition_series(b) - partition_closed(b)) / partition_closed(b)
+        abs(thermal_series(b) - partition_closed(b)) / partition_closed(b)
         for b in np.logspace(math.log10(0.05), math.log10(50.0), 13)
     )
     moment_dev = max(

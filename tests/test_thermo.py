@@ -16,7 +16,6 @@ from foscillator import (
     occupation,
     occupation_second_moment,
     partition_closed,
-    partition_series,
     thermal_series,
 )
 
@@ -52,7 +51,7 @@ def test_identities_across_temperature_range():
 
 def test_partition_closed_vs_series():
     for beta in BETA_GRID:
-        assert partition_series(beta) == pytest.approx(
+        assert thermal_series(beta) == pytest.approx(
             partition_closed(beta), rel=1e-10
         )
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import comb, eval_laguerre, gammaln
+from scipy.special import comb, gammaln
 
 import foscillator
 from foscillator import (
@@ -23,7 +23,6 @@ from foscillator import (
     deformed_parity_operator,
     deformed_wigner,
     deformed_wigner_values,
-    displacement_matrix,
     fock_density,
     hermite_functions,
     identity,
@@ -81,24 +80,6 @@ def test_grid_coverage_warning():
     rho = coherent_density(1.5, 30)
     with pytest.warns(RuntimeWarning):
         wigner_from_density(rho, np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))
-
-
-def test_displacement_matrix_closed_entries():
-    beta = 0.4 + 0.3j
-    d = displacement_matrix(beta, 25)
-    g = math.exp(-0.5 * abs(beta) ** 2)
-    assert d[0, 0] == pytest.approx(g, rel=1e-12)
-    assert d[1, 0] == pytest.approx(beta * g, rel=1e-12)
-    assert d[0, 1] == pytest.approx(-np.conj(beta) * g, rel=1e-12)
-    for m in (2, 5):
-        assert d[m, m] == pytest.approx(g * eval_laguerre(m, abs(beta) ** 2), rel=1e-10)
-
-
-def test_displacement_matrix_is_nearly_unitary_inside():
-    # truncation spoils only the highest levels for moderate |beta|
-    d = displacement_matrix(0.7 - 0.2j, 40)
-    gram = d.conj().T @ d
-    np.testing.assert_allclose(gram[:20, :20], np.eye(20), atol=1e-10)
 
 
 def test_deformed_parity_identity_profile():
@@ -237,6 +218,25 @@ def test_standard_map_matches_direct_laguerre_sum():
     np.testing.assert_allclose(wigner_values(rho, qq, pp), 2.0 * ref, rtol=0, atol=1e-12)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).minexp > -16000,
+                    reason="the reference needs e^-800 in long double")
+def test_fock_map_holds_out_to_its_support_radius():
+    # |400> reaches radius sqrt(801) = 28.3, where e^(-x^2/2) at x = sqrt2 q
+    # underflows in double; W_n = 2 (-1)^n e^(-r^2) L_n(2 r^2), with L_n by
+    # its three-term recurrence in long double.
+    n = 400
+    q = np.array([27.5, 28.0, 27.5 * math.cos(0.7)])
+    p = np.array([0.0, 0.0, 27.5 * math.sin(0.7)])
+    r2 = q.astype(np.longdouble) ** 2 + p.astype(np.longdouble) ** 2
+    prev, cur = np.ones_like(r2), 1 - 2 * r2
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 - 2 * r2) * cur - k * prev) / (k + 1)
+    ref = (2 * np.exp(-r2) * cur).astype(float)
+    w = wigner_values(fock_density(n, 450), q, p)
+    assert np.max(np.abs(w - ref)) < 1e-12
+    assert abs(ref[0] - 0.0827625202883) < 1e-12
+
+
 def test_grid_larger_than_one_block_matches_point_calls():
     # A flat run of points crossing the internal block boundary.
     size = wigner_module._BLOCK + 37
@@ -253,18 +253,6 @@ def test_grid_larger_than_one_block_matches_point_calls():
     w = wigner_values(rho, q, p)
     for i in picks:
         assert abs(w[i] - wigner_values(rho, q[i], p[i])) < 1e-13
-
-
-def test_displacement_matrix_matches_padded_exponential():
-    # D(beta) = expm(beta a+ - beta* a) on a basis padded far beyond the
-    # trimmed block; |beta|^2 = 34 reaches well into the Laguerre oscillation.
-    from scipy.linalg import expm
-
-    dim, big = 50, 260
-    for beta in (0.3 + 0.2j, 2.0 - 1.0j, 5.0 + 3.0j):
-        a = np.diag(np.sqrt(np.arange(1.0, big)), k=1)
-        ref = expm(beta * a.T - np.conj(beta) * a)[:dim, :dim]
-        assert np.max(np.abs(displacement_matrix(beta, dim) - ref)) < 1e-11
 
 
 @pytest.mark.parametrize("spec", [kerr(0.02), kerr(0.2), q_oscillator(0.02)], ids=str)

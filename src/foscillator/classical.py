@@ -145,8 +145,10 @@ def gaussian_distribution(
     support_radius: float = None,
 ) -> PhaseSpaceDistribution:
     """Isotropic normalized Gaussian blob, unit total mass."""
-    if sigma <= 0.0:
-        raise DomainError("sigma must be > 0")
+    if not 0.0 < sigma < math.inf:
+        raise DomainError("sigma must be > 0 and finite")
+    if not (math.isfinite(center_q) and math.isfinite(center_p)):
+        raise DomainError("the centre must be finite")
     if support_radius is None:
         support_radius = math.hypot(center_q, center_p) + 8.5 * sigma
     norm = 1.0 / (2.0 * math.pi * sigma * sigma)

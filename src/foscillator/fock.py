@@ -275,14 +275,12 @@ def density_from_amplitudes(amplitudes) -> DensityMatrix:
 
 
 def vacuum_density(dim: int) -> DensityMatrix:
-    c = np.zeros(dim, dtype=complex)
-    c[0] = 1.0
-    return density_from_amplitudes(c)
+    return fock_density(0, dim)
 
 
 def fock_density(n: int, dim: int) -> DensityMatrix:
     if not 0 <= n < dim:
-        raise DomainError("level index outside the truncated basis")
+        raise DomainError(f"level {n} is outside the truncated basis of dim {dim}")
     c = np.zeros(dim, dtype=complex)
     c[n] = 1.0
     return density_from_amplitudes(c)
@@ -315,8 +313,13 @@ def coherent_truncation_dim(alpha: complex, tail: float = 1e-12) -> int:
     """Smallest dim whose Poisson tail mass is below ``tail``."""
     if not 0.0 < tail < 1.0:
         raise DomainError("tail must be in (0, 1)")
-    x = abs(complex(alpha)) ** 2
+    r = abs(complex(alpha))
+    if not math.isfinite(r):
+        raise DomainError("alpha must be finite")
+    x = r * r
     term = math.exp(-x)
+    if term == 0.0:
+        raise TruncationError("tail criterion not reached; amplitude too large")
     cum = term
     n = 0
     while 1.0 - cum >= tail:

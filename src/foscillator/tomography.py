@@ -18,12 +18,9 @@ polar coordinates, Clenshaw-Curtis in the radius and the periodic trapezoid
 rule in the angle, where a density transported along the flow is its
 initial one turned ring by ring, so its cost does not grow with the time.
 
-A quantum slice's norm is a Gauss-Legendre sum over X, 240 to 360 nodes
-for the dims in common use, of the bilinear form in rho.  Summed over the
-nodes first, that is one contraction of rho_mn exp(i (m - n) theta) with the
-Gram matrix of the truncated Hermite functions on that rule, which depends
-on dim alone and is cached per dim: each call costs O(dim^2) instead of a
-slice evaluation on every node.
+A quantum slice's norm is Re Tr rho: the eigenfunction overlaps of one ray
+are orthonormal in X, so the slice integrates to the trace exactly, with no
+quadrature (Mancini, Man'ko & Tombesi, Phys. Lett. A 213, 1 (1996)).
 
 Sign conventions: tiny negative values (above -1e-9) are floored to zero as
 roundoff; anything more negative is left visible, since it signals a broken
@@ -34,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
 
 import numpy as np
 
@@ -52,51 +48,16 @@ from .nonlinearity import NonlinearitySpec
 _NEG_FLOOR = 1e-9
 
 
-@cache
-def _leggauss(nodes: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only.
-
-    Holds, for each node count asked for, its nodes and weights: two float
-    arrays of that length.  Unbounded, since the counts in use track the
-    state sizes (the quantum norm's Gram matrices take max(240, 6 dim),
-    wavefunction norms max(240, 4 dim)): dims 25-60 keep ~0.1 MB.
-    """
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-@lru_cache(maxsize=64)
-def _norm_gram(dim: int) -> np.ndarray:
-    """K[m, n] = s sum_g w_g phi_m(s x_g) phi_n(s x_g) for m, n < dim, on
-    the Gauss-Legendre rule (x_g, w_g) of max(240, 6 dim) nodes, with
-    s = sqrt(2 dim + 1) + 4; shared read-only.
-
-    s bounds the support of the truncated Hermite functions in units of the
-    ray's length, so K is the identity up to the quadrature's error and the
-    tail beyond s, which is what the norm check measures.  Holds one
-    dim x dim float matrix per dim, the 64 most recently used: dims 25-60
-    keep ~0.55 MB.
-    """
-    s = math.sqrt(2.0 * dim + 1.0) + 4.0
-    xg, wg = _leggauss(max(240, 6 * dim))
-    phi = hermite_functions(dim - 1, s * xg)
-    k = (s * phi * wg) @ phi.T
-    k.flags.writeable = False
-    return k
-
-
 @dataclass(frozen=True)
 class TomogramSlice:
-    """Values of one tomogram ray on an X axis, with its quadrature norm.
+    """Values of one tomogram ray on an X axis, with the slice's integral
+    over X.
 
     A classical slice's norm is the density's integral over its support
     disk, the same for every ray and computed apart from the values, so it
     checks the density's mass rather than the line integrals.  A quantum
-    slice's is the Gauss-Legendre sum of the values' formula over X, taken
-    as one contraction of rho with the cached Gram matrix of the Hermite
-    functions on that rule (``_norm_gram``).  ``quadrature_error`` is the
+    slice's is Re Tr rho, which orthonormality of the eigenfunction
+    overlaps makes the exact integral.  ``quadrature_error`` is the
     larger nested-rule estimate of a classical slice's values and norm,
     relative to max(1, peak); a quantum slice is a finite sum and leaves
     it 0.
@@ -126,6 +87,8 @@ def ray_from_scale_angle(s: float, theta: float):
     """(mu, nu) = (s cos theta, sin theta / s); scaling then rotation."""
     if s == 0.0 or not math.isfinite(s):
         raise DegenerateRayError("scale must be nonzero and finite")
+    if not math.isfinite(theta):
+        raise DegenerateRayError("angle must be finite")
     return s * math.cos(theta), math.sin(theta) / s
 
 
@@ -216,16 +179,14 @@ def quantum_tomogram(
 
     Built from the scaled-and-rotated eigenfunction overlap
     Phi_n(X) = (mu^2+nu^2)^(-1/4) phi_n(X/r) exp(-i n theta); the bilinear
-    sum against rho is real up to roundoff for a hermitian state.  The norm
-    integrates that sum over |X| <= r (sqrt(2 dim + 1) + 4) by Gauss-Legendre,
-    summed over the nodes first: sum_mn conj(e_m) rho_mn e_n K_mn with
-    e_n = exp(-i n theta) and K = ``_norm_gram(dim)``.
+    sum against rho is real up to roundoff for a hermitian state.  The
+    Phi_n are orthonormal over X, so the slice integrates to Re Tr rho,
+    which is the norm.
     """
     _check_ray(mu, nu)
     x_axis = np.asarray(x_axis, dtype=float)
     values = _floor_roundoff(_quantum_eval(rho, mu, nu, x_axis))
-    e = _ray_phases(rho, mu, nu)
-    norm = float((e.conj() @ (rho.matrix * _norm_gram(rho.dim)) @ e).real)
+    norm = float(np.trace(rho.matrix).real)
     return TomogramSlice(mu=float(mu), nu=float(nu), x_axis=x_axis, values=values, norm=norm)
 
 

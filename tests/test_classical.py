@@ -143,6 +143,18 @@ def test_flow_composition():
     assert a12 == pytest.approx(evolve_amplitude(spec, alpha0, 3.7), abs=1e-10)
 
 
+@pytest.mark.parametrize("center_q, center_p, sigma", [
+    (0.0, 0.0, math.nan),
+    (0.0, 0.0, math.inf),
+    (math.inf, 0.0, 1.0),
+    (0.0, -math.inf, 1.0),
+    (math.nan, 0.0, 1.0),
+])
+def test_gaussian_distribution_refuses_non_finite_parameters(center_q, center_p, sigma):
+    with pytest.raises(DomainError):
+        gaussian_distribution(center_q, center_p, sigma)
+
+
 def test_stationary_isotropic_gaussian():
     # density a function of energy alone: a fixed point of any deformed flow
     dist = gaussian_distribution(0.0, 0.0, 1.0)

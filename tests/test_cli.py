@@ -14,6 +14,7 @@ import pytest
 import foscillator
 from foscillator import (
     DensityMatrix,
+    DomainError,
     PhasePoint,
     amplitude_trajectory,
     classical_invariants,
@@ -196,7 +197,24 @@ def test_coherent_wavefunction_norm_check(tmp_path):
                  "--x-min", "-7", "--x-max", "7", "--x-points", "701",
                  "--output", str(out)]) == 0
     meta = _read_sidecar(out)
-    assert meta["checks"]["wave_norm_residual"]["value"] < 1e-6
+    assert meta["status"] == "ok"
+    assert meta["checks"]["norm_residual"]["value"] < 1e-12
+
+
+def test_quantum_norms_take_no_gauss_legendre_rule(tmp_path, monkeypatch):
+    # the tomogram norm is the trace and the wavefunction's is sum |c_n|^2,
+    # so a state of dim 1700 costs no dense node eigenproblem
+    def refuse(*args):
+        raise AssertionError("a Gauss-Legendre rule was built")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    out = tmp_path / "slice.csv"
+    assert main(["tomogram", "--state", "fock:1500", "--dim", "1700", "--x-min", "-60",
+                 "--x-max", "60", "--x-points", "5", "--output", str(out)]) == 0
+    assert _read_sidecar(out)["checks"]["norm_residual"]["value"] < 1e-12
+    out = tmp_path / "wave.csv"
+    assert main(["coherent", "--wavefunction", "--dim", "40", "--output", str(out)]) == 0
+    assert _read_sidecar(out)["status"] == "ok"
 
 
 def test_state_selector_from_file(tmp_path):
@@ -233,6 +251,53 @@ def test_state_file_with_nan_exits_2_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["wigner", "quantum-evolve", "tomogram"])
+def test_empty_basis_exits_2_with_one_line(tmp_path, capsys, command):
+    out = tmp_path / "out.dat"
+    assert main([command, "--dim", "0", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: level 0 is outside the truncated basis of dim 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["tomogram", "--x-max", "inf"],
+    ["wigner", "--extent", "inf"],
+    ["classical-trajectory", "--t-max", "nan"],
+    ["classical-trajectory", "--q0", "nan"],
+    ["coherent", "--alpha-re", "nan"],
+    ["two-mode", "--alpha1-re", "nan"],
+    ["thermo", "--g", "inf"],
+])
+def test_non_finite_float_flag_exits_2_with_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "out.dat"
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: fosc {argv[0]}: argument {argv[1]}: {argv[2]!r} is not a finite number\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_config_value_exits_2_with_one_line(tmp_path, capsys, text):
+    # Python's json reads NaN, Infinity and an overflowing literal as floats
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"x_max": %s}' % text)
+    out = tmp_path / "slice.csv"
+    assert main(["tomogram", "--config", str(cfg), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'x_max': ") and err.count("\n") == 1
+    assert "is not a finite number" in err
+    assert not out.exists()
+
+
+def test_every_float_flag_refuses_non_finite_values():
+    for cmd in _COMMAND_TABLE.values():
+        for flag in cmd.options:
+            if flag.kwargs.get("type") not in (None, str, int):
+                with pytest.raises(DomainError, match="not a finite number"):
+                    flag.from_config(flag.dest, math.nan)
 
 
 def test_csv_rows_follow_the_library_grid(tmp_path):

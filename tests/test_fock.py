@@ -304,6 +304,11 @@ def test_fock_and_vacuum_densities():
         fock_density(7, 5)
 
 
+def test_empty_basis_is_a_domain_error():
+    with pytest.raises(DomainError, match="outside the truncated basis of dim 0"):
+        vacuum_density(0)
+
+
 def test_coherent_density_poisson_weights():
     rho = coherent_density(1.0, 30)
     assert rho.matrix[0, 0].real == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -339,6 +344,18 @@ def test_coherent_truncation_dim_bounds_tail():
     assert 1.0 - cum < 1e-12
     # one level fewer would not have met the criterion
     assert 1.0 - (cum - term) >= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, complex(0.0, math.inf)])
+def test_coherent_truncation_dim_refuses_non_finite_alpha(alpha):
+    with pytest.raises(DomainError, match="alpha must be finite"):
+        coherent_truncation_dim(alpha)
+
+
+def test_coherent_truncation_dim_refuses_an_overflowing_mean():
+    # |alpha|^2 overflows to inf: no tail sum can be taken
+    with pytest.raises(TruncationError):
+        coherent_truncation_dim(1e200)
 
 
 def test_density_from_amplitudes_normalizes():

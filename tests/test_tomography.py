@@ -33,7 +33,7 @@ from foscillator import (
 )
 from foscillator.classical import _BLOCK
 from foscillator.hermite import hermite_functions
-from foscillator.tomography import _leggauss, _norm_gram, _quantum_eval
+from foscillator.tomography import _quantum_eval
 
 
 def test_gaussian_marginal():
@@ -130,8 +130,8 @@ def test_contraction_matches_three_operand_einsum():
 
 
 def test_gram_norm_equals_the_direct_node_sum():
-    # the norm as first written: the slice formula on every Gauss-Legendre
-    # node over |X| <= r (sqrt(2 dim + 1) + 4), then the weighted sum
+    # the trace that orthonormality gives, against the slice formula summed
+    # on Gauss-Legendre nodes over |X| <= r (sqrt(2 dim + 1) + 4)
     rng = np.random.default_rng(20261018)
     worst = 0.0
     for dim in range(2, 81):
@@ -140,29 +140,14 @@ def test_gram_norm_equals_the_direct_node_sum():
         m = np.zeros((dim, dim), dtype=complex)
         m[:k, :k] = g @ g.conj().T
         rho = DensityMatrix(m / np.trace(m).real)
+        xg, wg = np.polynomial.legendre.leggauss(max(240, 6 * dim))
         for _ in range(3):
             mu, nu = rng.uniform(-3.0, 3.0, size=2)
             span = math.hypot(mu, nu) * (math.sqrt(2.0 * dim + 1.0) + 4.0)
-            xg, wg = _leggauss(max(240, 6 * dim))
             direct = float(np.dot(wg, _quantum_eval(rho, mu, nu, span * xg)) * span)
             got = quantum_tomogram(rho, mu, nu, np.array([0.0])).norm
             worst = max(worst, abs(got - direct))
     assert worst <= 1e-13
-
-
-def test_norm_quadrature_nodes_stay_cached():
-    def sweep():
-        for dim in range(25, 61):
-            quantum_tomogram(vacuum_density(dim), 1.0, 0.5, np.array([0.0]))
-
-    sweep()
-    misses = _leggauss.cache_info().misses, _norm_gram.cache_info().misses
-    sweep()
-    assert (_leggauss.cache_info().misses, _norm_gram.cache_info().misses) == misses
-    nodes, weights = _leggauss(6 * 60)
-    assert not nodes.flags.writeable and not weights.flags.writeable
-    gram = _norm_gram(60)
-    assert gram.shape == (60, 60) and not gram.flags.writeable
 
 
 def test_evolved_at_zero_time_is_plain_radon():
@@ -471,6 +456,12 @@ def test_scale_angle_parametrization():
     assert nu == pytest.approx(1.0)
     with pytest.raises(DegenerateRayError):
         ray_from_scale_angle(0.0, 1.0)
+
+
+@pytest.mark.parametrize("theta", [math.inf, math.nan])
+def test_ray_angle_must_be_finite(theta):
+    with pytest.raises(DegenerateRayError, match="angle must be finite"):
+        ray_from_scale_angle(1.0, theta)
 
 
 def test_degenerate_ray_rejected():

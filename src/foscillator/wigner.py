@@ -23,14 +23,27 @@ trace against the exponential of the deformed ladder generator:
 
 U_f is the exponential of 2 (alpha A_f+ - alpha* A_f), evaluated on a padded
 basis and trimmed back, since the exponential mixes levels beyond any fixed
-truncation.  With alpha = r e^(i phi) and D = diag(e^(i n phi)) the generator
-is D 2r (A_f+ - A_f) D+, and H = i (A_f+ - A_f) is Hermitian and tridiagonal,
-so one eigendecomposition of H gives U_f at every point of a grid
-(Man'ko, Marmo, Sudarshan & Zaccaria, Phys. Scr. 55, 528 (1997)).
+truncation.  With alpha = r e^(i phi) and D_phi = diag(e^(i n phi)) the
+generator is -2i r D_phi H D_phi+, where H = i (A_f+ - A_f) is Hermitian and
+tridiagonal (Man'ko, Marmo, Sudarshan & Zaccaria, Phys. Scr. 55, 528 (1997)).
+H is itself a diagonal similarity of a real matrix: S = D+ H D with
+D = diag(i^n) is real, symmetric and tridiagonal, and its off-diagonal is
+A_f's superdiagonal sqrt(n) f(n).  So one real eigendecomposition
+S = V diag(lambda) V^T serves every point of a map, its eigenvectors are
+real, and the factor i^d that D puts on offset d joins the angular factor:
+
+    W(alpha) = 2 sum_d z^d sum_k e^(-2i r lambda_k) T[d, k],   z = i e^(i phi).
+
+The powers z^d come from z = i alpha / |alpha| by repeated multiplication,
+the negative ones as conjugates; each product adds at most a few eps, so
+|z^d - (i e^(i phi))^d| <= 3 |d| eps (1.7 |d| eps is the worst seen over
+random points).  The phases e^(-2i r lambda) depend on r alone and are
+evaluated once per distinct radius of a block: the 441 points of a
+square 21 x 21 grid centred on the origin have 106 distinct radii.
 
 At scattered points both maps are batched numpy contractions over blocks
 of ``_BLOCK`` points, which bounds their working memory whatever the number
-of points; neither starts threads.
+of points; neither starts threads.  Coordinates must be finite.
 """
 
 from __future__ import annotations
@@ -84,6 +97,14 @@ def _in_blocks(evaluate, points: np.ndarray) -> np.ndarray:
     out = np.empty(points.shape, dtype=complex)
     for start in range(0, points.size, _BLOCK):
         out[start:start + _BLOCK] = evaluate(points[start:start + _BLOCK])
+    return out
+
+
+def _finite(name: str, values) -> np.ndarray:
+    """``values`` as a float array; DomainError naming the coordinate if any is nan or inf."""
+    out = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"coordinate {name} must be finite; got {out[~np.isfinite(out)].flat[0]}")
     return out
 
 
@@ -172,7 +193,7 @@ def wigner_values(rho: DensityMatrix, q, p) -> np.ndarray:
     No hermiticity of rho is assumed in the sum, so the imaginary part is a
     faithful diagnostic of the input rather than zero by construction.
     """
-    qa, pa = np.broadcast_arrays(np.asarray(q, float), np.asarray(p, float))
+    qa, pa = np.broadcast_arrays(_finite("q", q), _finite("p", p))
     c = _hermite_gauss_coefficients(rho.matrix)
     top = c.shape[0] - 1
 
@@ -207,13 +228,16 @@ def _warn_if_grid_small(rho: DensityMatrix, q_axis: np.ndarray, p_axis: np.ndarr
 
 
 def wigner_from_density(rho: DensityMatrix, q_axis, p_axis) -> WignerGrid:
-    q_axis = np.asarray(q_axis, dtype=float)
-    p_axis = np.asarray(p_axis, dtype=float)
+    """W on the cartesian grid q_axis x p_axis; one Hermite table serves
+    both axes when they are equal."""
+    q_axis = _finite("q", q_axis)
+    p_axis = _finite("p", p_axis)
     _warn_if_grid_small(rho, q_axis, p_axis)
     c = _hermite_gauss_coefficients(rho.matrix)
     top = c.shape[0] - 1
     phi_q = hermite_functions(top, math.sqrt(2.0) * q_axis.ravel())
-    phi_p = hermite_functions(top, math.sqrt(2.0) * p_axis.ravel())
+    same = np.array_equal(p_axis, q_axis)
+    phi_p = phi_q if same else hermite_functions(top, math.sqrt(2.0) * p_axis.ravel())
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=phi_q.T @ c @ phi_p)
 
 
@@ -236,16 +260,16 @@ def _check_phase_precision(r_max: float, eigenvalues: np.ndarray) -> None:
         )
 
 
-def _diagonal_weights(weighted: np.ndarray, vecs: np.ndarray):
-    """Offsets d = 1-dim..dim-1 and T[d, k] = sum over j - m = d of weighted[m, j] V[j, k] V*[m, k]."""
+def _diagonal_weights(weighted: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """T[d + dim - 1, k] = sum over j - m = d of weighted[m, j] V[m, k] V[j, k],
+    for d = 1-dim..dim-1 and real V, summed row by row: row m of
+    ``weighted`` lands on offsets -m..dim-1-m."""
     dim = weighted.shape[0]
-    offsets = np.arange(1 - dim, dim)
-    t = np.empty((offsets.size, vecs.shape[1]), dtype=complex)
-    for i, d in enumerate(offsets):
-        rows = np.arange(dim - abs(d))
-        m, j = rows + max(-d, 0), rows + max(d, 0)
-        t[i] = np.diagonal(weighted, d) @ (vecs[m].conj() * vecs[j])
-    return offsets, t
+    t = np.zeros((2 * dim - 1, vecs.shape[1]), dtype=complex)
+    kept = vecs[:dim]
+    for m in range(dim):
+        t[dim - 1 - m:2 * dim - 1 - m] += weighted[m][:, None] * (kept[m] * kept)
+    return t
 
 
 def deformed_wigner_values(
@@ -259,14 +283,19 @@ def deformed_wigner_values(
 ) -> np.ndarray:
     """Deformed transform at phase-space points, broadcast over q, p.
 
-    One eigendecomposition H = i (A_f+ - A_f) = V diag(lambda) V+ on the
-    padded basis (dim + pad) serves every point alpha = r e^(i phi):
+    One eigendecomposition of the real tridiagonal S = D+ H D on the padded
+    basis (dim + pad), S = V diag(lambda) V^T with D = diag(i^n) and
+    H = i (A_f+ - A_f), serves every point alpha = r e^(i phi):
 
-        W(alpha) = 2 sum_k e^(-2i r lambda_k) sum_d e^(i d phi) T[d, k],
+        W(alpha) = 2 sum_d z^d Q[d](r),   Q[d](r) = sum_k e^(-2i r lambda_k) T[d, k],
 
-    with T[d, k] = sum over j - m = d (j, m < dim) of P_m rho_mj V_jk V*_mk.
-    Raises NumericToleranceError when the phases 2 r lambda are too large to
-    be carried at double precision.  ``workers`` is accepted for
+    with z = i e^(i phi) and T[d, k] = sum over j - m = d (j, m < dim) of
+    P_m rho_mj V_mk V_jk.  Q is formed once per distinct radius of a block;
+    z^d by repeated multiplication (error at most 3 |d| eps), z^-d as its
+    conjugate.  Levels past the last with an entry |rho_mj| >= 1e-16 are
+    left out, as in the standard map.  Raises DomainError for a non-finite
+    q or p, and NumericToleranceError when the phases 2 r lambda are too
+    large to be carried at double precision.  ``workers`` is accepted for
     compatibility and has no effect: the evaluation starts no threads, and
     its result does not depend on it.
     """
@@ -274,23 +303,34 @@ def deformed_wigner_values(
         raise DomainError(f"unknown wigner variant {variant!r}")
     if pad < 0:
         raise DomainError("pad must be >= 0")
+    qa, pa = np.broadcast_arrays(_finite("q", q), _finite("p", p))
     dim = rho.dim
-    a_f = deformed_lowering(spec, dim + pad)
+    upper = deformed_lowering(spec, dim + pad).real
     if variant == "usual_parity":
-        pvec = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0).astype(complex)
+        pvec = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     else:
         pvec = deformed_parity_operator(spec, dim)
 
-    qa, pa = np.broadcast_arrays(np.asarray(q, float), np.asarray(p, float))
     alphas = ((qa + 1j * pa) / math.sqrt(2.0)).ravel()
-    eigenvalues, vecs = np.linalg.eigh(1j * (a_f.conj().T - a_f))
+    eigenvalues, vecs = np.linalg.eigh(upper + upper.T)
     _check_phase_precision(float(np.max(np.abs(alphas), initial=0.0)), eigenvalues)
-    offsets, t = _diagonal_weights(pvec[:, None] * rho.matrix, vecs[:dim])
+    weighted = pvec[:, None] * rho.matrix
+    levels, partners = np.nonzero(np.abs(weighted) >= _RHO_SKIP)
+    top = int(np.max(np.maximum(levels, partners), initial=0))
+    t = _diagonal_weights(weighted[:top + 1, :top + 1], vecs)
 
     def block(a: np.ndarray) -> np.ndarray:
-        terms = _expi(np.outer(np.angle(a), offsets)) @ t
-        terms *= _expi(-2.0 * np.outer(np.abs(a), eigenvalues))
-        return 2.0 * terms.sum(axis=1)
+        r = np.abs(a)
+        radii, at_radius = np.unique(r, return_inverse=True)
+        by_radius = t @ _expi(-2.0 * np.outer(eigenvalues, radii))
+        z = 1j * np.divide(a, r, out=np.ones_like(a), where=r > 0)
+        out = by_radius[top][at_radius]
+        power = np.ones_like(z)
+        for d in range(1, top + 1):
+            power *= z
+            out += power * by_radius[top + d][at_radius]
+            out += power.conj() * by_radius[top - d][at_radius]
+        return 2.0 * out
 
     w = _in_blocks(block, alphas).reshape(qa.shape)
     return complex(w) if np.ndim(q) == 0 and np.ndim(p) == 0 else w

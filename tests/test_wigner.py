@@ -15,6 +15,7 @@ from scipy.special import comb, gammaln
 import foscillator
 from foscillator import (
     DensityMatrix,
+    DomainError,
     NumericToleranceError,
     coherent_density,
     coherent_truncation_dim,
@@ -442,3 +443,108 @@ def test_standard_map_marginals_are_the_position_and_momentum_densities(rho):
                                rtol=0, atol=1e-10)
     np.testing.assert_allclose(np.trapezoid(w, ax, axis=0) / (2.0 * math.pi), p_density,
                                rtol=0, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The deformed map on the real tridiagonal eigenproblem
+
+
+def _custom_profile(c):
+    return custom(fn=lambda n: 1.0 + c * np.sqrt(np.asarray(n, float)))
+
+
+_PROFILES = st.one_of(
+    st.floats(0.01, 0.2).map(kerr),
+    st.floats(0.01, 0.15).map(q_oscillator),
+    st.floats(0.0, 0.1).map(_custom_profile),
+)
+
+
+@settings(max_examples=40)
+@given(dim=st.integers(2, 20), seed=st.integers(0, 2 ** 32 - 1), pad=st.integers(0, 15),
+       spec=_PROFILES, variant=st.sampled_from(["usual_parity", "deformed_parity"]),
+       r=st.floats(0.05, 3.0), phi=st.floats(-math.pi, math.pi))
+def test_deformed_map_matches_expm_on_random_mixed_states(dim, seed, pad, spec, variant, r, phi):
+    # dim + pad of either parity: an odd one gives S an exact zero eigenvalue.
+    # The points: alpha = 0, both signs of both axes (phi = pi and -pi on the
+    # negative q axis), and one point off the axes
+    rho = _random_mixed_state(dim, seed)
+    q = np.array([0.0, -r, -r, r, 0.0, 0.0, r * math.cos(phi)])
+    p = np.array([0.0, 0.0, -0.0, 0.0, r, -r, r * math.sin(phi)])
+    w = deformed_wigner_values(rho, spec, q, p, variant, pad)
+    ref = np.array([_expm_deformed_reference(rho, spec, qi, pi, variant, pad) for qi, pi in zip(q, p)])
+    assert np.max(np.abs(w - ref)) < 1e-12
+
+
+def test_deformed_grid_larger_than_one_block_matches_point_calls(monkeypatch):
+    # 91 x 91 = 8281 points: the second block repeats radii of the first, and
+    # each block evaluates the radial phases once per radius of its own
+    ax = np.linspace(-3.0, 3.0, 91)
+    assert ax.size ** 2 > wigner_module._BLOCK
+    columns = []
+    expi = wigner_module._expi
+
+    def counted(theta):
+        columns.append(theta.shape[-1])
+        return expi(theta)
+
+    monkeypatch.setattr(wigner_module, "_expi", counted)
+    rho = nonlinear_coherent_state(0.8 + 0.4j, kerr(0.1), 16).density()
+    qq, pp = np.meshgrid(ax, ax, indexing="ij")
+    radii = np.abs((qq + 1j * pp).ravel() / math.sqrt(2.0))
+    block = wigner_module._BLOCK
+    for variant in ("usual_parity", "deformed_parity"):
+        columns.clear()
+        grid = deformed_wigner(rho, kerr(0.1), ax, ax, variant).values
+        assert columns == [np.unique(radii[:block]).size, np.unique(radii[block:]).size]
+        for i, j in [(0, 0), (45, 45), (45, 0), (0, 45), (90, 1), (90, 90), (17, 64),
+                     divmod(block - 1, 91), divmod(block, 91), divmod(block + 1, 91)]:
+            assert abs(grid[i, j] - deformed_wigner_values(rho, kerr(0.1), ax[i], ax[j], variant)) < 1e-13
+
+
+def test_standard_grid_builds_one_hermite_table_for_equal_axes(monkeypatch):
+    calls = []
+    table = wigner_module.hermite_functions
+
+    def counted(n_max, x):
+        calls.append(np.size(x))
+        return table(n_max, x)
+
+    monkeypatch.setattr(wigner_module, "hermite_functions", counted)
+    rho = coherent_density(0.7 - 0.2j, 20)
+    ax = np.linspace(-7.0, 7.0, 41)
+    wigner_from_density(rho, ax, ax.copy())
+    assert calls == [41]
+    calls.clear()
+    wigner_from_density(rho, ax, np.linspace(-7.0, 7.0, 43))
+    assert calls == [41, 43]
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+_FINITE_AXIS = np.linspace(-3.0, 3.0, 5)
+
+
+def _with(value):
+    axis = _FINITE_AXIS.copy()
+    axis[2] = value
+    return axis
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=str)
+@pytest.mark.parametrize("coordinate", ["q", "p"])
+@pytest.mark.parametrize("entry", ["wigner_values", "wigner_from_density",
+                                   "deformed_wigner_values", "deformed_wigner"])
+def test_non_finite_coordinates_are_refused(entry, coordinate, value):
+    rho = coherent_density(0.5, 12)
+    if entry in ("wigner_values", "deformed_wigner_values"):
+        q, p = (value, 0.0) if coordinate == "q" else (0.0, value)
+    else:
+        q, p = (_with(value), _FINITE_AXIS) if coordinate == "q" else (_FINITE_AXIS, _with(value))
+    call = {
+        "wigner_values": lambda: wigner_values(rho, q, p),
+        "wigner_from_density": lambda: wigner_from_density(rho, q, p),
+        "deformed_wigner_values": lambda: deformed_wigner_values(rho, kerr(0.1), q, p),
+        "deformed_wigner": lambda: deformed_wigner(rho, kerr(0.1), q, p),
+    }[entry]
+    with pytest.raises(DomainError, match=f"coordinate {coordinate} must be finite"):
+        call()

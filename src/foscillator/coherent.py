@@ -12,6 +12,7 @@ modes, and the Schmidt spectrum quantifies it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -68,9 +69,12 @@ class SchmidtSpectrum:
         return self.sigma2 < _SCHMIDT_SEPARABLE_TOL
 
 
-def _polar(z: complex):
-    z = complex(z)
-    return abs(z), math.atan2(z.imag, z.real)
+def _normalized(logmag: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Unit-norm amplitudes exp(logmag + i phase), the largest magnitude
+    scaled to 1 before exponentiating so that no weight overflows."""
+    mag = np.exp(logmag - logmag.max())
+    mag /= np.linalg.norm(mag)
+    return mag * (np.cos(phase) + 1j * np.sin(phase))
 
 
 def nonlinear_coherent_state(
@@ -84,18 +88,13 @@ def nonlinear_coherent_state(
     if dim < 2:
         raise DomainError("coherent state needs dim >= 2")
     logf = log_f_factorial(spec, dim - 1)
-    r, phase0 = _polar(alpha)
+    r, phase0 = cmath.polar(alpha)
     n = np.arange(dim, dtype=float)
     if r == 0.0:
         amps = np.zeros(dim, dtype=complex)
         amps[0] = 1.0
     else:
-        logmag = n * math.log(r) - logf - 0.5 * _log_factorials(dim - 1)
-        logmag -= logmag.max()
-        mag = np.exp(logmag)
-        mag /= np.linalg.norm(mag)
-        phase = phase0 * n
-        amps = mag * (np.cos(phase) + 1j * np.sin(phase))
+        amps = _normalized(n * math.log(r) - logf - 0.5 * _log_factorials(dim - 1), phase0 * n)
     if abs(amps[-1]) ** 2 >= _TAIL_TOL:
         raise TruncationError(
             f"top weight {abs(amps[-1])**2:.3e} exceeds the tail criterion; increase dim"
@@ -129,8 +128,8 @@ def two_mode_coherent_state(
     if d1 < 2 or d2 < 2:
         raise DomainError("two-mode state needs dims >= 2")
     logf = log_f_factorial(spec, d1 + d2 - 2)
-    r1, ph1 = _polar(alpha1)
-    r2, ph2 = _polar(alpha2)
+    r1, ph1 = cmath.polar(alpha1)
+    r2, ph2 = cmath.polar(alpha2)
     n1 = np.arange(d1, dtype=float)[:, None]
     n2 = np.arange(d2, dtype=float)[None, :]
     # log r * 0 must stay 0 when an amplitude vanishes
@@ -139,11 +138,7 @@ def two_mode_coherent_state(
     total = (n1 + n2).astype(int)
     log_fact = _log_factorials(max(d1, d2) - 1)
     logmag = l1 + l2 - 0.5 * log_fact[:d1, None] - 0.5 * log_fact[None, :d2] - logf[total]
-    logmag -= logmag.max()
-    mag = np.exp(logmag)
-    mag /= np.linalg.norm(mag)
-    phase = ph1 * n1 + ph2 * n2
-    coeff = mag * (np.cos(phase) + 1j * np.sin(phase))
+    coeff = _normalized(logmag, ph1 * n1 + ph2 * n2)
     edge = float(np.sum(np.abs(coeff[-1, :]) ** 2) + np.sum(np.abs(coeff[:, -1]) ** 2))
     if edge >= _TAIL_TOL:
         raise TruncationError(
@@ -174,26 +169,20 @@ def two_mode_eigen_residuals(state: TwoModeState, drop_top: int = 5):
     at the total level: (A_1 c)[n1, n2] = sqrt(n1+1) f(n1+n2+1) c[n1+1, n2].
     """
     c = state.coefficients
-    d1, d2 = c.shape
-    n1 = np.arange(d1, dtype=float)[:, None]
-    n2 = np.arange(d2, dtype=float)[None, :]
+    k1, k2 = (max(1, d - int(drop_top)) for d in c.shape)
+    r1 = _lowering_residual(state.spec, c, state.alpha1)
+    # mode 2 lowers the column index: mode 1's formula on the transpose
+    r2 = _lowering_residual(state.spec, c.T, state.alpha2)
+    return float(np.linalg.norm(r1[:k1, :k2])), float(np.linalg.norm(r2[:k2, :k1]))
 
-    f_tot_1 = eval_f(state.spec, (n1[:-1] + n2) + 1.0)
-    a1c = np.zeros_like(c)
-    a1c[:-1, :] = np.sqrt(n1[:-1] + 1.0) * f_tot_1 * c[1:, :]
-    r1 = a1c - state.alpha1 * c
 
-    f_tot_2 = eval_f(state.spec, (n1 + n2[:, :-1]) + 1.0)
-    a2c = np.zeros_like(c)
-    a2c[:, :-1] = np.sqrt(n2[:, :-1] + 1.0) * f_tot_2 * c[:, 1:]
-    r2 = a2c - state.alpha2 * c
-
-    k1 = max(1, d1 - int(drop_top))
-    k2 = max(1, d2 - int(drop_top))
-    return (
-        float(np.linalg.norm(r1[:k1, :k2])),
-        float(np.linalg.norm(r2[:k1, :k2])),
-    )
+def _lowering_residual(spec: NonlinearitySpec, c: np.ndarray, alpha: complex) -> np.ndarray:
+    """A c - alpha c for the mode that lowers the row index of ``c``."""
+    n1 = np.arange(c.shape[0] - 1, dtype=float)[:, None]
+    n2 = np.arange(c.shape[1], dtype=float)[None, :]
+    ac = np.zeros_like(c)
+    ac[:-1] = np.sqrt(n1 + 1.0) * eval_f(spec, (n1 + n2) + 1.0) * c[1:]
+    return ac - alpha * c
 
 
 def schmidt_spectrum(state) -> SchmidtSpectrum:

@@ -12,6 +12,7 @@ one phase per level, and entry mn turned by the product of two of them.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,23 +31,25 @@ _TAIL_TOL = 1e-8
 _TAIL_FRACTION = 0.9
 
 
-def lowering_operator(dim: int) -> np.ndarray:
-    """Truncated annihilation operator, a[n-1, n] = sqrt(n)."""
+def _check_dim(dim: int) -> None:
     if dim < 2:
         raise DomainError("operator truncation needs dim >= 2")
+
+
+def lowering_operator(dim: int) -> np.ndarray:
+    """Truncated annihilation operator, a[n-1, n] = sqrt(n)."""
+    _check_dim(dim)
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
 
 
 def number_operator(dim: int) -> np.ndarray:
-    if dim < 2:
-        raise DomainError("operator truncation needs dim >= 2")
+    _check_dim(dim)
     return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
 def parity_operator(dim: int) -> np.ndarray:
     """diag((-1)^n)."""
-    if dim < 2:
-        raise DomainError("operator truncation needs dim >= 2")
+    _check_dim(dim)
     signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     return np.diag(signs).astype(complex)
 
@@ -68,41 +71,33 @@ def deformed_lowering(spec: NonlinearitySpec, dim: int) -> np.ndarray:
     The profile must be positive on levels 0..dim-1, otherwise the deformed
     ladder loses rank and coherent-state weights are undefined.
     """
-    if dim < 2:
-        raise DomainError("operator truncation needs dim >= 2")
+    _check_dim(dim)
     fvals = require_positive(spec, dim - 1)
     n = np.arange(1.0, dim)
     return np.diag(np.sqrt(n) * fvals[1:], k=1).astype(complex)
 
 
-def _check_form(spec: NonlinearitySpec, dim: int, form: str) -> None:
-    if dim < 2:
-        raise DomainError("operator truncation needs dim >= 2")
+def _level_energies(spec: NonlinearitySpec, dim: int, form: str):
+    """(f, H): the profile values the form reads, checked positive, and H(n)
+    on levels 0..dim-1.
+
+    The symmetric form reads f(0..dim), one level past the top state, the
+    normal forms f(0..dim-1); the kerr form reads none, and f is None.
+    """
+    _check_dim(dim)
     if form not in HAMILTONIAN_FORMS:
         raise DomainError(f"unknown hamiltonian form {form!r}")
-    if form == "kerr" and spec.kind != "kerr":
-        raise DomainError("the kerr hamiltonian form needs a kerr profile")
-
-
-def _form_profile(spec: NonlinearitySpec, dim: int, form: str) -> np.ndarray:
-    """f(0..dim) for the symmetric form, which reads one level past the top
-    state, f(0..dim-1) for the others; checked positive."""
-    return require_positive(spec, dim if form == "symmetric" else dim - 1)
-
-
-def _level_energies(spec: NonlinearitySpec, dim: int, form: str, fvals) -> np.ndarray:
-    """H(n) on levels 0..dim-1 from the profile values ``fvals`` of
-    ``_form_profile``; the kerr form reads none."""
     n = np.arange(dim, dtype=float)
     if form == "kerr":
-        return n + spec.chi * n * (n - 1.0)
+        if spec.kind != "kerr":
+            raise DomainError("the kerr hamiltonian form needs a kerr profile")
+        return None, n + spec.chi * n * (n - 1.0)
+    fvals = require_positive(spec, dim if form == "symmetric" else dim - 1)
     if form == "symmetric":
         f2 = fvals * fvals
-        return 0.5 * (n * f2[:dim] + (n + 1.0) * f2[1:])
+        return fvals, 0.5 * (n * f2[:dim] + (n + 1.0) * f2[1:])
     h = n * fvals * fvals
-    if form == "normal_half":
-        h = h + 0.5
-    return h
+    return fvals, h + 0.5 if form == "normal_half" else h
 
 
 def hamiltonian_diagonal(
@@ -117,9 +112,7 @@ def hamiltonian_diagonal(
     * ``kerr``         n + chi n (n-1), the Kerr medium form; requires a
                        kerr profile and coincides with ``normal`` for it
     """
-    _check_form(spec, dim, form)
-    fvals = None if form == "kerr" else _form_profile(spec, dim, form)
-    return _level_energies(spec, dim, form, fvals)
+    return _level_energies(spec, dim, form)[1]
 
 
 def hamiltonian(spec: NonlinearitySpec, dim: int, form: str = "symmetric") -> np.ndarray:
@@ -136,9 +129,9 @@ def heisenberg_invariant(
     values in any evolving state stay frozen at their t = 0 value.  Only the
     superdiagonal is built, from one evaluation of the profile.
     """
-    _check_form(spec, dim, form)
-    fvals = _form_profile(spec, dim, form)
-    h = _level_energies(spec, dim, form, fvals)
+    fvals, h = _level_energies(spec, dim, form)
+    if fvals is None:  # the kerr form's H reads no profile, but Q does
+        fvals = require_positive(spec, dim - 1)
     idx = np.arange(dim - 1)
     out = np.zeros((dim, dim), dtype=complex)
     out[idx, idx + 1] = (np.sqrt(np.arange(1.0, dim)) * fvals[1:dim]
@@ -292,15 +285,14 @@ def _log_factorials(n_max: int) -> np.ndarray:
 
 
 def _poisson_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    alpha = complex(alpha)
+    r, phi = cmath.polar(alpha)
     n = np.arange(dim, dtype=float)
-    r = abs(alpha)
     if r == 0.0:
         c = np.zeros(dim, dtype=complex)
         c[0] = 1.0
         return c
     logmag = n * math.log(r) - 0.5 * _log_factorials(dim - 1) - 0.5 * r * r
-    phase = n * math.atan2(alpha.imag, alpha.real)
+    phase = n * phi
     return np.exp(logmag) * (np.cos(phase) + 1j * np.sin(phase))
 
 

@@ -70,8 +70,6 @@ def kerr(chi: float) -> NonlinearitySpec:
 
 
 def custom(fn: Callable = None, table: Sequence[float] = None) -> NonlinearitySpec:
-    if table is not None:
-        table = tuple(float(v) for v in table)
     return NonlinearitySpec(kind="custom", fn=fn, table=table)
 
 
@@ -213,17 +211,24 @@ def require_positive(spec: NonlinearitySpec, n_max: int) -> np.ndarray:
     return factors
 
 
+# Each kind's one parameter: its JSON field, the spec attribute that holds
+# it, and the builder that takes it.
+_PARAMETERS = {
+    "q": ("lambda", "lam", q_oscillator),
+    "kerr": ("chi", "chi", kerr),
+    "custom": ("table", "table", lambda table: custom(table=table)),
+}
+
+
 def spec_to_dict(spec: NonlinearitySpec) -> dict:
     """JSON-ready description; callable customs cannot be serialized."""
     out = {"kind": spec.kind}
-    if spec.kind == "q":
-        out["lambda"] = spec.lam
-    elif spec.kind == "kerr":
-        out["chi"] = spec.chi
-    elif spec.kind == "custom":
-        if spec.table is None:
+    if spec.kind in _PARAMETERS:
+        field, attr, _ = _PARAMETERS[spec.kind]
+        value = getattr(spec, attr)
+        if value is None:
             raise DomainError("a callable custom profile has no JSON form")
-        out["table"] = list(spec.table)
+        out[field] = list(value) if field == "table" else value
     return out
 
 
@@ -232,18 +237,11 @@ def spec_from_dict(data: dict) -> NonlinearitySpec:
     if not isinstance(data, dict) or "kind" not in data:
         raise DomainError("nonlinearity description needs a 'kind' field")
     kind = data["kind"]
+    if kind not in KINDS:
+        raise DomainError(f"unknown nonlinearity kind {kind!r}")
     if kind == "identity":
         return identity()
-    if kind == "q":
-        if "lambda" not in data:
-            raise DomainError("q profile needs a 'lambda' field")
-        return q_oscillator(data["lambda"])
-    if kind == "kerr":
-        if "chi" not in data:
-            raise DomainError("kerr profile needs a 'chi' field")
-        return kerr(data["chi"])
-    if kind == "custom":
-        if "table" not in data:
-            raise DomainError("custom profile needs a 'table' field")
-        return custom(table=data["table"])
-    raise DomainError(f"unknown nonlinearity kind {kind!r}")
+    field, _, build = _PARAMETERS[kind]
+    if field not in data:
+        raise DomainError(f"{kind} profile needs a {field!r} field")
+    return build(data[field])

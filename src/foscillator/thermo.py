@@ -87,20 +87,23 @@ def occupation_second_moment(beta: float) -> float:
 
 
 def _eval_weight(fn: Callable, narr: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(fn(narr), dtype=float)
-        if vals.shape != narr.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.fromiter((float(fn(int(k))) for k in narr), dtype=float, count=narr.size)
-    return vals
+    """``fn`` called once on the levels ``narr``, its result broadcast to their shape."""
+    vals = np.asarray(fn(narr), dtype=float)
+    return vals if vals.shape == narr.shape else np.broadcast_to(vals, narr.shape)
+
+
+def _entropy_free_energy(beta: float, energy: float, log_z: float):
+    """S = beta E + log Z and F = -log Z / beta."""
+    return beta * energy + log_z, -log_z / beta
 
 
 def thermal_series(beta: float, fn: Optional[Callable] = None) -> float:
     """sum_n fn(n) exp(-beta (n + 1/2)), blockwise with a decay guard.
 
-    ``fn`` defaults to 1.  Raises if the terms stop decaying (the weight
-    outgrows the Boltzmann factor) before the tail criterion is met.
+    ``fn`` takes an array of levels and returns their weights, or one
+    weight for all of them; it defaults to 1.  Raises if the terms stop
+    decaying (the weight outgrows the Boltzmann factor) before the tail
+    criterion is met.
     """
     beta = _check_beta(beta)
     total = 0.0
@@ -150,8 +153,7 @@ def linear_thermo(beta: float) -> ThermoReport:
             f"closed forms and series disagree at beta={beta!r}: "
             f"Z {z!r} vs {z_series!r}, E {e!r} vs {e_series!r}"
         )
-    s = beta * e + math.log(z)
-    f = -math.log(z) / beta
+    s, f = _entropy_free_energy(beta, e, math.log(z))
     return ThermoReport(beta=beta, z=z, energy=e, entropy=s, free_energy=f)
 
 
@@ -181,15 +183,13 @@ def deformed_partition(
     correction = -beta * g * chi_mean * base.z
     z = base.z + correction
     def h_times_chi(n):
-        narr = np.asarray(n, dtype=float)
-        return (narr + 0.5) * _eval_weight(chi, narr)
+        return (n + 0.5) * _eval_weight(chi, n)
 
     h_chi_mean = thermal_series(beta, h_times_chi) / base.z
     # d<chi>/dbeta = E0 <chi> - <H chi>
     energy = base.energy + g * (chi_mean + beta * (base.energy * chi_mean - h_chi_mean))
     log_z = math.log(base.z) - beta * g * chi_mean
-    entropy = beta * energy + log_z
-    free_energy = -log_z / beta
+    entropy, free_energy = _entropy_free_energy(beta, energy, log_z)
     return DeformedThermoReport(
         beta=beta,
         g=g,
@@ -213,16 +213,13 @@ def exact_deformed_report(
         chi = square_level
 
     def boltzmann_shift(n):
-        narr = np.asarray(n, dtype=float)
-        return np.exp(-beta * g * _eval_weight(chi, narr))
+        return np.exp(-beta * g * _eval_weight(chi, n))
 
     def energy_weight(n):
-        narr = np.asarray(n, dtype=float)
-        cv = _eval_weight(chi, narr)
-        return (narr + 0.5 + g * cv) * np.exp(-beta * g * cv)
+        cv = _eval_weight(chi, n)
+        return (n + 0.5 + g * cv) * np.exp(-beta * g * cv)
 
     z = thermal_series(beta, boltzmann_shift)
     e = thermal_series(beta, energy_weight) / z
-    s = beta * e + math.log(z)
-    f = -math.log(z) / beta
+    s, f = _entropy_free_energy(beta, e, math.log(z))
     return ThermoReport(beta=beta, z=z, energy=e, entropy=s, free_energy=f)

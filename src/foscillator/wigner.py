@@ -279,7 +279,6 @@ def deformed_wigner_values(
     p,
     variant: str = "usual_parity",
     pad: int = 10,
-    workers: int = None,
 ) -> np.ndarray:
     """Deformed transform at phase-space points, broadcast over q, p.
 
@@ -295,9 +294,7 @@ def deformed_wigner_values(
     conjugate.  Levels past the last with an entry |rho_mj| >= 1e-16 are
     left out, as in the standard map.  Raises DomainError for a non-finite
     q or p, and NumericToleranceError when the phases 2 r lambda are too
-    large to be carried at double precision.  ``workers`` is accepted for
-    compatibility and has no effect: the evaluation starts no threads, and
-    its result does not depend on it.
+    large to be carried at double precision.
     """
     if variant not in WIGNER_VARIANTS:
         raise DomainError(f"unknown wigner variant {variant!r}")
@@ -346,9 +343,13 @@ def deformed_wigner(
     workers: int = None,
 ) -> WignerGrid:
     """Deformed transform on the cartesian grid q_axis x p_axis (see
-    ``deformed_wigner_values``; ``workers`` has no effect)."""
+    ``deformed_wigner_values``).
+
+    ``workers`` does nothing: the evaluation starts no threads.  It is still
+    accepted only because the benchmark harness (``foscbench``) passes it.
+    """
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     qq, pp = np.meshgrid(q_axis, p_axis, indexing="ij")
-    vals = deformed_wigner_values(rho, spec, qq, pp, variant, pad, workers)
+    vals = deformed_wigner_values(rho, spec, qq, pp, variant, pad)
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=vals)

@@ -65,6 +65,21 @@ def test_thermo_zero_coupling_columns_match(tmp_path):
         assert row[1] == format(linear_thermo(float(row[0])).z, ".17g")
 
 
+def test_negative_first_order_entropy_exits_3_with_the_artifact(tmp_path, capsys):
+    # beta g <n^2> ~ 20 here: far outside the first-order expansion, whose
+    # Zf and S come out negative
+    out = tmp_path / "thermo.csv"
+    assert main(["thermo", "--beta-min", "0.001", "--beta-max", "0.001", "--beta-steps", "1",
+                 "--g", "0.01", "--output", str(out)]) == 3
+    assert capsys.readouterr().err == "numeric tolerance failure: negative_entropy\n"
+    entropy = float(out.read_text().splitlines()[1].split(",")[4])
+    meta = _read_sidecar(out)
+    assert meta["status"] == "tolerance-breach"
+    assert meta["checks"]["min_entropy"] == {"value": entropy, "threshold": None, "ok": True}
+    assert meta["checks"]["negative_entropy"] == {"value": -entropy, "threshold": 0.0, "ok": False}
+    assert entropy < 0.0
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["thermo", "--beta-min", "0.2", "--beta-max", "3", "--g", "0.002"]
@@ -460,10 +475,12 @@ def test_bad_flag_value_in_a_subprocess_exits_2_with_one_line(tmp_path):
     assert not out.exists()
 
 
-def test_missing_profile_parameter_exits_2(tmp_path):
+def test_missing_profile_parameter_exits_2(tmp_path, capsys):
     out = tmp_path / "t.csv"
-    assert main(["quantum-evolve", "--kind", "q", "--output", str(out)]) == 2
-    assert main(["quantum-evolve", "--kind", "kerr", "--output", str(out)]) == 2
+    for kind, flag in (("q", "--lambda"), ("kerr", "--chi"), ("custom", "--table")):
+        assert main(["quantum-evolve", "--kind", kind, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: the {kind} profile needs {flag}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("state", ["coherent:1.0+0.5j", "fock:x", "nl-coherent:1,2,3"])

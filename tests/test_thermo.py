@@ -63,6 +63,19 @@ def test_constant_weight_averages_to_one():
         )
 
 
+def test_scalar_weight_is_broadcast_over_the_levels():
+    # a weight is called once per block of levels, never once per level
+    shapes = []
+
+    def one(n):
+        shapes.append(np.shape(n))
+        return 1.0
+
+    for beta in (0.2, 1.0, 5.0):
+        assert thermal_series(beta, one) == thermal_series(beta)
+    assert shapes and all(len(shape) == 1 and shape[0] > 1 for shape in shapes)
+
+
 def test_mean_occupation():
     assert occupation(1.0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-13)
     assert chi_expectation(1.0, lambda n: np.asarray(n, float)) == pytest.approx(

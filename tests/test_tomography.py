@@ -29,6 +29,7 @@ from foscillator import (
     radon_classical,
     ray_from_scale_angle,
     vacuum_density,
+    wigner_from_density,
     wigner_values,
 )
 from foscillator.classical import _BLOCK
@@ -386,6 +387,19 @@ def test_coherent_marginal_closed_form():
     expected = np.exp(-((x - math.sqrt(2.0) * alpha) ** 2)) / math.sqrt(math.pi)
     vals = quantum_tomogram(rho, 1.0, 0.0, x).values
     np.testing.assert_allclose(vals, expected, atol=1e-8)
+
+
+@settings(max_examples=20)
+@given(alpha=_polar(0.0, 1.5))
+def test_position_marginal_of_wigner_is_the_position_slice(alpha):
+    # int W dp / 2 pi is the (mu, nu) = (1, 0) slice; a complex alpha puts the
+    # state off both axes.  The trapezoid rule in p is spectrally accurate on
+    # a grid far past the state's support
+    rho = coherent_density(alpha, 40)
+    q = np.linspace(-9.0, 9.0, 37)
+    p = np.linspace(-9.0, 9.0, 1201)
+    marginal = np.trapezoid(wigner_from_density(rho, q, p).values.real, p, axis=1) / (2.0 * math.pi)
+    assert np.max(np.abs(marginal - quantum_tomogram(rho, 1.0, 0.0, q).values)) < 1e-12
 
 
 def test_fock_closed_form_matches_basis_route():

@@ -17,6 +17,8 @@ from foscillator import (
     DensityMatrix,
     DomainError,
     NumericToleranceError,
+    PhasePoint,
+    classical_invariants,
     coherent_density,
     coherent_truncation_dim,
     custom,
@@ -24,6 +26,7 @@ from foscillator import (
     deformed_parity_operator,
     deformed_wigner,
     deformed_wigner_values,
+    evolve_density,
     fock_density,
     hermite_functions,
     identity,
@@ -144,14 +147,6 @@ def test_grid_wrapper_and_diagnostics():
     assert grid.min_real() > -2.0 - 1e-8
     assert np.max(np.abs(grid.values.real)) <= 2.0 + 1e-8
     assert math.isfinite(grid.normalization())
-
-
-def test_threaded_evaluation_matches_serial():
-    rho = coherent_density(0.7, 10)
-    _, qq, pp = _grid(1.0, 5)
-    serial = deformed_wigner_values(rho, kerr(0.2), qq, pp, "usual_parity", workers=None)
-    threaded = deformed_wigner_values(rho, kerr(0.2), qq, pp, "usual_parity", workers=3)
-    np.testing.assert_array_equal(serial, threaded)
 
 
 def test_violent_profile_trips_the_unitarity_guard():
@@ -443,6 +438,19 @@ def test_standard_map_marginals_are_the_position_and_momentum_densities(rho):
                                rtol=0, atol=1e-10)
     np.testing.assert_allclose(np.trapezoid(w, ax, axis=0) / (2.0 * math.pi), p_density,
                                rtol=0, atol=1e-10)
+
+
+@settings(max_examples=30)
+@given(dim=st.integers(8, 24), seed=st.integers(0, 2 ** 32 - 1), t=st.floats(-10.0, 10.0))
+def test_moyal_flow_of_the_harmonic_oscillator_is_the_liouville_flow(dim, seed, t):
+    # for f = 1 the Moyal bracket is the Poisson bracket: W(t) at (q, p) is
+    # W(0) at the point the classical flow carries back from (q, p)
+    rho = _random_mixed_state(dim, seed)
+    _, qq, pp = _grid(4.0, 9)
+    moved = wigner_values(evolve_density(rho, identity(), t), qq, pp)
+    back = classical_invariants(identity(), PhasePoint(qq, pp), t)
+    carried = wigner_values(rho, back.q, back.p)
+    assert np.max(np.abs(moved - carried)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ _BLOCK = 4096
 _REL_STOP = 1e-16
 _MAX_TERMS = 10_000_000
 _CROSS_CHECK_RTOL = 1e-10
+_WEIGHT_USAGE = "level weight must take an array of levels and return one value or one per level"
 
 
 def square_level(n):
@@ -87,9 +88,24 @@ def occupation_second_moment(beta: float) -> float:
 
 
 def _eval_weight(fn: Callable, narr: np.ndarray) -> np.ndarray:
-    """``fn`` called once on the levels ``narr``, its result broadcast to their shape."""
-    vals = np.asarray(fn(narr), dtype=float)
-    return vals if vals.shape == narr.shape else np.broadcast_to(vals, narr.shape)
+    """``fn`` called once on the levels ``narr``, its result broadcast to their shape.
+
+    DomainError if ``fn`` cannot take the array or its result is neither
+    one value nor one per level.
+    """
+    try:
+        out = fn(narr)
+    except DomainError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{_WEIGHT_USAGE}; called on an array it raised {type(exc).__name__}: {exc}") from exc
+    try:
+        vals = np.asarray(out, dtype=float)
+        return vals if vals.shape == narr.shape else np.broadcast_to(vals, narr.shape)
+    except (TypeError, ValueError) as exc:
+        shape = getattr(out, "shape", None)
+        got = f"an array of shape {shape}" if shape is not None else repr(out)
+        raise DomainError(f"{_WEIGHT_USAGE}; for {narr.size} levels it returned {got}") from exc
 
 
 def _entropy_free_energy(beta: float, energy: float, log_z: float):

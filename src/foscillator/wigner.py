@@ -10,8 +10,11 @@ al. (Opt. Commun. 96, 123 (1993)).  So
 
 with C computed once per state through the orthogonal rotation matrices of
 each order m + n, built by Risbo's stable recursion (J. Geodesy 70, 383
-(1996)).  On a cartesian grid the map is two matrix products; orders past
-the last populated entry of rho cost nothing.
+(1996)).  These matrices do not depend on the state: those of orders up to
+``_CACHED_ORDER`` (every order of a state of up to 64 levels) are built once
+per process and kept read-only, at most 5.7 MB; higher orders are stepped
+per state from the last cached one.  On a cartesian grid the map is two
+matrix products; orders past the last populated entry of rho cost nothing.
 
 Two deformed variants are provided, differing in which parity enters the
 trace against the exponential of the deformed ladder generator:
@@ -51,6 +54,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -68,6 +72,9 @@ _RHO_SKIP = 1e-16
 _PHASE_TOL = 1e-10
 # Phase-space points evaluated together by the batched maps.
 _BLOCK = 8192
+# Highest order whose rotation matrix is kept for the life of the process:
+# orders 0..126 hold sum (N+1)(N+3) doubles, 5.7 MB, and cover dim <= 64.
+_CACHED_ORDER = 126
 # 2 sqrt(pi) (-i)^k: the transform of phi_k(sqrt2 y) over y, times the map's 2.
 _FOURIER_PHASES = 2.0 * math.sqrt(math.pi) * np.array([1.0, -1j, -1.0, 1j])
 
@@ -157,6 +164,21 @@ def _rotation_step(r: np.ndarray, order: int, dim: int) -> np.ndarray:
     return out
 
 
+@cache
+def _rotation(order: int) -> np.ndarray:
+    """R^order on all its columns, between its two zero columns; shared read-only.
+
+    A state of order + 1 levels carries every column, so the step from
+    R^(order-1) at dim = order + 1 builds the whole matrix.
+    """
+    if order == 0:
+        r = np.array([[0.0, 1.0, 0.0]])
+    else:
+        r = _rotation_step(_rotation(order - 1), order, order + 1)
+    r.flags.writeable = False
+    return r
+
+
 def _hermite_gauss_coefficients(m: np.ndarray) -> np.ndarray:
     """C with W(q, p) = sum_jk C[j, k] phi_j(sqrt2 q) phi_k(sqrt2 p).
 
@@ -167,6 +189,9 @@ def _hermite_gauss_coefficients(m: np.ndarray) -> np.ndarray:
         C[j, N-j] = 2 sqrt(pi) (-i)^(N-j) sum_m R^N[j, m] rho[m, N-m].
 
     The orders stop at the largest m + n with |rho[m, n]| >= _RHO_SKIP.
+    R^N for N <= _CACHED_ORDER is read from the process-wide ``_rotation``
+    cache (at most 127 matrices, 5.7 MB); past it the carried columns are
+    stepped on from the cached R^_CACHED_ORDER and not kept.
     """
     dim = m.shape[0]
     levels, partners = np.nonzero(np.abs(m) >= _RHO_SKIP)
@@ -175,9 +200,14 @@ def _hermite_gauss_coefficients(m: np.ndarray) -> np.ndarray:
     # column-reversed rho is rho[m, N-m] over the carried columns of R^N.
     anti = m[:, ::-1]
     by_order = np.zeros((top + 1, top + 1), dtype=complex)
-    r = np.array([[0.0, 1.0, 0.0]])  # R^0 = [[1]] between its zero columns
     for order in range(top + 1):
-        if order:
+        if order <= _CACHED_ORDER:
+            # carried columns lo..hi and a neighbour on each side; the step
+            # past _CACHED_ORDER reads a neighbour only where it is a zero
+            # column of the cached matrix
+            lo, hi = max(0, order - dim + 1), min(order, dim - 1)
+            r = _rotation(order)[:, lo:hi + 3]
+        else:
             r = _rotation_step(r, order, dim)
         by_order[order, :order + 1] = r[:, 1:-1] @ np.diagonal(anti, dim - 1 - order)
     orders, j = np.tril_indices(top + 1)
@@ -212,7 +242,10 @@ def wigner_values(rho: DensityMatrix, q, p) -> np.ndarray:
 
 def _warn_if_grid_small(rho: DensityMatrix, q_axis: np.ndarray, p_axis: np.ndarray) -> None:
     # Support estimate from the level where cumulative population reaches
-    # 1 - 1e-6; a grid stopping short of it cannot hold the tail mass.
+    # 1 - 1e-6; a grid stopping short of it cannot hold the tail mass.  An
+    # empty grid holds no mass to lose.
+    if q_axis.size == 0 or p_axis.size == 0:
+        return
     pops = np.real(np.diagonal(rho.matrix))
     covered = np.nonzero(np.cumsum(pops) >= 1.0 - 1e-6)[0]
     n_top = int(covered[0]) if covered.size else rho.dim - 1

@@ -147,6 +147,16 @@ def test_divergent_weight_is_rejected():
         thermal_series(1.0, lambda n: np.exp(2.0 * np.asarray(n, float)))
 
 
+@pytest.mark.parametrize("call, got", [
+    (lambda: thermal_series(1.0, math.sqrt), "raised TypeError"),
+    (lambda: thermal_series(1.0, lambda n: np.ones(3)), r"returned an array of shape \(3,\)"),
+    (lambda: deformed_partition(1.0, 0.01, math.sqrt), "raised TypeError"),
+], ids=["scalar-only", "wrong-length", "nested"])
+def test_weight_that_cannot_take_the_levels_is_a_domain_error(call, got):
+    with pytest.raises(DomainError, match=f"take an array of levels.*{got}"):
+        call()
+
+
 def test_nonpositive_beta_rejected():
     for bad in (0.0, -1.0):
         with pytest.raises(DomainError):

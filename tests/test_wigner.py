@@ -333,20 +333,82 @@ def test_rotation_step_carries_only_the_columns_a_state_uses():
 
 @pytest.mark.parametrize("n", [0, 1, 4, 9])
 def test_fock_map_stops_at_order_two_n(monkeypatch, n):
-    orders = []
+    # warm cache: each map reads R^0 .. R^2n and no higher order
+    cached = wigner_module._rotation
+    cached(2 * n)
+    reads = []
+
+    def read(order):
+        reads.append(order)
+        return cached(order)
+
+    monkeypatch.setattr(wigner_module, "_rotation", read)
+    ax = np.linspace(-7.0, 7.0, 11)
+    wigner_from_density(fock_density(n, 40), ax, ax)
+    assert reads == list(range(2 * n + 1))
+    reads.clear()
+    wigner_values(fock_density(n, 40), 0.3, -0.2)
+    assert reads == list(range(2 * n + 1))
+    monkeypatch.undo()
+
+    # cold cache: the first map takes the 2n steps up to R^2n, the next none
+    steps = []
     step = wigner_module._rotation_step
 
     def counted(r, order, dim):
-        orders.append(order)
+        steps.append(order)
         return step(r, order, dim)
 
     monkeypatch.setattr(wigner_module, "_rotation_step", counted)
-    ax = np.linspace(-7.0, 7.0, 11)
+    cached.cache_clear()
     wigner_from_density(fock_density(n, 40), ax, ax)
-    assert orders == list(range(1, 2 * n + 1))
-    orders.clear()
+    assert steps == list(range(1, 2 * n + 1))
+    steps.clear()
     wigner_values(fock_density(n, 40), 0.3, -0.2)
-    assert orders == list(range(1, 2 * n + 1))
+    assert steps == []
+
+
+def _uncached_coefficients(m, top):
+    # C of _hermite_gauss_coefficients from the carried recursion, no cache
+    dim = m.shape[0]
+    c = np.zeros((top + 1, top + 1), dtype=complex)
+    for order, r in enumerate(_rotation_matrices(top, dim)):
+        j = np.arange(order + 1)
+        c[j, order - j] = r @ np.diagonal(m[:, ::-1], dim - 1 - order)
+    return c * wigner_module._FOURIER_PHASES[np.arange(top + 1) % 4]
+
+
+# tops 2 floor(0.9 (dim - 1)): 0, 28, 112, 126, 128, 230, 358 around _CACHED_ORDER = 126
+@pytest.mark.parametrize("dim", [2, 17, 64, 71, 73, 129, 200])
+def test_cached_rotations_give_the_uncached_coefficients_bit_for_bit(dim):
+    rho = _random_mixed_state(dim, 1000 + dim)
+    top = 2 * math.floor(0.9 * (dim - 1))
+    reference = _uncached_coefficients(rho.matrix, top)
+    wigner_module._rotation.cache_clear()
+    cold = wigner_module._hermite_gauss_coefficients(rho.matrix)
+    warm = wigner_module._hermite_gauss_coefficients(rho.matrix)
+    np.testing.assert_array_equal(cold, reference)
+    np.testing.assert_array_equal(warm, reference)
+
+
+def test_rotation_cache_stops_at_its_cap_and_is_read_only():
+    wigner_module._rotation.cache_clear()
+    wigner_values(_random_mixed_state(200, 5), 0.1, 0.2)  # top 358
+    assert wigner_module._rotation.cache_info().currsize == wigner_module._CACHED_ORDER + 1 == 127
+    for order in range(wigner_module._CACHED_ORDER + 1):
+        r = wigner_module._rotation(order)
+        assert r.shape == (order + 1, order + 3)
+        with pytest.raises(ValueError, match="read-only"):
+            r[0, 1] = 0.0
+
+
+def test_cli_import_leaves_the_rotation_cache_empty():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(foscillator.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import foscillator.cli, foscillator.wigner as w; print(w._rotation.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_standard_grid_larger_than_one_block_matches_point_calls():
@@ -556,3 +618,23 @@ def test_non_finite_coordinates_are_refused(entry, coordinate, value):
     }[entry]
     with pytest.raises(DomainError, match=f"coordinate {coordinate} must be finite"):
         call()
+
+
+@pytest.mark.parametrize("q, p", [([], []), ([], _FINITE_AXIS), (_FINITE_AXIS, [])],
+                         ids=["both", "q", "p"])
+@pytest.mark.parametrize("entry", ["wigner_values", "wigner_from_density",
+                                   "deformed_wigner_values", "deformed_wigner"])
+def test_empty_axes_give_empty_results_without_warnings(entry, q, p):
+    rho = coherent_density(0.5, 12)
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if entry == "wigner_values":
+            values, shape = wigner_values(rho, q, p[:, None]), (p.size, q.size)
+        elif entry == "deformed_wigner_values":
+            values, shape = deformed_wigner_values(rho, kerr(0.1), q, p[:, None]), (p.size, q.size)
+        elif entry == "wigner_from_density":
+            values, shape = wigner_from_density(rho, q, p).values, (q.size, p.size)
+        else:
+            values, shape = deformed_wigner(rho, kerr(0.1), q, p).values, (q.size, p.size)
+    assert values.shape == shape

@@ -149,9 +149,12 @@ def gaussian_distribution(
         raise DomainError("sigma must be > 0 and finite")
     if not (math.isfinite(center_q) and math.isfinite(center_p)):
         raise DomainError("the centre must be finite")
+    scale = 2.0 * math.pi * sigma * sigma
+    norm = 1.0 / scale if scale > 0.0 else math.inf
+    if norm == math.inf:
+        raise DomainError(f"sigma = {sigma!r} is too small: 1/(2 pi sigma^2) overflows")
     if support_radius is None:
         support_radius = math.hypot(center_q, center_p) + 8.5 * sigma
-    norm = 1.0 / (2.0 * math.pi * sigma * sigma)
 
     def density(q, p):
         dq = np.asarray(q, float) - center_q

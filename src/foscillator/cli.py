@@ -65,7 +65,7 @@ from .fock import (
 )
 from .nonlinearity import _PARAMETERS, KINDS, spec_from_dict, spec_to_dict
 from .thermo import deformed_partition
-from .tomography import quantum_tomogram, radon_classical, ray_from_scale_angle
+from .tomography import quantum_tomogram, radon_classical
 from .wigner import deformed_wigner, wigner_from_density
 
 
@@ -269,6 +269,12 @@ def _cmd_classical_trajectory(args) -> Artifact:
     spec = _build_spec(args)
     if args.steps < 1:
         raise DomainError("--steps must be >= 1")
+    try:
+        e0 = 0.5 * (args.q0 ** 2 + args.p0 ** 2)
+    except OverflowError:
+        e0 = math.inf
+    if e0 == math.inf:
+        raise DomainError("the initial energy (q0^2 + p0^2)/2 overflows")
     times = np.linspace(0.0, args.t_max, args.steps + 1)
     alphas = amplitude_trajectory(spec, complex(args.q0, args.p0) / math.sqrt(2.0), times, args.law)
     q = math.sqrt(2.0) * alphas.real
@@ -277,7 +283,7 @@ def _cmd_classical_trajectory(args) -> Artifact:
     inv = classical_invariants(spec, PhasePoint(q, p), times, args.law)
     art = Artifact(["t", "q", "p", "E", "q0", "p0"], _table(times, q, p, e, inv.q, inv.p))
     art.add_check("invariant_spread", np.max(np.hypot(inv.q - args.q0, inv.p - args.p0)), 1e-9)
-    art.add_check("energy_drift", np.max(np.abs(e - 0.5 * (args.q0 ** 2 + args.p0 ** 2))), 1e-12)
+    art.add_check("energy_drift", np.max(np.abs(e - e0)), 1e-12)
     return art
 
 
@@ -334,21 +340,15 @@ def _cmd_wigner(args) -> Artifact:
 
 def _cmd_tomogram(args) -> Artifact:
     spec = _build_spec(args)
-    if args.s is not None or args.theta is not None:
-        if args.s is None or args.theta is None:
-            raise DomainError("--s and --theta must be given together")
-        mu, nu = ray_from_scale_angle(args.s, args.theta)
-    else:
-        mu, nu = args.mu, args.nu
     x_axis = _x_axis(args)
     if args.source == "quantum":
         rho = _parse_state(args.state, args.dim, spec)
-        sl = quantum_tomogram(rho, mu, nu, x_axis)
+        sl = quantum_tomogram(rho, args.mu, args.nu, x_axis)
     else:
         dist = gaussian_distribution(args.center_q, args.center_p, args.sigma)
         if args.time != 0.0:
             dist = propagate_distribution(dist, spec, args.time, args.law)
-        sl = radon_classical(dist, mu, nu, x_axis)
+        sl = radon_classical(dist, args.mu, args.nu, x_axis)
     art = Artifact(["x", "value"], _table(sl.x_axis, sl.values))
     art.add_check("norm_residual", abs(sl.norm - 1.0), 1e-6)
     art.add_check("negativity", max(0.0, -sl.min_value()), 1e-9)
@@ -483,10 +483,6 @@ _COMMAND_TABLE = {cmd.name: cmd for cmd in (
              _cmd_tomogram, "csv", _NONLINEARITY_FLAGS + (
                  _flag("--mu", type=_finite_float, default=1.0),
                  _flag("--nu", type=_finite_float, default=0.0),
-                 _flag("--s", type=_finite_float, default=None,
-                       help="ray scale; alternative to --mu/--nu, with --theta"),
-                 _flag("--theta", type=_finite_float, default=None,
-                       help="ray angle; alternative to --mu/--nu, with --s"),
                  _flag("--source", default="quantum", choices=("quantum", "classical")),
              ) + _STATE_FLAGS + (
                  _flag("--center-q", type=_finite_float, default=0.0),
@@ -583,14 +579,7 @@ def _apply_profile(args, flags: dict, block):
 
 def _resolved_parameters(args) -> dict:
     skip = {"command", "output", "format", "config"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        if isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    return out
+    return {key: value for key, value in vars(args).items() if key not in skip}
 
 
 def _write_outputs(args, art: Artifact) -> str:

@@ -20,12 +20,13 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .fock import DensityMatrix, _log_factorials, deformed_lowering, density_from_amplitudes
+from .fock import DensityMatrix, _log_factorials, density_from_amplitudes
 from .hermite import hermite_functions
 from .nonlinearity import NonlinearitySpec, eval_f, log_f_factorial
 
 _TAIL_TOL = 1e-12
 _SCHMIDT_SEPARABLE_TOL = 1e-9
+_EDGE_LEVELS = 5  # top levels an eigen residual skips
 
 
 @dataclass(frozen=True)
@@ -149,27 +150,25 @@ def two_mode_coherent_state(
     )
 
 
-def eigen_residual(state: CoherentStateVector, drop_top: int = 5) -> float:
+def eigen_residual(state: CoherentStateVector) -> float:
     """Norm of A_f v - alpha v away from the truncation edge.
 
     The top few components always carry an O(|alpha| |c_top|) defect because
-    the ladder has nowhere to lower from above the cut, so they are excluded
-    from the residual by default.
+    the ladder has nowhere to lower from above the cut, so the top
+    ``_EDGE_LEVELS`` are excluded from the residual.
     """
-    a_f = deformed_lowering(state.spec, state.dim)
-    resid = a_f @ state.amplitudes - state.alpha * state.amplitudes
-    keep = max(1, state.dim - int(drop_top))
-    return float(np.linalg.norm(resid[:keep]))
+    resid = _lowering_residual(state.spec, state.amplitudes[:, None], state.alpha)
+    return float(np.linalg.norm(resid[:max(1, state.dim - _EDGE_LEVELS)]))
 
 
-def two_mode_eigen_residuals(state: TwoModeState, drop_top: int = 5):
+def two_mode_eigen_residuals(state: TwoModeState):
     """Residuals of A_i c = alpha_i c for both modes, edges excluded.
 
     Each deformed mode operator lowers one index and evaluates the profile
     at the total level: (A_1 c)[n1, n2] = sqrt(n1+1) f(n1+n2+1) c[n1+1, n2].
     """
     c = state.coefficients
-    k1, k2 = (max(1, d - int(drop_top)) for d in c.shape)
+    k1, k2 = (max(1, d - _EDGE_LEVELS) for d in c.shape)
     r1 = _lowering_residual(state.spec, c, state.alpha1)
     # mode 2 lowers the column index: mode 1's formula on the transpose
     r2 = _lowering_residual(state.spec, c.T, state.alpha2)

@@ -42,18 +42,6 @@ def lowering_operator(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
 
 
-def number_operator(dim: int) -> np.ndarray:
-    _check_dim(dim)
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-
-def parity_operator(dim: int) -> np.ndarray:
-    """diag((-1)^n)."""
-    _check_dim(dim)
-    signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    return np.diag(signs).astype(complex)
-
-
 def commutator_defect(dim: int) -> np.ndarray:
     """[a, a+] - I on the truncated space.
 
@@ -113,10 +101,6 @@ def hamiltonian_diagonal(
                        kerr profile and coincides with ``normal`` for it
     """
     return _level_energies(spec, dim, form)[1]
-
-
-def hamiltonian(spec: NonlinearitySpec, dim: int, form: str = "symmetric") -> np.ndarray:
-    return np.diag(hamiltonian_diagonal(spec, dim, form)).astype(complex)
 
 
 def heisenberg_invariant(
@@ -301,10 +285,8 @@ def coherent_density(alpha: complex, dim: int) -> DensityMatrix:
     return density_from_amplitudes(_poisson_amplitudes(alpha, dim))
 
 
-def coherent_truncation_dim(alpha: complex, tail: float = 1e-12) -> int:
-    """Smallest dim whose Poisson tail mass is below ``tail``."""
-    if not 0.0 < tail < 1.0:
-        raise DomainError("tail must be in (0, 1)")
+def coherent_truncation_dim(alpha: complex) -> int:
+    """Smallest dim whose Poisson tail mass is below 1e-12."""
     r = abs(complex(alpha))
     if not math.isfinite(r):
         raise DomainError("alpha must be finite")
@@ -314,7 +296,7 @@ def coherent_truncation_dim(alpha: complex, tail: float = 1e-12) -> int:
         raise TruncationError("tail criterion not reached; amplitude too large")
     cum = term
     n = 0
-    while 1.0 - cum >= tail:
+    while 1.0 - cum >= 1e-12:
         n += 1
         term *= x / n
         cum += term

@@ -76,10 +76,11 @@ def custom(fn: Callable = None, table: Sequence[float] = None) -> NonlinearitySp
 def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
     """Evaluate the profile at level/energy ``n`` (scalar or array, >= 0).
 
-    Returns a float for scalar input, an ndarray otherwise.
+    Returns a float for scalar input, an ndarray of the shape of ``n``
+    otherwise; an error names the first bad level in C order.
     """
     scalar = np.ndim(n) == 0
-    arr = np.atleast_1d(np.asarray(n, dtype=float))
+    arr = np.asarray(n, dtype=float).ravel()
     if arr.size and np.min(arr) < 0.0:
         raise DomainError("profile argument must be >= 0")
 
@@ -158,13 +159,13 @@ def frequency(spec: NonlinearitySpec, energy, law: str = "amplitude"):
     if law not in ("amplitude", "canonical"):
         raise DomainError(f"unknown frequency law {law!r}")
     scalar = np.ndim(energy) == 0
-    e = np.atleast_1d(np.asarray(energy, dtype=float))
+    e = np.asarray(energy, dtype=float).ravel()
     if e.size and np.min(e) < 0.0:
         raise DomainError("energy must be >= 0")
     if spec.kind == "identity":
         out = np.ones_like(e)
     else:
-        f = np.atleast_1d(eval_f(spec, e))
+        f = eval_f(spec, e)
         if spec.kind == "q":
             x = spec.lam * e
             x_coth = np.divide(x, np.tanh(x), out=np.ones_like(x), where=x > 0.0)

@@ -93,10 +93,12 @@ class WignerGrid:
         return float(np.trapezoid(inner, self.q_axis) / (2.0 * math.pi))
 
     def max_imag(self) -> float:
-        return float(np.max(np.abs(self.values.imag)))
+        """max |Im W|; 0.0 on an empty grid."""
+        return float(np.max(np.abs(self.values.imag), initial=0.0))
 
     def min_real(self) -> float:
-        return float(np.min(self.values.real))
+        """min Re W; inf on an empty grid."""
+        return float(np.min(self.values.real, initial=math.inf))
 
 
 def _in_blocks(evaluate, points: np.ndarray) -> np.ndarray:

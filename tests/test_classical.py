@@ -155,6 +155,13 @@ def test_gaussian_distribution_refuses_non_finite_parameters(center_q, center_p,
         gaussian_distribution(center_q, center_p, sigma)
 
 
+@pytest.mark.parametrize("sigma", [1e-155, 1e-300])
+def test_gaussian_distribution_refuses_a_sigma_whose_norm_overflows(sigma):
+    # 2 pi sigma^2 is subnormal at 1e-155 and 0.0 at 1e-300
+    with pytest.raises(DomainError, match="1/\\(2 pi sigma\\^2\\) overflows"):
+        gaussian_distribution(0.0, 0.0, sigma)
+
+
 def test_stationary_isotropic_gaussian():
     # density a function of energy alone: a fixed point of any deformed flow
     dist = gaussian_distribution(0.0, 0.0, 1.0)

@@ -26,6 +26,7 @@ from foscillator import (
     q_oscillator,
     schmidt_spectrum,
     two_mode_coherent_state,
+    two_mode_eigen_residuals,
     wigner_from_density,
 )
 from foscillator.cli import _COMMAND_TABLE, main
@@ -153,6 +154,41 @@ def test_two_mode_json_matches_library(tmp_path):
     assert data["separable"] is False
 
 
+@pytest.mark.parametrize("form", ["symmetric", "normal", "normal_half", "kerr"])
+def test_quantum_evolve_form_picks_the_hamiltonian(tmp_path, form):
+    out = tmp_path / "rho.json"
+    assert main(["quantum-evolve", "--kind", "kerr", "--chi", "0.1", "--state", "coherent:0.8,0.3",
+                 "--dim", "24", "--time", "1.3", "--form", form, "--output", str(out)]) == 0
+    with open(out, "r", encoding="utf-8") as fh:
+        parsed = DensityMatrix.from_dict(json.load(fh))
+    rho0 = coherent_density(0.8 + 0.3j, 24)
+    expected = evolve_density(rho0, kerr(0.1), 1.3, form=form)
+    np.testing.assert_array_equal(parsed.matrix, expected.matrix)
+    if form != "symmetric":  # the symmetric form turns the state differently
+        symmetric = evolve_density(rho0, kerr(0.1), 1.3).matrix
+        assert np.max(np.abs(parsed.matrix - symmetric)) > 1e-2
+    assert _read_sidecar(out)["parameters"]["form"] == form
+
+
+def test_two_mode_takes_complex_amplitudes_and_unequal_dims(tmp_path):
+    out = tmp_path / "pair.json"
+    assert main(["two-mode", "--kind", "q", "--lambda", "0.1", "--alpha1-re", "0.6",
+                 "--alpha1-im", "0.5", "--alpha2-re", "-0.4", "--alpha2-im", "0.7",
+                 "--dim1", "30", "--dim2", "22", "--output", str(out)]) == 0
+    with open(out, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    state = two_mode_coherent_state(0.6 + 0.5j, -0.4 + 0.7j, q_oscillator(0.1), (30, 22))
+    sp = schmidt_spectrum(state)
+    assert data["alpha1"] == {"re": 0.6, "im": 0.5}
+    assert data["alpha2"] == {"re": -0.4, "im": 0.7}
+    assert data["dims"] == [30, 22]
+    assert data["singular_values"] == sp.singular_values.tolist()
+    assert (data["entropy"], data["sigma2"]) == (sp.entropy, sp.sigma2)
+    checks = _read_sidecar(out)["checks"]
+    r1, r2 = two_mode_eigen_residuals(state)
+    assert (checks["eigen_residual_1"]["value"], checks["eigen_residual_2"]["value"]) == (r1, r2)
+
+
 def test_classical_trajectory_checks(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["classical-trajectory", "--kind", "q", "--lambda", "0.1",
@@ -193,6 +229,26 @@ def test_frequency_overflow_exits_2_with_one_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
         "error: the canonical frequency overflows at E = 1003.5199999999999"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classical-propagate", "--kind", "kerr", "--chi", "-1"],
+     "kerr profile hit 1 - chi + chi*n <= 0 at n = 16.0"),
+    (["classical-propagate", "--kind", "kerr", "--chi", "1e6"],
+     "kerr profile hit 1 - chi + chi*n <= 0 at n = 0.9799999999999999"),
+    (["classical-propagate", "--kind", "q", "--lambda", "1e6"],
+     "profile evaluated to a non-finite value at n = 16.0: f overflows the float range"),
+    (["classical-propagate", "--sigma", "1e-300"],
+     "sigma = 1e-300 is too small: 1/(2 pi sigma^2) overflows"),
+    (["classical-trajectory", "--q0", "1e300"], "the initial energy (q0^2 + p0^2)/2 overflows"),
+    (["classical-trajectory", "--p0", "1e300"], "the initial energy (q0^2 + p0^2)/2 overflows"),
+])
+def test_classical_edge_values_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    # each raised a TypeError, IndexError, ZeroDivisionError or OverflowError
+    # before; a numpy RuntimeWarning is an error here
+    assert main(argv + ["--output", str(tmp_path / "a.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 

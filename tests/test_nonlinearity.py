@@ -221,6 +221,26 @@ def test_q_profile_overflow_names_the_level_without_warnings():
             assert not isinstance(info.value, DegenerateDeformationError)
 
 
+_LEVELS_2D = np.array([[0.5, 3.0], [4.0, 7.0]])
+
+
+@pytest.mark.parametrize("call", [eval_f, frequency], ids=["eval_f", "frequency"])
+def test_profiles_refuse_a_bad_2d_argument_naming_the_first_level_in_c_order(call):
+    # 1 - chi + chi n = 2 - n at chi = -1: 3.0 is the first level past 2 in
+    # C order, 4.0 the first in column order
+    with pytest.raises(DegenerateDeformationError, match=r"at n = 3\.0$"):
+        call(kerr(-1.0), _LEVELS_2D)
+    with pytest.raises(DomainError, match=r"non-finite value at n = 3\.0: f overflows"):
+        call(q_oscillator(1e3), _LEVELS_2D)
+
+
+def test_profiles_keep_the_shape_of_a_2d_argument():
+    for call in (eval_f, frequency):
+        out = call(kerr(0.1), _LEVELS_2D)
+        assert out.shape == (2, 2)
+        np.testing.assert_array_equal(out, call(kerr(0.1), _LEVELS_2D.ravel()).reshape(2, 2))
+
+
 def test_frequency_kerr_canonical_law():
     # d/dE [E f^2] = 1 - chi + 2 chi E: exactly 1.3 at chi = 0.1, E = 2
     assert frequency(kerr(0.1), 2.0, law="canonical") == pytest.approx(1.3, rel=1e-12)

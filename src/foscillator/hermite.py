@@ -25,6 +25,11 @@ _GAUSS_EXPONENT_MIN = -708.0
 # Powers of two that keep the unweighted recurrence inside the double range.
 _RESCALE = 2.0 ** 500
 _LOG_RESCALE = 500.0 * math.log(2.0)
+# Past this |x|, x^2/2 > 5e299 and every phi_n of order below 1e296
+# underflows; x is clamped to it, since x^2, and x times a value near
+# _RESCALE, overflow soon after.  The tables there are zeros with the sign
+# of phi_n beyond its last zero, as the recurrence gives them.
+_X_CLAMP = 1e150
 
 
 def _scaled_columns(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -52,7 +57,7 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     """Stack phi_0 .. phi_n_max evaluated at x; shape (n_max+1,) + x.shape."""
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    xa = np.asarray(x, dtype=float)
+    xa = np.asarray(x, dtype=float).clip(-_X_CLAMP, _X_CLAMP)
     out = np.empty((n_max + 1,) + xa.shape)
     exponent = -0.5 * xa * xa
     out[0] = np.pi ** -0.25 * np.exp(exponent)

@@ -14,6 +14,7 @@ perturbative path so they can act as its oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,6 +27,9 @@ _REL_STOP = 1e-16
 _MAX_TERMS = 10_000_000
 _CROSS_CHECK_RTOL = 1e-10
 _WEIGHT_USAGE = "level weight must take an array of levels and return one value or one per level"
+# Largest beta whose Z = 1/(2 sinh(beta/2)) is a normal double; past it Z
+# underflows and sinh overflows, so the closed forms are refused there.
+_BETA_MAX = 2.0 * math.asinh(0.5 / sys.float_info.min)
 
 
 def square_level(n):
@@ -63,8 +67,12 @@ def _check_beta(beta: float) -> float:
 
 
 def partition_closed(beta: float) -> float:
-    """Z = 1 / (2 sinh(beta/2))."""
+    """Z = 1 / (2 sinh(beta/2)); DomainError past _BETA_MAX, where Z
+    underflows."""
     beta = _check_beta(beta)
+    if beta > _BETA_MAX:
+        raise DomainError(f"at beta = {beta!r}, Z = 1/(2 sinh(beta/2)) leaves the float "
+                          f"range: beta must be <= {_BETA_MAX:.6g}")
     return 1.0 / (2.0 * math.sinh(0.5 * beta))
 
 
@@ -236,6 +244,8 @@ def exact_deformed_report(
         return (n + 0.5 + g * cv) * np.exp(-beta * g * cv)
 
     z = thermal_series(beta, boltzmann_shift)
+    if z < sys.float_info.min:
+        raise DomainError(f"at beta = {beta!r}, the exact Z = {z!r} leaves the float range")
     e = thermal_series(beta, energy_weight) / z
     s, f = _entropy_free_energy(beta, e, math.log(z))
     return ThermoReport(beta=beta, z=z, energy=e, entropy=s, free_energy=f)

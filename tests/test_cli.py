@@ -252,6 +252,51 @@ def test_classical_edge_values_exit_2_with_one_line(tmp_path, capsys, argv, mess
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, beta", [
+    (["thermo", "--beta-min", "1500", "--beta-max", "1500", "--beta-steps", "1", "--g", "0.001"], "1500.0"),
+    (["thermo", "--beta-max", "1e6"], "66667.13333333333"),
+])
+def test_thermo_past_the_float_range_of_z_exits_2_with_one_line(tmp_path, capsys, argv, beta):
+    # math.sinh raised an OverflowError traceback here
+    assert main(argv + ["--output", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == (f"error: at beta = {beta}, Z = 1/(2 sinh(beta/2)) leaves "
+                                       "the float range: beta must be <= 1416.79\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["quantum", "classical"])
+def test_tomogram_far_out_on_x_is_zero(tmp_path, capsys, source):
+    # the quantum slice wrote nan in 4 of 5 cells and exited 0; the classical
+    # one overflowed in (X / r)^2 (a RuntimeWarning is an error here)
+    out = tmp_path / "slice.csv"
+    assert main(["tomogram", "--source", source, "--state", "vacuum", "--x-min=-1e300",
+                 "--x-max=1e300", "--x-points", "5", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    values = [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]
+    assert values[:2] + values[3:] == [0.0] * 4
+    assert values[2] > 0.0
+    assert _read_sidecar(out)["status"] == "ok"
+
+
+@pytest.mark.parametrize("low, written, code", [(math.nan, None, 3), (-0.0, 0.0, 0), (-1e-3, 1e-3, 3)])
+def test_negativity_check_keeps_nan(tmp_path, monkeypatch, low, written, code):
+    # max(0.0, -nan) is 0.0 in Python, so a nan cell passed the check; a
+    # minimum of -0.0 still reads 0.0, not -0.0
+    def fake(rho, mu, nu, x):
+        values = np.full(x.shape, 0.5)
+        values[1] = low
+        return foscillator.TomogramSlice(mu, nu, x, values, norm=1.0)
+
+    monkeypatch.setattr(foscillator.cli, "quantum_tomogram", fake)
+    out = tmp_path / "slice.csv"
+    assert main(["tomogram", "--output", str(out)]) == code
+    value = _read_sidecar(out)["checks"]["negativity"]["value"]
+    if written is None:
+        assert math.isnan(value)
+    else:
+        assert value == written and math.copysign(1.0, value) == 1.0
+
+
 def test_coherent_amplitude_table(tmp_path):
     out = tmp_path / "amps.csv"
     assert main(["coherent", "--kind", "kerr", "--chi", "0.1",

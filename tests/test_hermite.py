@@ -49,3 +49,16 @@ def test_functions_stay_normalized_past_the_gaussian_underflow(n):
         total += float(np.sum(hermite_functions(n, x[lo:lo + 1000])[n] ** 2))
     integral = h * (2.0 * total - hermite_functions(n, 0.0)[n] ** 2)
     assert abs(integral - 1.0) < 1e-12
+
+
+def test_tables_are_zero_where_every_order_underflows():
+    # past |x| ~ 1e154, x^2 and then the recurrence overflowed, and the tables
+    # held nan; a RuntimeWarning is an error here
+    x = np.array([1e150, -1e154, 1e200, -1e300, np.inf, -np.inf])
+    table = hermite_functions(6, x)
+    assert table.tolist() == np.zeros((7, 6)).tolist()
+    # the same zeros as at the clamp, signs included, for any shape of x
+    assert np.array_equal(np.signbit(table[:, 3]), np.signbit(hermite_functions(6, -1e150)))
+    assert np.array_equal(table.reshape(7, 2, 3), hermite_functions(6, x.reshape(2, 3)))
+    assert hermite_functions(3, 1e300).tolist() == [0.0] * 4
+    assert np.isnan(hermite_functions(3, np.nan)).all()

@@ -1,6 +1,7 @@
 """Oscillator thermodynamics: closed forms, series oracles, deformed corrections."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,3 +166,25 @@ def test_nonpositive_beta_rejected():
             chi_expectation(bad)
         with pytest.raises(DomainError):
             deformed_partition(bad, 0.01)
+
+
+@pytest.mark.parametrize("beta", [1420.0, 1500.0, 1e6, 1e300])
+def test_beta_past_the_float_range_of_z_is_a_domain_error(beta):
+    # Z = 1/(2 sinh(beta/2)) underflows past beta = 1416.79: math.sinh raised
+    # OverflowError and the exact sums ZeroDivisionError
+    at = re.escape(f"at beta = {beta!r}, ")
+    closed = at + re.escape("Z = 1/(2 sinh(beta/2)) leaves the float range: beta must be <= 1416.79")
+    for call in (partition_closed, linear_thermo, chi_expectation,
+                 lambda b: deformed_partition(b, 0.001)):
+        with pytest.raises(DomainError, match=closed):
+            call(beta)
+    with pytest.raises(DomainError, match=at + "the exact Z = .* leaves the float range"):
+        exact_deformed_report(beta, 0.001)
+
+
+def test_largest_beta_keeps_its_closed_forms():
+    beta = 1416.79
+    r = linear_thermo(beta)
+    assert r.z == pytest.approx(math.exp(-0.5 * beta), rel=1e-12)
+    assert (r.energy, r.free_energy) == (0.5, 0.5)
+    assert exact_deformed_report(beta, 0.001).z == pytest.approx(r.z, rel=1e-12)

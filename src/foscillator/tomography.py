@@ -82,12 +82,12 @@ class TomogramSlice:
 
 
 def _check_ray(mu: float, nu: float) -> float:
-    r2 = mu * mu + nu * nu
-    if r2 == 0.0:
+    r = math.hypot(mu, nu)
+    if r == 0.0:
         raise DegenerateRayError("mu = nu = 0 does not define a line family")
     if not (math.isfinite(mu) and math.isfinite(nu)):
         raise DegenerateRayError("ray coefficients must be finite")
-    return math.sqrt(r2)
+    return r
 
 
 def ray_from_scale_angle(s: float, theta: float):
@@ -116,7 +116,7 @@ def _radon_lines(dist: PhaseSpaceDistribution, mu: float, nu: float, x: np.ndarr
     call; the chord's half-length is taken relative to the radius, so no
     square of X or of the radius is formed.
     """
-    r = math.sqrt(mu * mu + nu * nu)
+    r = math.hypot(mu, nu)
     radius = dist.support_radius
     values = np.zeros(x.shape)
     rows = np.flatnonzero(np.abs(x) < radius * r)
@@ -185,9 +185,10 @@ def _ray_phases(rho: DensityMatrix, mu: float, nu: float) -> np.ndarray:
 
 
 def _quantum_eval(rho: DensityMatrix, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
-    r = math.sqrt(mu * mu + nu * nu)
-    x = np.asarray(x, dtype=float)
-    phi = hermite_functions(rho.dim - 1, x / r)
+    r = math.hypot(mu, nu)
+    with np.errstate(over="ignore"):  # hermite_functions clamps an X / r past the float range
+        y = np.asarray(x, dtype=float) / r
+    phi = hermite_functions(rho.dim - 1, y)
     phases = _ray_phases(rho, mu, nu)
     amp = (phases[:, None] * phi) / math.sqrt(r)
     # w(x) = sum_mn conj(amp_mx) rho_mn amp_nx: one matrix product, then a
@@ -227,6 +228,7 @@ def fock_tomogram_closed(n: int, mu: float, nu: float, x) -> np.ndarray:
     if n < 0:
         raise DomainError("level index must be >= 0")
     r = _check_ray(mu, nu)
-    y = np.asarray(x, dtype=float) / r
+    with np.errstate(over="ignore"):  # as in _quantum_eval
+        y = np.asarray(x, dtype=float) / r
     vals = hermite_functions(n, y)[n] ** 2 / r
     return float(vals) if np.ndim(x) == 0 else vals

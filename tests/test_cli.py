@@ -264,6 +264,23 @@ def test_thermo_past_the_float_range_of_z_exits_2_with_one_line(tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+def test_thermo_below_the_float_range_exits_2_with_one_line(tmp_path, capsys):
+    # 2 sinh(beta/2) was 0 here: a ZeroDivisionError traceback, exit 1
+    argv = ["thermo", "--beta-min", "5e-324", "--beta-max", "5e-324", "--beta-steps", "1"]
+    assert main(argv + ["--output", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == ("error: at beta = 5e-324, <n^3> = x (1 + 4x + x^2)/(1 - x)^3 "
+                                       "leaves the float range: beta must be >= 4.05654e-103\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_thermo_at_small_beta_exits_0(tmp_path):
+    # the thermal series stopped converging below beta ~ 1.25e-4 (exit 2)
+    out = tmp_path / "t.csv"
+    assert main(["thermo", "--beta-min", "1e-5", "--beta-max", "1e-4", "--beta-steps", "3",
+                 "--g", "0", "--output", str(out)]) == 0
+    assert _read_sidecar(out)["status"] == "ok"
+
+
 @pytest.mark.parametrize("source", ["quantum", "classical"])
 def test_tomogram_far_out_on_x_is_zero(tmp_path, capsys, source):
     # the quantum slice wrote nan in 4 of 5 cells and exited 0; the classical

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foscillator import (
     DomainError,
@@ -18,9 +20,14 @@ from foscillator import (
     occupation_second_moment,
     partition_closed,
     thermal_series,
+    thermo,
 )
 
 BETA_GRID = np.logspace(math.log10(0.05), math.log10(50.0), 13)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda u: 10.0 ** u)
 
 
 def test_frozen_values_at_unit_beta():
@@ -79,6 +86,9 @@ def test_scalar_weight_is_broadcast_over_the_levels():
 
 def test_mean_occupation():
     assert occupation(1.0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-13)
+    # 1/expm1(beta) raised an untyped OverflowError past beta ~ 709.78
+    assert occupation(700.0) == pytest.approx(math.exp(-700.0), rel=1e-13)
+    assert occupation(800.0) == 0.0
     assert chi_expectation(1.0, lambda n: np.asarray(n, float)) == pytest.approx(
         1.0 / (math.e - 1.0), rel=1e-11
     )
@@ -151,8 +161,7 @@ def test_divergent_weight_is_rejected():
 @pytest.mark.parametrize("call, got", [
     (lambda: thermal_series(1.0, math.sqrt), "raised TypeError"),
     (lambda: thermal_series(1.0, lambda n: np.ones(3)), r"returned an array of shape \(3,\)"),
-    (lambda: deformed_partition(1.0, 0.01, math.sqrt), "raised TypeError"),
-], ids=["scalar-only", "wrong-length", "nested"])
+], ids=["scalar-only", "wrong-length"])
 def test_weight_that_cannot_take_the_levels_is_a_domain_error(call, got):
     with pytest.raises(DomainError, match=f"take an array of levels.*{got}"):
         call()
@@ -188,3 +197,85 @@ def test_largest_beta_keeps_its_closed_forms():
     assert r.z == pytest.approx(math.exp(-0.5 * beta), rel=1e-12)
     assert (r.energy, r.free_energy) == (0.5, 0.5)
     assert exact_deformed_report(beta, 0.001).z == pytest.approx(r.z, rel=1e-12)
+
+
+@settings(max_examples=200)
+@given(beta=_log_uniform(1e-100, 1416.0), g=st.floats(-1e-2, 1e-2))
+def test_reports_are_finite_and_keep_their_identities_property(beta, g):
+    r = linear_thermo(beta)
+    assert all(map(math.isfinite, vars(r).values()))
+    assert r.entropy == pytest.approx(beta * r.energy + math.log(r.z), rel=1e-12)
+    assert r.free_energy == pytest.approx(-math.log(r.z) / beta, rel=1e-12)
+    d = deformed_partition(beta, g)
+    assert all(map(math.isfinite, vars(d).values()))
+    # S and F of the deformed report read the exponentiated log Z
+    log_z = math.log(d.z0) - beta * g * d.chi_mean
+    assert d.entropy == pytest.approx(beta * d.energy + log_z, rel=1e-12, abs=1e-12)
+    assert d.free_energy == pytest.approx(-log_z / beta, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=_log_uniform(0.05, 50.0))
+def test_series_agree_with_the_closed_forms_property(beta):
+    # the level sums are the reference for the closed forms the reports read
+    z = thermal_series(beta)
+    assert z == pytest.approx(partition_closed(beta), rel=1e-10)
+    assert thermal_series(beta, lambda n: n + 0.5) / z == pytest.approx(mean_energy(beta), rel=1e-10)
+    assert chi_expectation(beta) == pytest.approx(occupation_second_moment(beta), rel=1e-10)
+    assert thermal_series(beta, lambda n: n ** 3) / z == pytest.approx(
+        thermo._occupation_third_moment(beta), rel=1e-10)
+
+
+def test_reports_sum_no_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a report summed a series")
+
+    monkeypatch.setattr(thermo, "thermal_series", refuse)
+    for beta in (1e-100, 1e-5, 0.5, 5.0, 1416.0):
+        linear_thermo(beta)
+        deformed_partition(beta, 1e-3)
+
+
+@pytest.mark.parametrize("beta", [1e-5, 3e-5])
+def test_series_converge_at_small_beta(beta):
+    # the decay guard fired while n^k e^(-beta n) still rose to its peak at k/beta
+    z = partition_closed(beta)
+    for k, closed in ((1, occupation), (2, occupation_second_moment), (3, thermo._occupation_third_moment)):
+        assert thermal_series(beta, lambda n: n ** k) / z == pytest.approx(closed(beta), rel=1e-13)
+    assert chi_expectation(beta) == pytest.approx(occupation_second_moment(beta), rel=1e-13)
+    exact, closed = exact_deformed_report(beta, 0.0), linear_thermo(beta)
+    assert (exact.z, exact.energy) == pytest.approx((closed.z, closed.energy), rel=1e-13)
+
+
+@pytest.mark.parametrize("beta", [5e-324, 1e-310])
+def test_beta_below_the_float_range_of_z_is_a_domain_error(beta):
+    # 2 sinh(beta/2) was 0 at 5e-324 (ZeroDivisionError) and Z inf at 1e-310
+    at = re.escape(f"at beta = {beta!r}, ")
+    bound = re.escape(" leaves the float range: beta must be >= 1.11254e-308")
+    for call in (partition_closed, linear_thermo):
+        with pytest.raises(DomainError, match=at + re.escape("Z = 1/(2 sinh(beta/2))") + bound):
+            call(beta)
+    for call in (mean_energy, occupation):
+        with pytest.raises(DomainError, match=at + ".*" + bound):
+            call(beta)
+
+
+@pytest.mark.parametrize("beta", [5e-324, 1e-200])
+def test_deformed_report_below_the_float_range_of_the_third_moment_is_a_domain_error(beta):
+    with pytest.raises(DomainError, match=re.escape(
+            f"at beta = {beta!r}, <n^3> = x (1 + 4x + x^2)/(1 - x)^3 leaves the float range: "
+            "beta must be >= 4.05654e-103")):
+        deformed_partition(beta, 1e-3)
+
+
+def test_free_energy_past_the_float_range_is_a_domain_error():
+    # Z ~ 1/beta is finite down to 1.1e-308, but F = -log Z / beta is not
+    assert math.isfinite(linear_thermo(1e-305).free_energy)
+    with pytest.raises(DomainError, match=re.escape("at beta = 1e-307, free_energy = -inf leaves the float range")):
+        linear_thermo(1e-307)
+
+
+def test_coupling_past_the_float_range_is_a_domain_error():
+    # the first-order energy overflowed to -inf and was reported
+    with pytest.raises(DomainError, match=re.escape("at beta = 1.0, energy = -inf leaves the float range")):
+        deformed_partition(1.0, 1e308)

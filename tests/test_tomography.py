@@ -604,3 +604,22 @@ def test_degenerate_ray_rejected():
         radon_classical(gaussian_distribution(), 0.0, 0.0, np.array([0.0]))
     with pytest.raises(DegenerateRayError):
         quantum_tomogram(vacuum_density(6), 0.0, 0.0, np.array([0.0]))
+
+
+def test_tiny_ray_is_not_degenerate():
+    # mu^2 + nu^2 underflowed to 0 at mu = 1e-200: a false DegenerateRayError
+    tiny = radon_classical(gaussian_distribution(), 1e-200, 0.0, [0.0]).values
+    unit = radon_classical(gaussian_distribution(), 1.0, 0.0, [0.0]).values
+    assert tiny[0] == pytest.approx(unit[0] * 1e200, rel=1e-12)
+
+
+def test_huge_ray_keeps_its_scale():
+    # mu^2 overflowed at mu = 1e200, so r was inf and the slice read 0
+    values = quantum_tomogram(vacuum_density(5), 1e200, 0.0, [0.0]).values
+    assert values[0] == pytest.approx(hermite_functions(0, 0.0)[0] ** 2 / 1e200, rel=1e-12, abs=0.0)
+
+
+def test_x_over_a_short_ray_past_the_float_range_reads_zero():
+    # X / r overflowed for r < 1 with a numpy RuntimeWarning, an error here
+    assert quantum_tomogram(vacuum_density(5), 0.5, 0.0, [1e308]).values.tolist() == [0.0]
+    assert fock_tomogram_closed(0, 0.5, 0.0, [1e308]).tolist() == [0.0]

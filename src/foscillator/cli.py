@@ -283,7 +283,8 @@ def _cmd_classical_trajectory(args) -> Artifact:
     inv = classical_invariants(spec, PhasePoint(q, p), times, args.law)
     art = Artifact(["t", "q", "p", "E", "q0", "p0"], _table(times, q, p, e, inv.q, inv.p))
     art.add_check("invariant_spread", np.max(np.hypot(inv.q - args.q0, inv.p - args.p0)), 1e-9)
-    art.add_check("energy_drift", np.max(np.abs(e - e0)), 1e-12)
+    # relative to E0 past E0 = 1, where rounding alone moves E by a few ulp of E0
+    art.add_check("energy_drift", np.max(np.abs(e - e0)) / max(1.0, e0), 1e-12)
     return art
 
 
@@ -615,16 +616,13 @@ def main(argv=None) -> int:
         cmd = _COMMAND_TABLE[args.command]
         _apply_config(args, cmd)
         artifact = cmd.handler(args)
+        status = _write_outputs(args, artifact)
     except NumericToleranceError as exc:
         print(f"numeric tolerance failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        status = _write_outputs(args, artifact)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the size it could not allocate; a bare one is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     if status != "ok":
         breached = ", ".join(artifact.breaches())

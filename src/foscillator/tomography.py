@@ -3,8 +3,8 @@
 A tomogram slice is the distribution of the observable X = mu q + nu p at
 fixed ray coefficients (mu, nu).  Classically it is the Radon transform of
 the phase-space density along the family of lines mu q + nu p = X; for a
-truncated state it is assembled from rotated-and-scaled oscillator
-eigenfunctions.  Both satisfy the homogeneity w(sX, s mu, s nu) = w/|s| and
+truncated state it is the q distribution of the state turned by the free
+oscillator.  Both satisfy the homogeneity w(sX, s mu, s nu) = w/|s| and
 integrate to one over X.
 
 Classical line integrals use nested trapezoid rules: 32, 64, 128, ...
@@ -23,9 +23,11 @@ periodic trapezoid rule in the angle, where a density transported along the
 flow is its initial one turned ring by ring, so its cost does not grow with
 the time.
 
-A quantum slice's norm is Re Tr rho: the eigenfunction overlaps of one ray
-are orthonormal in X, so the slice integrates to the trace exactly, with no
-quadrature (Mancini, Man'ko & Tombesi, Phys. Lett. A 213, 1 (1996)).
+H = n takes q to q cos theta + p sin theta in time theta, so with
+r = |(mu, nu)| and theta = atan2(nu, mu) a quantum slice is the q
+distribution of rho_mn exp(-i (m - n) theta) at X / r, divided by r
+(Mancini, Man'ko & Tombesi, Phys. Lett. A 213, 1 (1996)): the (0, 1) slice
+is the p distribution.  Its norm is Re Tr rho, exact with no quadrature.
 
 Sign conventions: tiny negative values (above -1e-9) are floored to zero as
 roundoff; anything more negative is left visible, since it signals a broken
@@ -48,9 +50,9 @@ from .classical import (
     propagate_distribution,
 )
 from .errors import DegenerateRayError, DomainError
-from .fock import DensityMatrix
+from .fock import DensityMatrix, evolve_density
 from .hermite import hermite_functions
-from .nonlinearity import NonlinearitySpec
+from .nonlinearity import NonlinearitySpec, identity
 
 _NEG_FLOOR = 1e-9
 
@@ -63,8 +65,8 @@ class TomogramSlice:
     A classical slice's norm is the density's integral over its support
     disk, the same for every ray and computed apart from the values, so it
     checks the density's mass rather than the line integrals.  A quantum
-    slice's is Re Tr rho, which orthonormality of the eigenfunction
-    overlaps makes the exact integral.  ``quadrature_error`` is the
+    slice's is Re Tr rho, which orthonormality of the turned position
+    eigenfunctions makes the exact integral.  ``quadrature_error`` is the
     larger nested-rule estimate of a classical slice's values and norm,
     relative to max(1, peak); a quantum slice is a finite sum and leaves
     it 0.
@@ -179,22 +181,15 @@ def classical_tomogram_evolved(
     return radon_classical(moved, mu, nu, x_axis)
 
 
-def _ray_phases(rho: DensityMatrix, mu: float, nu: float) -> np.ndarray:
-    """exp(-i n theta), theta = atan2(nu, mu), for n < dim."""
-    return np.exp(-1j * math.atan2(nu, mu) * np.arange(rho.dim))
-
-
 def _quantum_eval(rho: DensityMatrix, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
     r = math.hypot(mu, nu)
     with np.errstate(over="ignore"):  # hermite_functions clamps an X / r past the float range
         y = np.asarray(x, dtype=float) / r
-    phi = hermite_functions(rho.dim - 1, y)
-    phases = _ray_phases(rho, mu, nu)
-    amp = (phases[:, None] * phi) / math.sqrt(r)
-    # w(x) = sum_mn conj(amp_mx) rho_mn amp_nx: one matrix product, then a
-    # column-wise dot product
-    w = np.einsum("mx,mx->x", amp.conj(), rho.matrix @ amp)
-    return w.real
+    phi = hermite_functions(rho.dim - 1, y) / math.sqrt(r)
+    turned = evolve_density(rho, identity(), math.atan2(nu, mu), "normal").matrix.real
+    # w(X) = sum_mn phi_m turned_mn phi_n, each phi scaled by r^(-1/2): one
+    # matrix product, then a column-wise dot product
+    return np.einsum("mx,mx->x", phi, turned @ phi)
 
 
 def quantum_tomogram(
@@ -205,11 +200,10 @@ def quantum_tomogram(
 ) -> TomogramSlice:
     """Tomogram of a truncated state along one ray.
 
-    Built from the scaled-and-rotated eigenfunction overlap
-    Phi_n(X) = (mu^2+nu^2)^(-1/4) phi_n(X/r) exp(-i n theta); the bilinear
-    sum against rho is real up to roundoff for a hermitian state.  The
-    Phi_n are orthonormal over X, so the slice integrates to Re Tr rho,
-    which is the norm.  ``x_axis`` must be 1-D and finite (``DomainError``).
+    The q marginal of rho turned by theta = atan2(nu, mu) under H = n, read
+    at X / r and divided by r, so a coherent state's slice is centred at
+    sqrt2 (mu Re alpha + nu Im alpha).  The norm is Re Tr rho.  ``x_axis``
+    must be 1-D and finite (``DomainError``).
     """
     _check_ray(mu, nu)
     x_axis = _check_axis(x_axis)

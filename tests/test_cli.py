@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -216,6 +217,53 @@ def test_classical_trajectory_columns_are_the_library_arrays(tmp_path):
     np.testing.assert_array_equal(table[:, 2], p)
     np.testing.assert_array_equal(table[:, 4], back.q)
     np.testing.assert_array_equal(table[:, 5], back.p)
+
+
+@pytest.mark.parametrize("q0", ["100", "1e4"])
+def test_energy_drift_is_relative_to_a_large_orbit(tmp_path, q0):
+    # E0 = 5000 and 5e7: rounding alone moved E by 3.6e-12 and 2.2e-8, and
+    # the absolute threshold made both correct runs exit 3
+    out = tmp_path / "traj.csv"
+    assert main(["classical-trajectory", "--q0", q0, "--output", str(out)]) == 0
+    assert _read_sidecar(out)["checks"]["energy_drift"]["value"] <= 1e-12
+
+
+def test_energy_drift_still_catches_a_drifting_flow(tmp_path, monkeypatch, capsys):
+    # a flow that scales E by 1 + 1e-9 breaches the relative check
+    exact = foscillator.cli.amplitude_trajectory
+    monkeypatch.setattr(foscillator.cli, "amplitude_trajectory",
+                        lambda *args: exact(*args) * math.sqrt(1.0 + 1e-9))
+    out = tmp_path / "traj.csv"
+    assert main(["classical-trajectory", "--q0", "100", "--output", str(out)]) == 3
+    assert "energy_drift" in capsys.readouterr().err
+    check = _read_sidecar(out)["checks"]["energy_drift"]
+    assert not check["ok"]
+    assert check["value"] == pytest.approx(1e-9, rel=1e-6)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["wigner", "--dim", "100000"],
+    ["wigner", "--points", "100000"],
+    ["classical-propagate", "--points", "100000"],
+    ["tomogram", "--x-points", "20000000"],
+    ["thermo", "--beta-steps", "1000000000"],
+], ids=" ".join)
+def test_failed_allocation_exits_2_with_one_line(tmp_path, argv):
+    # each wants 4.8 to 149 GiB; the child runs under a 2 GiB address-space
+    # limit, which binds only that process, so numpy's MemoryError is raised
+    # at once instead of an exit 1 with a traceback
+    out = tmp_path / "a.csv"
+    proc = subprocess.run([sys.executable, "-m", "foscillator"] + argv + ["--output", str(out)],
+                          capture_output=True, text=True, preexec_fn=_limit_address_space,
+                          timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_frequency_overflow_exits_2_with_one_line(tmp_path):

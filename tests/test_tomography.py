@@ -107,11 +107,21 @@ def test_quantum_unit_norm_property(rho, ray):
     assert quantum_tomogram(rho, *ray, np.array([0.0])).norm == pytest.approx(1.0, abs=1e-10)
 
 
+def _random_mixed_state(rng, dim):
+    """A random complex mixed state on the levels below the checked tail."""
+    k = int(0.9 * (dim - 1)) + 1
+    g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    m = np.zeros((dim, dim), dtype=complex)
+    m[:k, :k] = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real)
+
+
 def _three_operand_reference(rho, mu, nu, x):
-    """The contraction as a single three-operand einsum, as first written."""
+    """The slice as one three-operand einsum over the ray's eigenfunction
+    overlaps <n|X> = exp(+i n theta) phi_n(X / r) / sqrt(r)."""
     r = math.hypot(mu, nu)
     phi = hermite_functions(rho.dim - 1, x / r)
-    phases = np.exp(-1j * math.atan2(nu, mu) * np.arange(rho.dim))
+    phases = np.exp(1j * math.atan2(nu, mu) * np.arange(rho.dim))
     amp = (phases[:, None] * phi) / math.sqrt(r)
     return np.einsum("mn,mx,nx->x", rho.matrix, amp.conj(), amp).real
 
@@ -121,12 +131,7 @@ def test_contraction_matches_three_operand_einsum():
     x = np.linspace(-9.0, 9.0, 97)
     worst = 0.0
     for dim in range(2, 81):
-        # random mixed state on the levels below the checked tail
-        k = int(0.9 * (dim - 1)) + 1
-        g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        m = np.zeros((dim, dim), dtype=complex)
-        m[:k, :k] = g @ g.conj().T
-        rho = DensityMatrix(m / np.trace(m).real)
+        rho = _random_mixed_state(rng, dim)
         mu, nu = rng.uniform(-2.0, 2.0, size=2)
         got = _quantum_eval(rho, mu, nu, x)
         worst = max(worst, float(np.max(np.abs(got - _three_operand_reference(rho, mu, nu, x)))))
@@ -139,11 +144,7 @@ def test_gram_norm_equals_the_direct_node_sum():
     rng = np.random.default_rng(20261018)
     worst = 0.0
     for dim in range(2, 81):
-        k = int(0.9 * (dim - 1)) + 1
-        g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        m = np.zeros((dim, dim), dtype=complex)
-        m[:k, :k] = g @ g.conj().T
-        rho = DensityMatrix(m / np.trace(m).real)
+        rho = _random_mixed_state(rng, dim)
         xg, wg = np.polynomial.legendre.leggauss(max(240, 6 * dim))
         for _ in range(3):
             mu, nu = rng.uniform(-3.0, 3.0, size=2)
@@ -502,25 +503,34 @@ def test_first_excited_slice_values():
 
 
 def test_coherent_marginal_closed_form():
-    alpha = 0.9
-    rho = coherent_density(alpha, 40)
-    x = np.linspace(-3.0, 5.0, 41)
-    expected = np.exp(-((x - math.sqrt(2.0) * alpha) ** 2)) / math.sqrt(math.pi)
-    vals = quantum_tomogram(rho, 1.0, 0.0, x).values
-    np.testing.assert_allclose(vals, expected, atol=1e-8)
+    # a Gaussian of variance r^2 / 2 centred at sqrt2 (mu Re alpha + nu Im alpha)
+    cases = [(0.9, 1.0, 0.0), (0.6 + 0.9j, 0.0, 1.0), (0.6 + 0.9j, 0.6, 0.8),
+             (-0.4 + 1.1j, 1.3, -0.4)]
+    for alpha, mu, nu in cases:
+        rho = coherent_density(alpha, 40)
+        r = math.hypot(mu, nu)
+        mean = math.sqrt(2.0) * (mu * alpha.real + nu * alpha.imag)
+        x = mean + np.linspace(-4.0, 4.0, 41) * r
+        expected = np.exp(-(((x - mean) / r) ** 2)) / (math.sqrt(math.pi) * r)
+        vals = quantum_tomogram(rho, mu, nu, x).values
+        np.testing.assert_allclose(vals, expected, atol=1e-8)
 
 
 @settings(max_examples=20)
 @given(alpha=_polar(0.0, 1.5))
 def test_position_marginal_of_wigner_is_the_position_slice(alpha):
-    # int W dp / 2 pi is the (mu, nu) = (1, 0) slice; a complex alpha puts the
-    # state off both axes.  The trapezoid rule in p is spectrally accurate on
-    # a grid far past the state's support
+    # int W dp / 2 pi is the (mu, nu) = (1, 0) slice and int W dq / 2 pi the
+    # (0, 1) slice; a complex alpha puts the state off both axes.  The
+    # trapezoid rule is spectrally accurate on a grid far past the state's
+    # support
     rho = coherent_density(alpha, 40)
-    q = np.linspace(-9.0, 9.0, 37)
-    p = np.linspace(-9.0, 9.0, 1201)
-    marginal = np.trapezoid(wigner_from_density(rho, q, p).values.real, p, axis=1) / (2.0 * math.pi)
-    assert np.max(np.abs(marginal - quantum_tomogram(rho, 1.0, 0.0, q).values)) < 1e-12
+    near = np.linspace(-9.0, 9.0, 37)
+    far = np.linspace(-9.0, 9.0, 1201)
+    q_marginal = np.trapezoid(wigner_from_density(rho, near, far).values.real, far, axis=1)
+    p_marginal = np.trapezoid(wigner_from_density(rho, far, near).values.real, far, axis=0)
+    for marginal, (mu, nu) in [(q_marginal, (1.0, 0.0)), (p_marginal, (0.0, 1.0))]:
+        slice_ = quantum_tomogram(rho, mu, nu, near).values
+        assert np.max(np.abs(marginal / (2.0 * math.pi) - slice_)) < 1e-12
 
 
 def test_fock_closed_form_matches_basis_route():
@@ -544,18 +554,53 @@ def test_fock_slices_ignore_the_ray_angle():
 
 
 def test_radon_of_wigner_matches_basis_route():
-    rho = coherent_density(1.0, 20)
-
-    def w_density(q, p):
-        return wigner_values(rho, q, p).real / (2.0 * math.pi)
-
-    dist = PhaseSpaceDistribution(density=w_density, support_radius=8.0)
+    # the complex alpha puts the state off both axes, where the ray's sign shows
     x = np.linspace(-3.0, 4.0, 15)
     rays = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (1.2, -0.5), (0.9, 0.9)]
-    for mu, nu in rays:
-        via_wigner = radon_classical(dist, mu, nu, x).values
-        via_basis = quantum_tomogram(rho, mu, nu, x).values
-        np.testing.assert_allclose(via_wigner, via_basis, atol=1e-5)
+    for alpha in (1.0, 0.6 + 0.9j):
+        rho = coherent_density(alpha, 20)
+        dist = PhaseSpaceDistribution(
+            density=lambda q, p: wigner_values(rho, q, p).real / (2.0 * math.pi),
+            support_radius=8.0)
+        for mu, nu in rays:
+            via_wigner = radon_classical(dist, mu, nu, x).values
+            via_basis = quantum_tomogram(rho, mu, nu, x).values
+            np.testing.assert_allclose(via_wigner, via_basis, atol=1e-5)
+
+
+def _state_from_tomograms(rho, x):
+    """rho back from its unit-ray slices on one X axis.
+
+    On K = 2 top + 1 rays theta_k = 2 pi k / K, the slice is
+    sum_d g_d(X) exp(-i d theta_k) with g_d = sum_n rho_{n+d,n} phi_{n+d} phi_n
+    over the offsets |d| <= top, so an inverse DFT over k isolates each g_d
+    without aliasing, and one least-squares solve per offset on the products
+    phi_{n+d} phi_n returns that diagonal of rho.
+    """
+    top = rho.dim - 1
+    thetas = 2.0 * math.pi * np.arange(2 * top + 1) / (2 * top + 1)
+    slices = np.array([quantum_tomogram(rho, math.cos(t), math.sin(t), x).values for t in thetas])
+    g = np.fft.ifft(slices, axis=0)
+    phi = hermite_functions(top, x)
+    out = np.zeros((rho.dim, rho.dim), dtype=complex)
+    for d in range(-top, top + 1):
+        n = np.arange(max(0, -d), rho.dim - max(0, d))
+        products = (phi[n + d] * phi[n]).T
+        out[n + d, n] = np.linalg.lstsq(products, g[d], rcond=None)[0]
+    return out
+
+
+def test_tomograms_return_the_state():
+    # random complex mixed states; the slices of the conjugate sign would
+    # return rho transposed
+    rng = np.random.default_rng(20261019)
+    x = np.linspace(-10.0, 10.0, 601)
+    worst = 0.0
+    for dim in range(2, 17):
+        for _ in range(3):
+            rho = _random_mixed_state(rng, dim)
+            worst = max(worst, float(np.max(np.abs(_state_from_tomograms(rho, x) - rho.matrix))))
+    assert worst <= 1e-12
 
 
 def test_diagonal_states_have_static_tomograms():

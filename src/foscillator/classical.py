@@ -264,10 +264,11 @@ def _on_rows(density, points, rows, u) -> np.ndarray:
     return out
 
 
-def _row_integrals(density, points, scale, rule=_clenshaw_curtis, start=_QUAD_START):
+def _row_integrals(density, points, scale, start):
     """``scale`` times the integral over u in [-1, 1] of
     density(*points(i, u)) for each row i = 0 .. scale.size - 1, and the
-    largest error estimate of the nested ``rule`` from ``start`` intervals.
+    largest error estimate of the nested periodic trapezoid rule from
+    ``start`` intervals.
     ``points(i, u)`` maps an index array and the nodes to q, p arrays of
     shape (i.size, u.size).
 
@@ -279,7 +280,8 @@ def _row_integrals(density, points, scale, rule=_clenshaw_curtis, start=_QUAD_ST
     for lo in range(0, scale.size, _LINES):
         rows = np.arange(lo, min(lo + _LINES, scale.size))
         out[rows], err = _nested_integrals(
-            lambda u: (_on_rows(density, points, rows, u), 0.0), scale[rows], rule, start)
+            lambda u: (_on_rows(density, points, rows, u), 0.0), scale[rows],
+            _periodic_trapezoid, start)
         worst = max(worst, err)
     return out, worst
 
@@ -304,8 +306,7 @@ def _disk_quadrature(dist: PhaseSpaceDistribution):
         def points(i, v):
             return r[i, None] * np.cos(math.pi * v), r[i, None] * np.sin(math.pi * v)
 
-        mass, err = _row_integrals(dist.density, points, np.full(r.shape, math.pi),
-                                   _periodic_trapezoid, _RING_START)
+        mass, err = _row_integrals(dist.density, points, np.full(r.shape, math.pi), _RING_START)
         return r * mass, err
 
     total, err = _nested_integrals(rings, 0.5 * radius)

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Every run writes one artifact (CSV or JSON) plus a ``<artifact>.meta.json``
-sidecar carrying the resolved parameters and self-check metrics.  Output is
+Every run writes one artifact plus a ``<artifact>.meta.json`` sidecar
+carrying the resolved parameters and self-check metrics.  The artifact has
+one encoding: a JSON object for ``quantum-evolve`` and ``two-mode``, a CSV
+table for every other command.  Output is
 byte-deterministic: floats are printed with 17 significant digits, CSV uses
 '.' decimals and LF line endings, JSON keys are sorted, and nothing
 time- or host-dependent is emitted.
@@ -13,7 +15,7 @@ a check breached its threshold (artifact and sidecar are written so the
 breach can be inspected).
 
 Each subcommand is declared once, in ``_COMMAND_TABLE``: name, help,
-handler, default format and flags.  The parser is built from that table,
+handler and flags.  The parser is built from that table,
 and ``--config file.json`` is checked against it: each key names a flag of
 the command (``beta_steps`` or ``beta-steps``), its value goes through the
 flag's type and choices as if typed on the command line, and it overrides
@@ -71,12 +73,11 @@ from .wigner import deformed_wigner, wigner_from_density
 
 @dataclass
 class Artifact:
-    """Everything one command run produces, before rendering: a float table
-    (one row per line, one column per name) and, for commands whose JSON
-    form is not that table, the JSON object."""
+    """Everything one command run produces, before rendering: either a float
+    table (one row per line, one column per name) or a JSON object."""
 
-    columns: list
-    data: np.ndarray
+    columns: Optional[list] = None
+    data: Optional[np.ndarray] = None
     json_object: Optional[dict] = None
     checks: Dict[str, dict] = field(default_factory=dict)
 
@@ -100,18 +101,15 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return np.array([abs(v) ** 2 for v in z.tolist()], dtype=float)
 
 
-def _render_csv(art: Artifact) -> str:
+def _render(art: Artifact) -> tuple:
+    """The artifact's text and file extension: a JSON object as JSON, a
+    table as CSV."""
+    if art.json_object is not None:
+        return json.dumps(art.json_object, sort_keys=True, indent=2) + "\n", "json"
     lines = [",".join(art.columns)]
     for row in art.data.tolist():
         lines.append(",".join(format(v, ".17g") for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _render_json(art: Artifact) -> str:
-    obj = art.json_object
-    if obj is None:
-        obj = {"columns": art.columns, "rows": art.data.tolist()}
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return "\n".join(lines) + "\n", "csv"
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +306,7 @@ def _cmd_quantum_evolve(args) -> Artifact:
     rho0 = _parse_state(args.state, args.dim, spec)
     rho_t = evolve_density(rho0, spec, args.time, args.form)
     m = rho_t.matrix
-    mm, nn = np.indices(m.shape)
-    art = Artifact(["m", "n", "re", "im"], _table(mm, nn, m.real, m.imag))
-    art.json_object = rho_t.to_dict()
+    art = Artifact(json_object=rho_t.to_dict())
     q0 = expectation(rho0, heisenberg_invariant(spec, rho0.dim, 0.0, args.form))
     qt = expectation(rho_t, heisenberg_invariant(spec, rho_t.dim, args.time, args.form))
     art.add_check("trace_residual", abs(np.trace(m).real - 1.0), 1e-10)
@@ -386,8 +382,7 @@ def _cmd_two_mode(args) -> Artifact:
     state = two_mode_coherent_state(a1, a2, spec, (args.dim1, args.dim2))
     spectrum = schmidt_spectrum(state)
     sv = spectrum.singular_values
-    art = Artifact(["k", "sigma"], _table(np.arange(sv.size), sv))
-    art.json_object = {
+    art = Artifact(json_object={
         "alpha1": {"re": a1.real, "im": a1.imag},
         "alpha2": {"re": a2.real, "im": a2.imag},
         "dims": [args.dim1, args.dim2],
@@ -396,7 +391,7 @@ def _cmd_two_mode(args) -> Artifact:
         "entropy": spectrum.entropy,
         "sigma2": spectrum.sigma2,
         "separable": spectrum.separable,
-    }
+    })
     r1, r2 = two_mode_eigen_residuals(state)
     art.add_check("frobenius_residual", abs(np.linalg.norm(state.coefficients) - 1.0), 1e-12)
     art.add_check("sigma_sq_residual", abs(float(np.sum(sv * sv)) - 1.0), 1e-10)
@@ -438,7 +433,6 @@ class _Command:
     name: str
     help: str
     handler: Callable[[argparse.Namespace], Artifact]
-    format: str
     flags: tuple
 
     @property
@@ -447,15 +441,15 @@ class _Command:
         return self.flags + (
             _flag("--output", short="-o", default=None,
                   help="artifact path; '-' writes the artifact to stdout "
-                       "(default: <command>.<format>)"),
-            _flag("--format", default=self.format, choices=("csv", "json")),
+                       "(default: <command>.json for quantum-evolve and two-mode, "
+                       "<command>.csv otherwise)"),
             _flag("--config", default=None, help="JSON file whose entries override the flags"),
         )
 
 
 _COMMAND_TABLE = {cmd.name: cmd for cmd in (
     _Command("classical-trajectory", "sample the deformed amplitude flow and its invariants",
-             _cmd_classical_trajectory, "csv", _NONLINEARITY_FLAGS + (
+             _cmd_classical_trajectory, _NONLINEARITY_FLAGS + (
                  _flag("--q0", type=_finite_float, default=1.0),
                  _flag("--p0", type=_finite_float, default=0.0),
                  _flag("--t-max", type=_finite_float, default=10.0),
@@ -463,7 +457,7 @@ _COMMAND_TABLE = {cmd.name: cmd for cmd in (
                  _LAW,
              )),
     _Command("classical-propagate", "transport a gaussian phase-space density along the flow",
-             _cmd_classical_propagate, "csv", _NONLINEARITY_FLAGS + (
+             _cmd_classical_propagate, _NONLINEARITY_FLAGS + (
                  _flag("--center-q", type=_finite_float, default=1.0),
                  _flag("--center-p", type=_finite_float, default=0.0),
                  _flag("--sigma", type=_finite_float, default=0.5),
@@ -471,19 +465,19 @@ _COMMAND_TABLE = {cmd.name: cmd for cmd in (
                  _LAW,
              ) + _grid_flags(extent=4.0, points=41)),
     _Command("quantum-evolve", "evolve a truncated density matrix under a deformed hamiltonian",
-             _cmd_quantum_evolve, "json", _NONLINEARITY_FLAGS + _STATE_FLAGS + (
+             _cmd_quantum_evolve, _NONLINEARITY_FLAGS + _STATE_FLAGS + (
                  _flag("--time", type=_finite_float, default=1.0),
                  _flag("--form", default="symmetric", choices=HAMILTONIAN_FORMS),
              )),
     _Command("wigner", "Wigner function on a phase-space grid",
-             _cmd_wigner, "csv", _NONLINEARITY_FLAGS + _STATE_FLAGS + (
+             _cmd_wigner, _NONLINEARITY_FLAGS + _STATE_FLAGS + (
                  _flag("--variant", default="standard",
                        choices=("standard", "usual-parity", "deformed-parity")),
                  _flag("--pad", type=int, default=10,
                        help="extra levels for the deformed exponential"),
              ) + _grid_flags(extent=3.0, points=41)),
     _Command("tomogram", "symplectic tomogram along one ray",
-             _cmd_tomogram, "csv", _NONLINEARITY_FLAGS + (
+             _cmd_tomogram, _NONLINEARITY_FLAGS + (
                  _flag("--mu", type=_finite_float, default=1.0),
                  _flag("--nu", type=_finite_float, default=0.0),
                  _flag("--source", default="quantum", choices=("quantum", "classical")),
@@ -495,7 +489,7 @@ _COMMAND_TABLE = {cmd.name: cmd for cmd in (
                  _LAW,
              ) + _X_FLAGS),
     _Command("coherent", "deformed coherent state amplitudes or position wavefunction",
-             _cmd_coherent, "csv", _NONLINEARITY_FLAGS + (
+             _cmd_coherent, _NONLINEARITY_FLAGS + (
                  _flag("--alpha-re", type=_finite_float, default=1.0),
                  _flag("--alpha-im", type=_finite_float, default=0.0),
                  _flag("--dim", type=int, default=40),
@@ -503,7 +497,7 @@ _COMMAND_TABLE = {cmd.name: cmd for cmd in (
                        help="emit psi(x) on an x grid instead of the amplitude table"),
              ) + _X_FLAGS),
     _Command("two-mode", "two-mode deformed coherent state and its Schmidt spectrum",
-             _cmd_two_mode, "json", _NONLINEARITY_FLAGS + (
+             _cmd_two_mode, _NONLINEARITY_FLAGS + (
                  _flag("--alpha1-re", type=_finite_float, default=1.0),
                  _flag("--alpha1-im", type=_finite_float, default=0.0),
                  _flag("--alpha2-re", type=_finite_float, default=1.0),
@@ -512,7 +506,7 @@ _COMMAND_TABLE = {cmd.name: cmd for cmd in (
                  _flag("--dim2", type=int, default=40),
              )),
     _Command("thermo", "partition function and first-order deformed corrections",
-             _cmd_thermo, "csv", (
+             _cmd_thermo, (
                  _flag("--beta-min", type=_finite_float, default=0.5),
                  _flag("--beta-max", type=_finite_float, default=2.0),
                  _flag("--beta-steps", type=int, default=16),
@@ -581,12 +575,12 @@ def _apply_profile(args, flags: dict, block):
 
 
 def _resolved_parameters(args) -> dict:
-    skip = {"command", "output", "format", "config"}
+    skip = {"command", "output", "config"}
     return {key: value for key, value in vars(args).items() if key not in skip}
 
 
 def _write_outputs(args, art: Artifact) -> str:
-    text = _render_csv(art) if args.format == "csv" else _render_json(art)
+    text, extension = _render(art)
     status = "ok" if not art.breaches() else "tolerance-breach"
     sidecar = json.dumps(
         {
@@ -598,7 +592,7 @@ def _write_outputs(args, art: Artifact) -> str:
         sort_keys=True,
         indent=2,
     ) + "\n"
-    output = args.output or f"{args.command}.{args.format}"
+    output = args.output or f"{args.command}.{extension}"
     if output == "-":
         sys.stdout.write(text)
         sys.stderr.write(sidecar)

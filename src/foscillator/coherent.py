@@ -50,10 +50,6 @@ class TwoModeState:
     spec: NonlinearitySpec
     coefficients: np.ndarray
 
-    @property
-    def dims(self) -> Tuple[int, int]:
-        return self.coefficients.shape
-
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:
@@ -114,7 +110,7 @@ def two_mode_coherent_state(
     alpha1: complex,
     alpha2: complex,
     spec: NonlinearitySpec,
-    dims,
+    dims: Tuple[int, int],
 ) -> TwoModeState:
     """Joint weights c[n1, n2] ~ alpha1^n1 alpha2^n2 / (sqrt(n1! n2!) F(n1+n2)).
 
@@ -122,10 +118,9 @@ def two_mode_coherent_state(
     identity profile factorizes into a product of two ordinary coherent
     states.
     """
-    if np.ndim(dims) == 0:
-        d1 = d2 = int(dims)
-    else:
-        d1, d2 = (int(v) for v in dims)
+    if np.shape(dims) != (2,):
+        raise DomainError("two-mode state needs a pair of dims")
+    d1, d2 = (int(v) for v in dims)
     if d1 < 2 or d2 < 2:
         raise DomainError("two-mode state needs dims >= 2")
     logf = log_f_factorial(spec, d1 + d2 - 2)

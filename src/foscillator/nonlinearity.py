@@ -73,16 +73,22 @@ def custom(fn: Callable = None, table: Sequence[float] = None) -> NonlinearitySp
     return NonlinearitySpec(kind="custom", fn=fn, table=table)
 
 
+def _flat_argument(x, name: str):
+    """Whether ``x`` is a scalar, and ``x`` as a flat float array; NaN and
+    negative values are refused, +inf is left for the caller to name."""
+    arr = np.asarray(x, dtype=float).ravel()
+    if arr.size and not np.min(arr) >= 0.0:
+        raise DomainError(f"{name} must be >= 0")
+    return np.ndim(x) == 0, arr
+
+
 def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
     """Evaluate the profile at level/energy ``n`` (scalar or array, >= 0).
 
     Returns a float for scalar input, an ndarray of the shape of ``n``
     otherwise; an error names the first bad level in C order.
     """
-    scalar = np.ndim(n) == 0
-    arr = np.asarray(n, dtype=float).ravel()
-    if arr.size and np.min(arr) < 0.0:
-        raise DomainError("profile argument must be >= 0")
+    scalar, arr = _flat_argument(n, "profile argument")
 
     if spec.kind == "identity":
         vals = np.ones_like(arr)
@@ -158,10 +164,7 @@ def frequency(spec: NonlinearitySpec, energy, law: str = "amplitude"):
     """
     if law not in ("amplitude", "canonical"):
         raise DomainError(f"unknown frequency law {law!r}")
-    scalar = np.ndim(energy) == 0
-    e = np.asarray(energy, dtype=float).ravel()
-    if e.size and np.min(e) < 0.0:
-        raise DomainError("energy must be >= 0")
+    scalar, e = _flat_argument(energy, "energy")
     if spec.kind == "identity":
         out = np.ones_like(e)
     else:

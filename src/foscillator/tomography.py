@@ -45,7 +45,6 @@ from .classical import (
     _LINE_START,
     PhaseSpaceDistribution,
     _disk_quadrature,
-    _periodic_trapezoid,
     _row_integrals,
     propagate_distribution,
 )
@@ -131,8 +130,7 @@ def _radon_lines(dist: PhaseSpaceDistribution, mu: float, nu: float, x: np.ndarr
     def points(i, u):
         return q0[i, None] + dq[i, None] * u, p0[i, None] + dp[i, None] * u
 
-    values[rows], err = _row_integrals(dist.density, points, half / r,
-                                       _periodic_trapezoid, _LINE_START)
+    values[rows], err = _row_integrals(dist.density, points, half / r, _LINE_START)
     return values, err
 
 

@@ -750,3 +750,126 @@ def test_readme_command_runs_clean(tmp_path, line):
     assert (proc.returncode, proc.stderr) == (0, "")
     output = argv[argv.index("--output") + 1]
     assert _read_sidecar(tmp_path / output)["status"] == "ok"
+
+
+def _one_error_line(capsys, message):
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tomogram", "--x-points", "1"], "--x-points must be >= 2"),
+    (["tomogram", "--x-min", "1", "--x-max", "1"], "--x-max must exceed --x-min"),
+    (["coherent", "--wavefunction", "--x-max", "-7"], "--x-max must exceed --x-min"),
+    (["wigner", "--points", "1"], "--points must be >= 2"),
+    (["classical-propagate", "--extent", "0"], "--extent must be > 0"),
+    (["classical-trajectory", "--steps", "0"], "--steps must be >= 1"),
+    (["thermo", "--beta-steps", "0"], "--beta-steps must be >= 1"),
+    (["thermo", "--beta-steps", "1", "--beta-min", "1", "--beta-max", "2"],
+     "one step needs --beta-min == --beta-max"),
+    (["thermo", "--beta-min", "2", "--beta-max", "1"], "--beta-max must exceed --beta-min"),
+])
+def test_range_checks_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.dat"
+    assert main(argv + ["--output", str(out)]) == 2
+    _one_error_line(capsys, message)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantum-evolve", "--time", "0.5"],
+    ["wigner", "--extent", "6", "--points", "5"],
+    ["tomogram", "--mu", "0.6", "--nu", "0.8", "--x-points", "9"],
+], ids=lambda argv: argv[0])
+def test_nonlinear_coherent_state_selector(tmp_path, capsys, argv):
+    state = ["--kind", "kerr", "--chi", "0.1", "--state", "nl-coherent:0.8,0.3"]
+    out = tmp_path / "out.dat"
+    assert main(argv + state + ["--dim", "30", "--output", str(out)]) == 0
+    assert _read_sidecar(out)["status"] == "ok"
+    if argv[0] == "quantum-evolve":
+        expected = evolve_density(nonlinear_coherent_state(0.8 + 0.3j, kerr(0.1), 30).density(),
+                                  kerr(0.1), 0.5)
+        np.testing.assert_array_equal(DensityMatrix.from_dict(json.loads(out.read_text())).matrix,
+                                      expected.matrix)
+    # the top weight of the truncated state must stay below 1e-12
+    refused = tmp_path / "refused.dat"
+    assert main(argv + state + ["--dim", "6", "--output", str(refused)]) == 2
+    _one_error_line(capsys, "top weight 3.544e-04 exceeds the tail criterion; increase dim")
+    assert not refused.exists()
+
+
+def test_custom_profile_with_a_zero_level_exits_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "amps.csv"
+    assert main(["coherent", "--kind", "custom", "--table", "1,0,1", "--dim", "3",
+                 "--output", str(out)]) == 2
+    _one_error_line(capsys, "profile hits f(1) <= 0")
+    assert not out.exists()
+
+
+def test_classical_flow_on_a_custom_table(tmp_path, capsys):
+    # an energy inside the table runs; past its last sample (E = 2) the
+    # table has no value
+    profile = ["classical-trajectory", "--kind", "custom", "--table", "1,1.1,1.3", "--steps", "20"]
+    out = tmp_path / "traj.csv"
+    assert main(profile + ["--q0", "1.2", "--output", str(out)]) == 0
+    assert _read_sidecar(out)["status"] == "ok"
+    refused = tmp_path / "refused.csv"
+    assert main(profile + ["--q0", "2.1", "--output", str(refused)]) == 2
+    _one_error_line(capsys, "custom table covers [0, 2] only")
+    assert not refused.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ([{"g": 0.1}], "config must be a JSON object"),
+    ({"nonlinearity": "kerr"}, "config nonlinearity must be an object with a 'kind' field"),
+    ({"nonlinearity": {"chi": 0.1}}, "config nonlinearity must be an object with a 'kind' field"),
+    ({"nonlinearity": {"kind": "kerr", "chi": 0.1, "lambda": 0.2, "bogus": 1}},
+     "unknown config field 'nonlinearity.bogus'"),
+    ({"format": "json"}, "unknown config field 'format' for coherent"),
+], ids=["list", "string-block", "block-without-kind", "unknown-block-field", "format"])
+def test_bad_config_exits_2_with_one_line(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "amps.csv"
+    assert main(["coherent", "--config", str(cfg), "--output", str(out)]) == 2
+    _one_error_line(capsys, message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, flags", [
+    (["classical-trajectory", "--q0", "1.2", "--steps", "20"],
+     {"nonlinearity": {"kind": "custom", "table": [1, 1.25, 1.5]}},
+     ["--kind", "custom", "--table", "1,1.25,1.5"]),
+    (["coherent", "--alpha-re", "0.7", "--dim", "30", "--x-points", "11"],
+     {"wavefunction": True}, ["--wavefunction"]),
+], ids=["table-list", "wavefunction"])
+def test_config_gives_the_artifact_of_its_flags(tmp_path, argv, config, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(argv + ["--config", str(cfg), "--output", str(a)]) == 0
+    assert main(argv + flags + ["--output", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert _read_sidecar(a) == _read_sidecar(b)
+
+
+def test_format_flag_is_gone(capsys):
+    for name in _COMMAND_TABLE:
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        assert "--format" not in capsys.readouterr().out
+    assert main(["wigner", "--format", "json"]) == 2
+    _one_error_line(capsys, "fosc: unrecognized arguments: --format json")
+
+
+def test_each_command_writes_one_encoding_under_its_default_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in _COMMAND_TABLE:
+        assert main([name]) == 0
+    json_commands = {"quantum-evolve", "two-mode"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{name}.{'json' if name in json_commands else 'csv'}{meta}"
+        for name in _COMMAND_TABLE for meta in ("", ".meta.json"))
+    for name in json_commands:
+        artifact = json.loads((tmp_path / f"{name}.json").read_text())
+        assert "columns" not in artifact and "rows" not in artifact

@@ -200,6 +200,23 @@ def test_two_mode_truncation_guard():
         two_mode_coherent_state(2.5, 2.5, identity(), (12, 12))
 
 
+@pytest.mark.parametrize("dims, message", [
+    ((1, 8), "two-mode state needs dims >= 2"),
+    ((8, 0), "two-mode state needs dims >= 2"),
+    (8, "two-mode state needs a pair of dims"),
+    ((8, 8, 8), "two-mode state needs a pair of dims"),
+])
+def test_two_mode_refuses_bad_dims(dims, message):
+    with pytest.raises(DomainError, match=message):
+        two_mode_coherent_state(0.5, 0.5, identity(), dims)
+
+
+@pytest.mark.parametrize("coeff", [np.ones(3), np.ones((2, 2, 2))], ids=["1-D", "3-D"])
+def test_schmidt_spectrum_needs_a_matrix(coeff):
+    with pytest.raises(DomainError, match="schmidt spectrum needs a two-index coefficient matrix"):
+        schmidt_spectrum(coeff)
+
+
 @pytest.mark.parametrize("spec", [kerr(0.1), q_oscillator(0.1)])
 @pytest.mark.parametrize("alpha", [0.6, 1.4 - 0.9j])
 def test_nonlinear_weights_match_gammaln_reference(spec, alpha):

@@ -1,6 +1,7 @@
 """Truncated ladder algebra, diagonal Hamiltonians, exact phase evolution."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import gammaln
+from scipy.stats import poisson
 
 from foscillator import (
     DensityMatrix,
@@ -37,6 +39,30 @@ from foscillator.fock import _hermiticity_residual, _log_factorials, _poisson_am
 
 def test_lowering_dim2():
     np.testing.assert_array_equal(lowering_operator(2), [[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_lowering_needs_two_levels(dim):
+    with pytest.raises(DomainError, match="operator truncation needs dim >= 2"):
+        lowering_operator(dim)
+
+
+@pytest.mark.parametrize("matrix", [np.eye(2, 3), np.ones(3), np.ones((2, 2, 2))],
+                         ids=["2x3", "1-D", "3-D"])
+def test_density_matrix_must_be_square(matrix):
+    with pytest.raises(DomainError, match="density matrix must be square"):
+        DensityMatrix(matrix)
+
+
+@pytest.mark.parametrize("data, message", [
+    ([[1.0, 0.0], [0.0, 0.0]], "density description needs dim, re, im fields"),
+    ({"dim": 1, "re": [[1.0]]}, "density description needs dim, re, im fields"),
+    ({"dim": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]}, "re/im blocks must be dim x dim"),
+    ({"dim": 2, "re": [[1.0]], "im": [[0.0]]}, "re/im blocks must be dim x dim"),
+], ids=["list", "no-im", "short-rows", "wrong-dim"])
+def test_density_from_dict_refuses_malformed_input(data, message):
+    with pytest.raises(DomainError, match=message):
+        DensityMatrix.from_dict(data)
 
 
 def test_lowering_action_on_columns():
@@ -348,6 +374,33 @@ def test_coherent_truncation_dim_refuses_an_overflowing_mean():
     # |alpha|^2 overflows to inf: no tail sum can be taken
     with pytest.raises(TruncationError):
         coherent_truncation_dim(1e200)
+
+
+@settings(max_examples=200)
+@given(st.floats(0.0, 708.0))
+def test_coherent_truncation_dim_matches_the_poisson_tail(mean):
+    # dim - 1 is the least n with P(N > n) < 1e-12 for N ~ Poisson(|alpha|^2),
+    # up to the rounding of the running sum 1 - cum: at most dim ulps of 1
+    r = math.sqrt(mean)
+    x = r * r
+    d = coherent_truncation_dim(r)
+    slack = d * 2.0 ** -52
+    assert poisson.sf(d - 1, x) < 1e-12 + slack
+    assert d == 1 or poisson.sf(d - 2, x) >= 1e-12 - slack
+
+
+def test_coherent_truncation_dim_at_the_end_of_its_range():
+    assert coherent_truncation_dim(math.sqrt(700.0)) == 895
+    # the largest mean whose start e^-x is a normal float: the loop ends below 1000
+    top = math.nextafter(-math.log(sys.float_info.min), 0.0)
+    assert coherent_truncation_dim(math.sqrt(top)) < 1000
+
+
+@pytest.mark.parametrize("mean", [708.4, 720.0, 740.0, 744.4, 744.9, 745.1])
+def test_coherent_truncation_dim_refuses_a_subnormal_start(mean):
+    # e^-x is subnormal or 0 here and has lost the digits the tail sum needs
+    with pytest.raises(TruncationError, match="past 708.4"):
+        coherent_truncation_dim(math.sqrt(mean))
 
 
 def test_density_from_amplitudes_normalizes():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from foscillator import hermite_functions
+from foscillator import DomainError, hermite_functions
 
 # The reference runs the same recurrence in extended precision, whose
 # exponent range holds e^(-x^2/2) out to |x| ~ 150.
@@ -20,6 +20,11 @@ def _extended_reference(n_max, x):
     for n in range(1, n_max):
         out[n + 1] = np.sqrt(two / (n + 1)) * x * out[n] - np.sqrt(np.longdouble(n) / (n + 1)) * out[n - 1]
     return out
+
+
+def test_negative_order_is_refused():
+    with pytest.raises(DomainError, match="n_max must be >= 0"):
+        hermite_functions(-1, np.zeros(3))
 
 
 @needs_extended

@@ -1,6 +1,7 @@
 """Deformation profiles, frequency laws, and profile factorials."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -75,6 +76,50 @@ def test_profile_rejects_negative_argument():
     for spec in (identity(), q_oscillator(0.1), kerr(0.1)):
         with pytest.raises(DomainError):
             eval_f(spec, -1.0)
+
+
+_EVERY_KIND = [identity(), q_oscillator(0.1), kerr(0.1), custom(table=[1.0, 1.1, 1.3]),
+               custom(fn=lambda n: 1.0 + 0.1 * n)]
+
+
+@pytest.mark.parametrize("spec", _EVERY_KIND, ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("call, name", [(eval_f, "profile argument"), (frequency, "energy")],
+                         ids=["eval_f", "frequency"])
+@pytest.mark.parametrize("bad", [math.nan, -1.0, [0.5, math.nan]], ids=["nan", "-1", "array-nan"])
+def test_profiles_refuse_nan_and_negative_arguments(spec, call, name, bad):
+    # NaN passes a test of min < 0, so it was read as a level: identity gave
+    # 1.0 and the q profile blamed an overflow
+    with pytest.raises(DomainError, match=f"^{name} must be >= 0$"):
+        call(spec, bad)
+
+
+@pytest.mark.parametrize("chi", [math.inf, -math.inf, math.nan])
+def test_kerr_profile_refuses_a_non_finite_chi(chi):
+    with pytest.raises(DomainError, match="kerr profile needs finite chi"):
+        kerr(chi)
+
+
+@pytest.mark.parametrize("entry", [math.inf, math.nan])
+def test_custom_table_refuses_a_non_finite_entry(entry):
+    with pytest.raises(DomainError, match="custom table entries must be finite"):
+        custom(table=[1.0, entry, 1.2])
+
+
+def test_custom_callable_may_return_one_value():
+    spec = custom(fn=lambda n: 2.0)
+    np.testing.assert_array_equal(eval_f(spec, np.arange(3.0)), [2.0, 2.0, 2.0])
+    assert eval_f(spec, 1.5) == 2.0
+
+
+@pytest.mark.parametrize("law, expected", [("amplitude", [1.0, 1.3 + 2.0 * 0.2]),
+                                           ("canonical", [1.0, 1.69 + 4.0 * 1.3 * 0.2])])
+def test_custom_table_frequency_at_the_ends_of_the_table(law, expected):
+    # the finite difference is clipped into [0, 2], so at both ends it reads
+    # the slope of the end segment
+    spec = custom(table=[1.0, 1.1, 1.3])
+    np.testing.assert_allclose(frequency(spec, np.array([0.0, 2.0]), law), expected, rtol=1e-9)
+    with pytest.raises(DomainError, match=r"custom table covers \[0, 2\] only"):
+        frequency(spec, 2.5, law)
 
 
 def test_kerr_profile_domain_error():
@@ -285,6 +330,17 @@ def test_f_factorial_degenerate_profile():
         f_factorial(kerr(2.0), 3)  # f hits a negative square root argument
 
 
+@pytest.mark.parametrize("n", [-1, 1.5])
+def test_f_factorial_refuses_a_bad_order(n):
+    with pytest.raises(DomainError, match="f_factorial needs an integer n >= 0"):
+        f_factorial(kerr(0.1), n)
+
+
+def test_log_f_factorial_refuses_a_negative_order():
+    with pytest.raises(DomainError, match="n_max must be >= 0"):
+        log_f_factorial(kerr(0.1), -1)
+
+
 def test_log_f_factorial_matches_product():
     spec = kerr(0.5)
     logs = log_f_factorial(spec, 6)
@@ -307,6 +363,19 @@ def test_spec_serialization_rejects_callables_and_junk():
         spec_from_dict({"kind": "warp"})
     with pytest.raises(DomainError):
         spec_from_dict({"kind": "q"})  # missing lambda
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "nonlinearity description needs a 'kind' field"),
+    ({"lambda": 0.1}, "nonlinearity description needs a 'kind' field"),
+    ({"kind": "kerr"}, "kerr profile needs a 'chi' field"),
+    ({"kind": "custom"}, "custom profile needs a 'table' field"),
+    ({"kind": "q", "lambda": -0.1}, "q profile needs lam > 0"),
+    ({"kind": "custom", "table": [1.0]}, "custom table needs at least two samples"),
+])
+def test_spec_from_dict_refuses_malformed_input(data, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        spec_from_dict(data)
 
 
 def test_constructor_validation():

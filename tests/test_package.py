@@ -1,8 +1,13 @@
-"""The package surface: what ``foscillator.__all__`` promises can be imported."""
+"""The package surface: what ``foscillator.__all__`` promises can be imported,
+and what its modules may raise."""
 
+import ast
+import inspect
 import types
+from pathlib import Path
 
 import foscillator
+from foscillator import errors
 
 
 def test_exported_names_are_unique_and_star_importable():
@@ -19,3 +24,43 @@ def test_every_public_name_is_exported():
     public = {name for name, value in vars(foscillator).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public <= set(foscillator.__all__)
+
+
+# The two raises of another class, each turned into one ``error:`` line by
+# ``cli``: argparse reports the first as a bad flag value, and ``_parse_state``
+# catches the second to name the accepted state forms.
+_OTHER_RAISES = {("cli", "_finite_float", "ArgumentTypeError"), ("cli", "_parse_state", "ValueError")}
+
+
+def _name(node):
+    """The class name in ``X``, ``X(...)`` or ``module.X``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _raises(tree):
+    """(enclosing function, raised class name) for each ``raise`` in ``tree``;
+    a bare ``raise`` re-raises the class its ``except`` clause caught."""
+    def visit(node, function, caught):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ExceptHandler):
+            caught = _name(node.type)
+        if isinstance(node, ast.Raise):
+            yield function, caught if node.exc is None else _name(node.exc)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function, caught)
+    return visit(tree, None, None)
+
+
+def test_modules_raise_only_the_package_errors():
+    # the exit contract: every refusal is a foscillator.errors class, which
+    # cli turns into exit 2 or 3 with one line
+    typed = {name for name, value in vars(errors).items()
+             if inspect.isclass(value) and issubclass(value, Exception)}
+    found = set()
+    for path in sorted(Path(foscillator.__file__).parent.glob("*.py")):
+        for function, name in _raises(ast.parse(path.read_text(encoding="utf-8"))):
+            if name not in typed:
+                found.add((path.stem, function, name))
+    assert found == _OTHER_RAISES

@@ -158,6 +158,24 @@ def test_divergent_weight_is_rejected():
         thermal_series(1.0, lambda n: np.exp(2.0 * np.asarray(n, float)))
 
 
+@pytest.mark.parametrize("beta, message", [
+    (1e-3, "thermal series terms stopped decaying"),
+    (1.0, "thermal series overflowed"),
+])
+def test_a_weight_growing_like_e_to_the_n_is_refused(beta, message):
+    # each term is e^(-beta/2), so the blocks never shrink: at small beta the
+    # decay guard sees that past n = 64/beta; at beta = 1 the weight e^n
+    # leaves the float range (n > 709) before the guard starts
+    with pytest.raises(SeriesDivergenceError, match=message):
+        thermal_series(beta, lambda n: np.exp(beta * n))
+
+
+@pytest.mark.parametrize("g", [math.inf, -math.inf, math.nan])
+def test_deformed_partition_refuses_a_non_finite_coupling(g):
+    with pytest.raises(DomainError, match="coupling g must be finite"):
+        deformed_partition(1.0, g)
+
+
 @pytest.mark.parametrize("call, got", [
     (lambda: thermal_series(1.0, math.sqrt), "raised TypeError"),
     (lambda: thermal_series(1.0, lambda n: np.ones(3)), r"returned an array of shape \(3,\)"),

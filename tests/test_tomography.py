@@ -651,6 +651,19 @@ def test_degenerate_ray_rejected():
         quantum_tomogram(vacuum_density(6), 0.0, 0.0, np.array([0.0]))
 
 
+@pytest.mark.parametrize("mu, nu", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)])
+def test_non_finite_ray_rejected(mu, nu):
+    with pytest.raises(DegenerateRayError, match="ray coefficients must be finite"):
+        radon_classical(gaussian_distribution(), mu, nu, np.array([0.0]))
+    with pytest.raises(DegenerateRayError, match="ray coefficients must be finite"):
+        quantum_tomogram(vacuum_density(6), mu, nu, np.array([0.0]))
+
+
+def test_closed_fock_tomogram_refuses_a_negative_level():
+    with pytest.raises(DomainError, match="level index must be >= 0"):
+        fock_tomogram_closed(-1, 1.0, 0.0, np.array([0.0]))
+
+
 def test_tiny_ray_is_not_degenerate():
     # mu^2 + nu^2 underflowed to 0 at mu = 1e-200: a false DegenerateRayError
     tiny = radon_classical(gaussian_distribution(), 1e-200, 0.0, [0.0]).values

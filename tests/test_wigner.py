@@ -685,3 +685,15 @@ def test_empty_axes_give_empty_results_without_warnings(entry, q, p):
             # |Im W| 0, a min of Re W +inf
             assert (grid.normalization(), grid.max_imag(), grid.min_real()) == (0.0, 0.0, math.inf)
     assert values.shape == shape
+
+
+@pytest.mark.parametrize("entry", ["deformed_wigner_values", "deformed_wigner"])
+@pytest.mark.parametrize("kwargs, message", [
+    ({"variant": "standard"}, "unknown wigner variant 'standard'"),
+    ({"pad": -1}, "pad must be >= 0"),
+], ids=["variant", "pad"])
+def test_deformed_maps_refuse_a_bad_variant_or_pad(entry, kwargs, message):
+    rho = coherent_density(0.5, 12)
+    call = deformed_wigner_values if entry == "deformed_wigner_values" else deformed_wigner
+    with pytest.raises(DomainError, match=message):
+        call(rho, kerr(0.1), _FINITE_AXIS, _FINITE_AXIS, **kwargs)

@@ -37,11 +37,12 @@ _QUAD_CAP = 4096
 # radius 2, on supports of radius 3 to 8, none is read so from 32
 # intervals; from 16, blobs of sigma 0.02 on radius 8 are.
 _LINE_START = 32
-# First angular level of a ring integral.  All rings share their angles, so
-# a blob narrow in angle that falls between the nodes of the first two
-# levels would read as zero on every ring.  From 64 points a blob of width
-# down to about 1/500 of its radius is seen (and from 1/300 down refused as
-# too fine), at no extra cost for the blobs whose rings need 128 anyway.
+# First angular level of a ring integral.  The rings of an untransported
+# density share their angles, so a blob narrow in angle that falls between
+# the nodes of the first two levels would read as zero on every ring.  From
+# 64 points a blob of width down to about 1/500 of its radius is seen (and
+# from 1/300 down refused as too fine), at no extra cost for the blobs
+# whose rings need 128 anyway.
 _RING_START = 64
 # Points handed to a density in one call; at least _QUAD_CAP / 2, the new
 # nodes of the finest level, so no call gets more.
@@ -128,6 +129,19 @@ def classical_invariants(
     return PhasePoint(*_rotate(spec, point.q, point.p, t, law))
 
 
+@dataclass(frozen=True)
+class _Transported(PhaseSpaceDistribution):
+    """A density transported along the flow for time t: ``density`` gives
+    its values point by point, and ``initial``, ``spec``, ``t`` and ``law``
+    let ``_disk_quadrature`` turn the rings of the initial density instead.
+    """
+
+    initial: PhaseSpaceDistribution
+    spec: NonlinearitySpec
+    t: float
+    law: str
+
+
 def propagate_distribution(
     dist: PhaseSpaceDistribution,
     spec: NonlinearitySpec,
@@ -138,14 +152,20 @@ def propagate_distribution(
 
     The value at (q, p) is the initial density at the rotated-back point;
     nothing is sampled or integrated, so normalization is preserved by
-    construction and the result can be composed further.
+    construction and the result can be composed further.  The result
+    remembers ``dist``, ``spec``, ``t`` and ``law``: its disk integral
+    (``phase_space_integral``, every classical slice norm) evaluates the
+    initial density on rings turned by omega(r^2/2) t, one frequency per
+    ring, while its line integrals and point values go through the
+    transported density point by point.
     """
     t = float(t)
 
     def moved(q, p):
         return dist.density(*_rotate(spec, np.asarray(q, float), np.asarray(p, float), t, law))
 
-    return PhaseSpaceDistribution(density=moved, support_radius=dist.support_radius)
+    return _Transported(density=moved, support_radius=dist.support_radius,
+                        initial=dist, spec=spec, t=t, law=law)
 
 
 def gaussian_distribution(
@@ -222,35 +242,37 @@ def _nested_integrals(rows_at, scale, rule=_clenshaw_curtis, start=_QUAD_START):
     ``start``, 2 ``start``, ... intervals.
 
     ``rows_at(u)`` returns ``(values, estimate)``: values of shape
-    (..., u.size) and the error estimate of any quadrature inside them.  A
-    doubling asks only for the new odd-indexed nodes and reuses the rest.
-    The rule stops when two successive levels agree,
+    (..., u.size) and the error estimate of any quadrature inside them.  The
+    rule opens with one call on the nodes of level 2 ``start`` and reads
+    level ``start`` off their even columns; a doubling asks only for the
+    new odd-indexed nodes and reuses the rest.  The rule stops when two
+    successive levels agree,
     max |I_2n - I_n| <= _QUAD_TOL max(1, max |I_2n|), and returns I_2n with
     the larger of that scaled difference and the inner estimates.
     """
-    n = start
+    n = 2 * start
     u, w = rule(n)
-    vals, inner = rows_at(u)
-    coarse = scale * (vals @ w)
-    while n < _QUAD_CAP:
-        n *= 2
-        u, w = rule(n)
-        fresh, err = rows_at(u[1::2])
-        both = np.empty(vals.shape[:-1] + (w.size,))
-        both[..., 0::2] = vals
-        both[..., 1::2] = fresh
+    both, inner = rows_at(u)
+    coarse = scale * (np.ascontiguousarray(both[..., 0::2]) @ rule(start)[1])
+    while True:
         fine = scale * (both @ w)
         peak = max(1.0, float(np.max(np.abs(fine), initial=0.0)))
         estimate = float(np.max(np.abs(fine - coarse), initial=0.0)) / peak
         if not math.isfinite(estimate):
             raise DomainError("the density is not finite on its support")
-        inner = max(inner, err)
         if estimate <= _QUAD_TOL:
             return fine, max(estimate, inner)
+        if n >= _QUAD_CAP:
+            raise NumericToleranceError(
+                f"the density has filaments finer than {_QUAD_CAP} line nodes resolve")
+        n *= 2
+        u, w = rule(n)
+        fresh, err = rows_at(u[1::2])
+        inner = max(inner, err)
         vals, coarse = both, fine
-    raise NumericToleranceError(
-        f"the density has filaments finer than {_QUAD_CAP} line nodes resolve"
-    )
+        both = np.empty(vals.shape[:-1] + (w.size,))
+        both[..., 0::2] = vals
+        both[..., 1::2] = fresh
 
 
 def _on_rows(density, points, rows, u) -> np.ndarray:
@@ -286,6 +308,18 @@ def _row_integrals(density, points, scale, start):
     return out, worst
 
 
+def _ring_turns(dist: PhaseSpaceDistribution, e: np.ndarray):
+    """The density under all of ``dist``'s transports, and the angle by which
+    each ring of energy ``e`` is turned to reach it: the sum of omega(e) t
+    over the transports, one frequency call each.  A plain density is its
+    own and takes a zero turn."""
+    turn = np.zeros(e.shape)
+    while isinstance(dist, _Transported):
+        turn += frequency(dist.spec, e, dist.law) * dist.t
+        dist = dist.initial
+    return dist.density, turn
+
+
 def _disk_quadrature(dist: PhaseSpaceDistribution):
     """Integral of the density over its support disk, and its error
     estimate: Clenshaw-Curtis in the radius r, each r node a ring integral
@@ -296,17 +330,26 @@ def _disk_quadrature(dist: PhaseSpaceDistribution):
 
     The flow turns each circle of constant energy rigidly, so a transported
     density takes on each ring the values of the initial one, shifted in
-    angle: the ring integrals, and so the work, do not grow with t.
+    angle by omega(r^2/2) t.  Each batch of radii therefore costs one
+    frequency call, and the rings evaluate the initial density at nodes
+    turned by that angle: a periodic trapezoid rule integrates a turned ring
+    as it does the unturned one, up to aliasing (Trefethen & Weideman, SIAM
+    Rev. 56, 385 (2014)), so the ring integrals, and the work, do not grow
+    with t.
     """
     radius = float(dist.support_radius)
 
     def rings(u):
         r = 0.5 * radius * (1.0 + u)
+        density, turn = _ring_turns(dist, 0.5 * r * r)
+        c, s = _cos_sin(turn)
+        rc, rs = r * c, r * s
 
         def points(i, v):
-            return r[i, None] * np.cos(math.pi * v), r[i, None] * np.sin(math.pi * v)
+            cv, sv = np.cos(math.pi * v), np.sin(math.pi * v)
+            return rc[i, None] * cv - rs[i, None] * sv, rs[i, None] * cv + rc[i, None] * sv
 
-        mass, err = _row_integrals(dist.density, points, np.full(r.shape, math.pi), _RING_START)
+        mass, err = _row_integrals(density, points, np.full(r.shape, math.pi), _RING_START)
         return r * mass, err
 
     total, err = _nested_integrals(rings, 0.5 * radius)

@@ -16,6 +16,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,12 +67,15 @@ def deformed_lowering(spec: NonlinearitySpec, dim: int) -> np.ndarray:
     return np.diag(np.sqrt(n) * fvals[1:], k=1).astype(complex)
 
 
+@lru_cache(maxsize=8)
 def _level_energies(spec: NonlinearitySpec, dim: int, form: str):
     """(f, H): the profile values the form reads, checked positive, and H(n)
-    on levels 0..dim-1.
+    on levels 0..dim-1; shared read-only.
 
     The symmetric form reads f(0..dim), one level past the top state, the
     normal forms f(0..dim-1); the kerr form reads none, and f is None.
+    A process-wide table of the last few (spec, dim, form), so the
+    evolutions and invariants of one state evaluate the profile once.
     """
     _check_dim(dim)
     if form not in HAMILTONIAN_FORMS:
@@ -80,13 +84,29 @@ def _level_energies(spec: NonlinearitySpec, dim: int, form: str):
     if form == "kerr":
         if spec.kind != "kerr":
             raise DomainError("the kerr hamiltonian form needs a kerr profile")
-        return None, n + spec.chi * n * (n - 1.0)
-    fvals = require_positive(spec, dim if form == "symmetric" else dim - 1)
-    if form == "symmetric":
-        f2 = fvals * fvals
-        return fvals, 0.5 * (n * f2[:dim] + (n + 1.0) * f2[1:])
-    h = n * fvals * fvals
-    return fvals, h + 0.5 if form == "normal_half" else h
+        fvals, h = None, n + spec.chi * n * (n - 1.0)
+    else:
+        fvals = require_positive(spec, dim if form == "symmetric" else dim - 1)
+        if form == "symmetric":
+            f2 = fvals * fvals
+            h = 0.5 * (n * f2[:dim] + (n + 1.0) * f2[1:])
+        else:
+            h = n * fvals * fvals
+            if form == "normal_half":
+                h = h + 0.5
+        fvals.flags.writeable = False
+    h.flags.writeable = False
+    return fvals, h
+
+
+def _levels(spec: NonlinearitySpec, dim: int, form: str):
+    """``_level_energies``, evaluated afresh for a key that cannot be
+    hashed, such as a custom ``fn`` object that defines equality only."""
+    try:
+        hash((spec, dim, form))
+    except TypeError:
+        return _level_energies.__wrapped__(spec, dim, form)
+    return _level_energies(spec, dim, form)
 
 
 def hamiltonian_diagonal(
@@ -100,8 +120,10 @@ def hamiltonian_diagonal(
     * ``normal_half``  A_f+ A_f + 1/2
     * ``kerr``         n + chi n (n-1), the Kerr medium form; requires a
                        kerr profile and coincides with ``normal`` for it
+
+    The array is the caller's own copy of the shared level table.
     """
-    return _level_energies(spec, dim, form)[1]
+    return _levels(spec, dim, form)[1].copy()
 
 
 def heisenberg_invariant(
@@ -114,7 +136,7 @@ def heisenberg_invariant(
     values in any evolving state stay frozen at their t = 0 value.  Only the
     superdiagonal is built, from one evaluation of the profile.
     """
-    fvals, h = _level_energies(spec, dim, form)
+    fvals, h = _levels(spec, dim, form)
     if fvals is None:  # the kerr form's H reads no profile, but Q does
         fvals = require_positive(spec, dim - 1)
     idx = np.arange(dim - 1)
@@ -179,6 +201,14 @@ def _validated(m: np.ndarray, check_spectrum: bool) -> np.ndarray:
     return m
 
 
+def _field(data: dict, name: str, convert, what: str):
+    """``convert(data[name])``; DomainError naming the field if it fails."""
+    try:
+        return convert(data[name])
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"density field {name!r} must be {what}") from None
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated truncated density matrix.
@@ -233,9 +263,9 @@ class DensityMatrix:
     def from_dict(cls, data: dict) -> "DensityMatrix":
         if not isinstance(data, dict) or not {"dim", "re", "im"} <= set(data):
             raise DomainError("density description needs dim, re, im fields")
-        dim = int(data["dim"])
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
+        dim = _field(data, "dim", int, "an integer")
+        re, im = (_field(data, name, lambda v: np.asarray(v, dtype=float), "an array of numbers")
+                  for name in ("re", "im"))
         if re.shape != (dim, dim) or im.shape != (dim, dim):
             raise DomainError("re/im blocks must be dim x dim")
         return cls(re + 1j * im)
@@ -320,7 +350,7 @@ def evolve_density(
     at most a few eps ||rho||_F at any t (Weyl's inequality), so the result
     is rechecked for hermiticity, trace and tail but not re-diagonalised.
     """
-    h = hamiltonian_diagonal(spec, rho.dim, form)
+    h = _levels(spec, rho.dim, form)[1]
     e = np.exp(-1j * (h * float(t)))
     phase = np.outer(e, e.conj())
     np.fill_diagonal(phase, 1.0)

@@ -117,7 +117,12 @@ def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
         else:
             vals = np.asarray(spec.fn(arr), dtype=float)
             if vals.shape != arr.shape:
-                vals = np.broadcast_to(vals, arr.shape).copy()
+                try:
+                    vals = np.broadcast_to(vals, arr.shape).copy()
+                except ValueError:
+                    raise DomainError(
+                        f"custom fn returned shape {vals.shape} for {arr.size} levels; "
+                        "it must return one value or one per level") from None
     finite = np.isfinite(vals)
     if arr.size and not np.all(finite):
         bad = float(arr[np.argmin(finite)])
@@ -127,20 +132,21 @@ def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
 
 
 def _eval_f_prime(spec: NonlinearitySpec, e: np.ndarray) -> np.ndarray:
-    """df/dE on continuous energy for a custom profile: a central
-    difference, clipped into the table domain if any."""
-    h = 1e-6 * np.maximum(1.0, np.abs(e))
-    lo, hi = e - h, e + h
+    """df/dE on continuous energy for a custom profile.
+
+    A table is linear between its samples, so its slope is exact: that of
+    the segment [k, k + 1) holding E, which gives a knot the slope of the
+    segment above it, and the last segment at the top sample.  A callable
+    ``fn`` takes a central difference, clipped at E = 0.
+    """
     if spec.table is not None:
-        top = float(len(spec.table) - 1)
-        lo = np.clip(lo, 0.0, top)
-        hi = np.clip(hi, 0.0, top)
-    else:
-        lo = np.maximum(lo, 0.0)
-    width = hi - lo
-    if np.any(width <= 0.0):
-        raise DomainError("cannot take a finite difference: empty neighborhood")
-    return (eval_f(spec, hi) - eval_f(spec, lo)) / width
+        tab = np.asarray(spec.table)
+        k = np.minimum(e.astype(np.intp), tab.size - 2)
+        return tab[k + 1] - tab[k]
+    h = 1e-6 * np.maximum(1.0, np.abs(e))
+    lo = np.maximum(e - h, 0.0)
+    hi = e + h
+    return (eval_f(spec, hi) - eval_f(spec, lo)) / (hi - lo)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -248,4 +254,10 @@ def spec_from_dict(data: dict) -> NonlinearitySpec:
     field, _, build = _PARAMETERS[kind]
     if field not in data:
         raise DomainError(f"{kind} profile needs a {field!r} field")
-    return build(data[field])
+    value = data[field]
+    try:
+        value = [float(v) for v in value] if field == "table" else float(value)
+    except (TypeError, ValueError):
+        what = "a list of numbers" if field == "table" else "a number"
+        raise DomainError(f"{kind} profile field {field!r} must be {what}, got {value!r}") from None
+    return build(value)

@@ -10,8 +10,10 @@ integrate to one over X.
 Classical line integrals use nested trapezoid rules: 32, 64, 128, ...
 uniform intervals per chord, each doubling evaluating the density only at
 the new nodes, until two successive levels agree to 1e-11 relative to
-max(1, peak).  The density is negligible at both chord ends, so the rule
-converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)),
+max(1, peak); the first two levels come from one density call on the
+nodes of the second.  The density is negligible at both chord ends, so the
+rule converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 385
+(2014)),
 and its even spacing leaves no stretch of the chord sampled more coarsely
 than another, unlike Clenshaw-Curtis, whose middle nodes are pi/2 wider
 apart (Trefethen, SIAM Rev. 50, 67 (2008)).  A density with filaments finer
@@ -19,9 +21,11 @@ than 4096 intervals per line resolve raises ``NumericToleranceError``
 instead of returning an unresolved slice.  The norm, the integral of the
 slice over X, is by Fubini the integral of the density over its support
 disk; it runs in polar coordinates, Clenshaw-Curtis in the radius and the
-periodic trapezoid rule in the angle, where a density transported along the
-flow is its initial one turned ring by ring, so its cost does not grow with
-the time.
+periodic trapezoid rule in the angle.  A density from
+``propagate_distribution`` is integrated there as its initial density on
+rings turned by omega(r^2/2) t, one frequency per ring, so its cost does
+not grow with the time; its lines evaluate the transported density point
+by point.
 
 H = n takes q to q cos theta + p sin theta in time theta, so with
 r = |(mu, nu)| and theta = atan2(nu, mu) a quantum slice is the q

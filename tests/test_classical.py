@@ -252,6 +252,20 @@ def test_array_invariants_equal_the_per_point_calls():
             assert back.p[i, j] == pytest.approx(one.p, rel=1e-15, abs=1e-15)
 
 
+def test_flow_on_a_table_knot_turns_at_the_rate_above_it():
+    # E = (2^2 + 0^2)/2 = 2 exactly, the knot between the segments of slope
+    # 0.2 and -0.1: the point turns at f(2) + 2 (1.2 - 1.3), the rate of the
+    # segment above, at every time
+    spec = custom(table=[1.0, 1.1, 1.3, 1.2])
+    omega = 1.3 + 2.0 * (1.2 - 1.3)
+    assert frequency(spec, 2.0) == omega
+    ts = np.linspace(0.0, 10.0, 21)
+    back = classical_invariants(spec, PhasePoint(2.0, 0.0), ts)
+    c, s = _cos_sin(omega * ts)
+    assert back.q.tolist() == (2.0 * c).tolist()
+    assert back.p.tolist() == (2.0 * s).tolist()
+
+
 def test_frequency_overflow_is_a_domain_error():
     # lam E = 1000: f is finite, f^2 is not, so the canonical frequency overflows
     with pytest.raises(DomainError, match="the canonical frequency overflows at E = 1000"):

@@ -819,6 +819,44 @@ def test_classical_flow_on_a_custom_table(tmp_path, capsys):
     assert not refused.exists()
 
 
+@pytest.mark.parametrize("q0", ["1.5", "1.9"])
+def test_flow_on_a_custom_table_keeps_its_invariants(tmp_path, q0):
+    # the exact slope of the table's segment: a central difference of f left
+    # invariant_spread at 1.7e-9 and 2.0e-9, past its 1e-9 threshold
+    out = tmp_path / "traj.csv"
+    assert main(["classical-trajectory", "--kind", "custom", "--table", "1,1.1,1.3",
+                 "--q0", q0, "--output", str(out)]) == 0
+    assert _read_sidecar(out)["checks"]["invariant_spread"]["value"] < 1e-13
+
+
+def test_flow_on_a_table_knot_is_flagged(tmp_path, capsys):
+    # E0 = 2 sits on a knot, where omega jumps by 0.6; the energies recomputed
+    # from the written points round to both sides of it, so the invariants
+    # read back from them split, and the run says so
+    out = tmp_path / "traj.csv"
+    assert main(["classical-trajectory", "--kind", "custom", "--table", "1,1.1,1.3,1.2",
+                 "--q0", "2", "--output", str(out)]) == 3
+    assert capsys.readouterr().err == "numeric tolerance failure: invariant_spread\n"
+    assert _read_sidecar(out)["checks"]["invariant_spread"]["value"] > 1.0
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", "x", "density field 'dim' must be an integer"),
+    ("re", "x", "density field 're' must be an array of numbers"),
+], ids=["dim", "re"])
+def test_state_file_with_a_field_that_does_not_convert_exits_2_with_one_line(
+        tmp_path, capsys, field, value, message):
+    data = coherent_density(0.5, 12).to_dict()
+    data[field] = value
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(data))
+    out = tmp_path / "evolved.json"
+    assert main(["quantum-evolve", "--state", f"file:{state_path}", "--dim", "12",
+                 "--output", str(out)]) == 2
+    _one_error_line(capsys, message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config, message", [
     ([{"g": 0.1}], "config must be a JSON object"),
     ({"nonlinearity": "kerr"}, "config nonlinearity must be an object with a 'kind' field"),

@@ -1,6 +1,7 @@
 """Truncated ladder algebra, diagonal Hamiltonians, exact phase evolution."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -62,6 +63,19 @@ def test_density_matrix_must_be_square(matrix):
 ], ids=["list", "no-im", "short-rows", "wrong-dim"])
 def test_density_from_dict_refuses_malformed_input(data, message):
     with pytest.raises(DomainError, match=message):
+        DensityMatrix.from_dict(data)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", "x", "density field 'dim' must be an integer"),
+    ("dim", None, "density field 'dim' must be an integer"),
+    ("dim", math.inf, "density field 'dim' must be an integer"),
+    ("re", [["x", 0.0], [0.0, 0.0]], "density field 're' must be an array of numbers"),
+    ("im", [[0.0], [0.0, 0.0]], "density field 'im' must be an array of numbers"),
+], ids=["dim-string", "dim-null", "dim-inf", "re-string", "im-ragged"])
+def test_density_from_dict_names_a_field_it_cannot_convert(field, value, message):
+    data = {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]], field: value}
+    with pytest.raises(DomainError, match=re.escape(message)):
         DensityMatrix.from_dict(data)
 
 
@@ -173,6 +187,48 @@ def test_invariant_evaluates_the_profile_once():
 
     heisenberg_invariant(custom(fn=profile), 12, 0.7)
     assert calls == [13]
+
+
+def test_one_level_table_serves_every_evolution_and_invariant():
+    # an evolve op of the benchmark: the invariant at t = 0, then an evolution
+    # and an invariant at each of three times, all from one profile call
+    calls = []
+
+    def profile(n):
+        calls.append(np.size(n))
+        return np.sqrt(1.0 + 0.1 * np.asarray(n))
+
+    spec, rho = custom(fn=profile), coherent_density(1.0, 40)
+    heisenberg_invariant(spec, 40, 0.0)
+    for t in (0.5, 1.7, 4.2):
+        evolve_density(rho, spec, t)
+        heisenberg_invariant(spec, 40, t)
+    assert calls == [41]
+
+
+def test_hamiltonian_diagonal_is_a_writable_copy():
+    spec = q_oscillator(0.1)
+    h = hamiltonian_diagonal(spec, 8)
+    expected = h.copy()
+    h[:] = 0.0
+    np.testing.assert_array_equal(hamiltonian_diagonal(spec, 8), expected)
+
+
+class _EqualityProfile:
+    # defines equality only, so it cannot be hashed
+    def __eq__(self, other):
+        return isinstance(other, _EqualityProfile)
+
+    def __call__(self, n):
+        return np.sqrt(1.0 + 0.1 * np.asarray(n))
+
+
+def test_unhashable_custom_profile_still_evolves():
+    spec = custom(fn=_EqualityProfile())
+    rho = coherent_density(1.0, 30)
+    np.testing.assert_array_equal(hamiltonian_diagonal(spec, 30),
+                                  hamiltonian_diagonal(custom(fn=_EqualityProfile().__call__), 30))
+    assert evolve_density(rho, spec, 1.3).matrix.shape == (30, 30)
 
 
 def test_invariant_matches_conjugation():

@@ -114,8 +114,7 @@ def test_custom_callable_may_return_one_value():
 @pytest.mark.parametrize("law, expected", [("amplitude", [1.0, 1.3 + 2.0 * 0.2]),
                                            ("canonical", [1.0, 1.69 + 4.0 * 1.3 * 0.2])])
 def test_custom_table_frequency_at_the_ends_of_the_table(law, expected):
-    # the finite difference is clipped into [0, 2], so at both ends it reads
-    # the slope of the end segment
+    # at both ends the slope is that of the end segment
     spec = custom(table=[1.0, 1.1, 1.3])
     np.testing.assert_allclose(frequency(spec, np.array([0.0, 2.0]), law), expected, rtol=1e-9)
     with pytest.raises(DomainError, match=r"custom table covers \[0, 2\] only"):
@@ -376,6 +375,43 @@ def test_spec_serialization_rejects_callables_and_junk():
 def test_spec_from_dict_refuses_malformed_input(data, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         spec_from_dict(data)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"kind": "q", "lambda": "x"}, "q profile field 'lambda' must be a number, got 'x'"),
+    ({"kind": "kerr", "chi": None}, "kerr profile field 'chi' must be a number, got None"),
+    ({"kind": "custom", "table": [1.0, "x"]},
+     "custom profile field 'table' must be a list of numbers, got [1.0, 'x']"),
+    ({"kind": "custom", "table": 3}, "custom profile field 'table' must be a list of numbers, got 3"),
+], ids=["q-string", "kerr-null", "table-string", "table-number"])
+def test_spec_from_dict_names_a_field_it_cannot_convert(data, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        spec_from_dict(data)
+
+
+def test_custom_callable_of_the_wrong_length_is_a_domain_error():
+    spec = custom(fn=lambda n: np.ones(3))
+    with pytest.raises(DomainError, match=re.escape(
+            "custom fn returned shape (3,) for 2 levels; it must return one value or one per level")):
+        eval_f(spec, np.arange(2.0))
+
+
+def test_table_slope_is_exact_on_each_segment():
+    # on [1, 2) f' is the rounded difference 1.3 - 1.1, with no finite
+    # difference's noise, for both laws
+    spec = custom(table=[1.0, 1.1, 1.3])
+    e = np.array([1.0, 1.25, 1.5, 1.75])
+    f, slope = eval_f(spec, e), 1.3 - 1.1
+    assert frequency(spec, e).tolist() == (f + e * slope).tolist()
+    assert frequency(spec, e, "canonical").tolist() == (f * f + 2.0 * e * f * slope).tolist()
+
+
+def test_table_knot_takes_the_slope_of_the_segment_above():
+    # at the knot E = 1 the amplitude law jumps from 1.1 + 0.1 to 1.1 + 0.2
+    spec = custom(table=[1.0, 1.1, 1.3])
+    assert frequency(spec, 1.0) == 1.1 + (1.3 - 1.1)
+    below = math.nextafter(1.0, 0.0)
+    assert frequency(spec, below) == pytest.approx(1.1 + 0.1, rel=1e-15)
 
 
 def test_constructor_validation():

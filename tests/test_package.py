@@ -1,13 +1,17 @@
 """The package surface: what ``foscillator.__all__`` promises can be imported,
-and what its modules may raise."""
+what its modules may raise, and what they cache for the whole process."""
 
 import ast
+import importlib
 import inspect
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import foscillator
-from foscillator import errors
+from foscillator import errors, identity, kerr, q_oscillator
 
 
 def test_exported_names_are_unique_and_star_importable():
@@ -64,3 +68,46 @@ def test_modules_raise_only_the_package_errors():
             if name not in typed:
                 found.add((path.stem, function, name))
     assert found == _OTHER_RAISES
+
+
+# Each process-wide cache of the package, with arguments to call it on.  A
+# cache hands the same objects to every caller, so each array it returns
+# must be read-only.
+_CACHES = {
+    ("classical", "_clenshaw_curtis"): [(16,)],
+    ("classical", "_periodic_trapezoid"): [(16,)],
+    ("fock", "_level_energies"): [(q_oscillator(0.1), 8, "symmetric"), (kerr(0.1), 8, "normal"),
+                                  (identity(), 8, "normal_half"), (kerr(0.1), 8, "kerr")],
+    ("wigner", "_rotation"): [(0,), (3,)],
+}
+
+
+def _cached_functions(tree):
+    """Names of the functions in ``tree`` decorated with ``functools.cache``
+    or ``functools.lru_cache``, called or not."""
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and any(_name(d) in ("cache", "lru_cache") for d in node.decorator_list)}
+
+
+def test_process_wide_caches_are_listed():
+    found = set()
+    for path in sorted(Path(foscillator.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.stem, name) for name in _cached_functions(tree)}
+    assert found == set(_CACHES)
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("module, name", sorted(_CACHES))
+def test_caches_hand_out_read_only_arrays(module, name):
+    function = getattr(importlib.import_module(f"foscillator.{module}"), name)
+    for args in _CACHES[module, name]:
+        arrays = list(_arrays(function(*args)))
+        assert arrays and not any(a.flags.writeable for a in arrays)

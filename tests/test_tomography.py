@@ -19,9 +19,11 @@ from foscillator import (
     classical_invariants,
     classical_tomogram_evolved,
     coherent_density,
+    custom,
     evolve_density,
     fock_density,
     fock_tomogram_closed,
+    frequency,
     gaussian_distribution,
     identity,
     kerr,
@@ -35,7 +37,8 @@ from foscillator import (
     wigner_from_density,
     wigner_values,
 )
-from foscillator.classical import _BLOCK
+import foscillator.classical as classical_module
+from foscillator.classical import _BLOCK, _clenshaw_curtis, _periodic_trapezoid
 from foscillator.hermite import hermite_functions
 from foscillator.tomography import _quantum_eval, _radon_lines
 
@@ -243,7 +246,9 @@ def test_non_finite_density_is_refused_at_once():
 
     with pytest.raises(DomainError, match="not finite"):
         radon_classical(PhaseSpaceDistribution(broken, 2.0), 1.0, 0.0, np.linspace(-1.0, 1.0, 5))
-    assert len(calls) == 2  # the first two levels, not all the way to the cap
+    # both first levels come in one call, and the rule stops at their
+    # comparison, not at the cap
+    assert len(calls) == 1
 
 
 def test_density_calls_stay_within_one_block():
@@ -338,6 +343,100 @@ def test_transported_blob_slice_is_right_or_flagged_property(centre, sigma, wide
         return
     ref = _gauss_legendre_slice(dist, mu, nu, x, 3000)
     np.testing.assert_allclose(sl.values, ref, rtol=0.0, atol=1e-10)
+
+
+def _table_profile(ab):
+    # 120 samples cover the energies of every support disk drawn below
+    return custom(table=[1.0 + ab[0] * math.sin(ab[1] * k) for k in range(120)])
+
+
+_TRANSPORT_PROFILES = st.one_of(
+    st.floats(0.01, 0.5).map(q_oscillator),
+    st.floats(0.0, 0.3).map(kerr),
+    st.tuples(st.floats(-0.2, 0.2), st.floats(0.0, 3.0)).map(_table_profile),
+)
+
+
+def _slice_or_refusal(dist, mu, nu, x):
+    try:
+        return radon_classical(dist, mu, nu, x).values.tolist()
+    except NumericToleranceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60)
+@given(centre=_polar(0.0, 2.0), sigma=st.floats(0.05, 1.0), spec=_TRANSPORT_PROFILES,
+       law=st.sampled_from(["amplitude", "canonical"]), t=st.floats(-30.0, 30.0),
+       then=st.one_of(st.none(), st.tuples(_TRANSPORT_PROFILES, st.floats(-30.0, 30.0))),
+       ray=_RAYS)
+def test_turned_rings_match_the_transported_density_property(centre, sigma, spec, law, t, then, ray):
+    # the disk of a transported density turns the rings of the initial one;
+    # the same density behind a plain distribution is evaluated point by
+    # point.  Both give the same integral, and the lines, which evaluate
+    # the transported density either way, the same values
+    blob = gaussian_distribution(centre.real, centre.imag, sigma)
+    moved = propagate_distribution(blob, spec, t, law)
+    if then is not None:
+        moved = propagate_distribution(moved, *then, law)
+    plain = PhaseSpaceDistribution(moved.density, moved.support_radius)
+    assert abs(phase_space_integral(moved) - phase_space_integral(plain)) <= 1e-13
+    mu, nu = ray
+    x = np.linspace(-1.0, 1.0, 9) * math.hypot(mu, nu) * moved.support_radius
+    assert _slice_or_refusal(moved, mu, nu, x) == _slice_or_refusal(plain, mu, nu, x)
+
+
+def test_transported_disk_evaluates_the_initial_density_once_per_ring_group():
+    # the README blob: the disk asks the initial density for its 65 turned
+    # rings in at most 3 calls, and the profile for one frequency per ring
+    blob = gaussian_distribution(1.0, 0.0, 0.5)
+    calls, energies = [], []
+
+    def counted(q, p):
+        calls.append(np.shape(q))
+        return blob.density(q, p)
+
+    def frequency_counted(spec, e, law):
+        energies.append(np.size(e))
+        return frequency(spec, e, law)
+
+    moved = propagate_distribution(PhaseSpaceDistribution(counted, blob.support_radius),
+                                   q_oscillator(0.2), 1.5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classical_module, "frequency", frequency_counted)
+        assert phase_space_integral(moved) == pytest.approx(1.0, abs=1e-12)
+    assert len(calls) <= 3
+    assert sum(energies) == sum(rows for rows, _ in calls) == 65
+
+
+@pytest.mark.parametrize("transports", [
+    [(q_oscillator(0.2), 1.5, "amplitude")],
+    [(q_oscillator(0.2), 1.5, "amplitude"), (kerr(0.1), -0.7, "canonical")],
+], ids=["one", "composed"])
+def test_disk_evaluates_the_initial_density_on_turned_rings(transports):
+    # a ring's integral does not see its turn, so the nodes are checked: the
+    # first disk call takes the 33 radii of 32 Clenshaw-Curtis intervals
+    # times the 128 angles of the ring rule, each node where the transported
+    # density would read the initial one
+    blob = gaussian_distribution(1.0, 0.0, 0.5)
+    seen = []
+
+    def recorded(q, p):
+        seen.append((q, p))
+        return blob.density(q, p)
+
+    moved = PhaseSpaceDistribution(recorded, blob.support_radius)
+    for spec, t, law in transports:
+        moved = propagate_distribution(moved, spec, t, law)
+    phase_space_integral(moved)
+    r = 0.5 * blob.support_radius * (1.0 + _clenshaw_curtis(32)[0])
+    v = _periodic_trapezoid(128)[0]
+    at = PhasePoint(r[:, None] * np.cos(math.pi * v), r[:, None] * np.sin(math.pi * v))
+    for spec, t, law in reversed(transports):
+        at = classical_invariants(spec, at, t, law)
+    q, p = seen[0]
+    # a few ulp of the radius: the turn is summed per ring, not taken per point
+    np.testing.assert_allclose(q, at.q, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(p, at.p, rtol=0.0, atol=1e-13)
 
 
 def test_line_rule_cost():

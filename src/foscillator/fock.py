@@ -68,14 +68,13 @@ def deformed_lowering(spec: NonlinearitySpec, dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _level_energies(spec: NonlinearitySpec, dim: int, form: str):
+def _level_table(spec: NonlinearitySpec, dim: int, form: str):
     """(f, H): the profile values the form reads, checked positive, and H(n)
-    on levels 0..dim-1; shared read-only.
+    on levels 0..dim-1, both read-only.
 
     The symmetric form reads f(0..dim), one level past the top state, the
     normal forms f(0..dim-1); the kerr form reads none, and f is None.
-    A process-wide table of the last few (spec, dim, form), so the
-    evolutions and invariants of one state evaluate the profile once.
+    A process-wide table of the last few (spec, dim, form).
     """
     _check_dim(dim)
     if form not in HAMILTONIAN_FORMS:
@@ -99,14 +98,14 @@ def _level_energies(spec: NonlinearitySpec, dim: int, form: str):
     return fvals, h
 
 
-def _levels(spec: NonlinearitySpec, dim: int, form: str):
-    """``_level_energies``, evaluated afresh for a key that cannot be
-    hashed, such as a custom ``fn`` object that defines equality only."""
-    try:
-        hash((spec, dim, form))
-    except TypeError:
-        return _level_energies.__wrapped__(spec, dim, form)
-    return _level_energies(spec, dim, form)
+def _level_energies(spec: NonlinearitySpec, dim: int, form: str):
+    """``_level_table``, shared for a profile given by values, so the
+    evolutions and invariants of one state evaluate it once.  A custom
+    ``fn`` is called afresh on every use: it may hold state that the
+    spec's equality does not see."""
+    if spec.fn is not None:
+        return _level_table.__wrapped__(spec, dim, form)
+    return _level_table(spec, dim, form)
 
 
 def hamiltonian_diagonal(
@@ -123,7 +122,7 @@ def hamiltonian_diagonal(
 
     The array is the caller's own copy of the shared level table.
     """
-    return _levels(spec, dim, form)[1].copy()
+    return _level_energies(spec, dim, form)[1].copy()
 
 
 def heisenberg_invariant(
@@ -136,7 +135,7 @@ def heisenberg_invariant(
     values in any evolving state stay frozen at their t = 0 value.  Only the
     superdiagonal is built, from one evaluation of the profile.
     """
-    fvals, h = _levels(spec, dim, form)
+    fvals, h = _level_energies(spec, dim, form)
     if fvals is None:  # the kerr form's H reads no profile, but Q does
         fvals = require_positive(spec, dim - 1)
     idx = np.arange(dim - 1)
@@ -350,7 +349,7 @@ def evolve_density(
     at most a few eps ||rho||_F at any t (Weyl's inequality), so the result
     is rechecked for hermiticity, trace and tail but not re-diagonalised.
     """
-    h = _levels(spec, rho.dim, form)[1]
+    h = _level_energies(spec, rho.dim, form)[1]
     e = np.exp(-1j * (h * float(t)))
     phase = np.outer(e, e.conj())
     np.fill_diagonal(phase, 1.0)

@@ -257,7 +257,7 @@ def spec_from_dict(data: dict) -> NonlinearitySpec:
     value = data[field]
     try:
         value = [float(v) for v in value] if field == "table" else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         what = "a list of numbers" if field == "table" else "a number"
         raise DomainError(f"{kind} profile field {field!r} must be {what}, got {value!r}") from None
     return build(value)

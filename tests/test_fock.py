@@ -35,7 +35,9 @@ from foscillator import (
     q_oscillator,
     vacuum_density,
 )
+from foscillator import fock
 from foscillator.fock import _hermiticity_residual, _log_factorials, _poisson_amplitudes
+from foscillator.nonlinearity import require_positive
 
 
 def test_lowering_dim2():
@@ -189,21 +191,44 @@ def test_invariant_evaluates_the_profile_once():
     assert calls == [13]
 
 
-def test_one_level_table_serves_every_evolution_and_invariant():
+def test_one_level_table_serves_every_evolution_and_invariant(monkeypatch):
     # an evolve op of the benchmark: the invariant at t = 0, then an evolution
-    # and an invariant at each of three times, all from one profile call
+    # and an invariant at each of three times, all from one profile evaluation
     calls = []
 
-    def profile(n):
-        calls.append(np.size(n))
-        return np.sqrt(1.0 + 0.1 * np.asarray(n))
+    def counting(spec, top):
+        calls.append(top)
+        return require_positive(spec, top)
 
-    spec, rho = custom(fn=profile), coherent_density(1.0, 40)
+    monkeypatch.setattr(fock, "require_positive", counting)
+    fock._level_table.cache_clear()
+    spec, rho = custom(table=[1.0 + 0.01 * k for k in range(45)]), coherent_density(1.0, 40)
     heisenberg_invariant(spec, 40, 0.0)
     for t in (0.5, 1.7, 4.2):
         evolve_density(rho, spec, t)
         heisenberg_invariant(spec, 40, t)
-    assert calls == [41]
+    assert calls == [40]
+
+
+class _ScaledProfile:
+    # a profile object whose parameter can change after the spec is built
+    def __init__(self, scale):
+        self.scale = scale
+
+    def __call__(self, n):
+        return np.sqrt(1.0 + self.scale * np.asarray(n))
+
+
+def test_custom_profile_is_evaluated_afresh_on_every_use():
+    profile = _ScaledProfile(0.1)
+    spec, rho = custom(fn=profile), coherent_density(1.0, 30)
+    before = hamiltonian_diagonal(spec, 30)
+    evolved = evolve_density(rho, spec, 1.3).matrix
+    profile.scale = 0.2
+    np.testing.assert_array_equal(hamiltonian_diagonal(spec, 30),
+                                  hamiltonian_diagonal(custom(fn=_ScaledProfile(0.2)), 30))
+    assert not np.array_equal(hamiltonian_diagonal(spec, 30), before)
+    assert not np.array_equal(evolve_density(rho, spec, 1.3).matrix, evolved)
 
 
 def test_hamiltonian_diagonal_is_a_writable_copy():

@@ -383,7 +383,10 @@ def test_spec_from_dict_refuses_malformed_input(data, message):
     ({"kind": "custom", "table": [1.0, "x"]},
      "custom profile field 'table' must be a list of numbers, got [1.0, 'x']"),
     ({"kind": "custom", "table": 3}, "custom profile field 'table' must be a list of numbers, got 3"),
-], ids=["q-string", "kerr-null", "table-string", "table-number"])
+    ({"kind": "q", "lambda": 10**400}, "q profile field 'lambda' must be a number, got 1000"),
+    ({"kind": "custom", "table": [1.0, 10**400]},
+     "custom profile field 'table' must be a list of numbers, got [1.0, 1000"),
+], ids=["q-string", "kerr-null", "table-string", "table-number", "q-huge-int", "table-huge-int"])
 def test_spec_from_dict_names_a_field_it_cannot_convert(data, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         spec_from_dict(data)

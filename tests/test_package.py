@@ -76,8 +76,8 @@ def test_modules_raise_only_the_package_errors():
 _CACHES = {
     ("classical", "_clenshaw_curtis"): [(16,)],
     ("classical", "_periodic_trapezoid"): [(16,)],
-    ("fock", "_level_energies"): [(q_oscillator(0.1), 8, "symmetric"), (kerr(0.1), 8, "normal"),
-                                  (identity(), 8, "normal_half"), (kerr(0.1), 8, "kerr")],
+    ("fock", "_level_table"): [(q_oscillator(0.1), 8, "symmetric"), (kerr(0.1), 8, "normal"),
+                               (identity(), 8, "normal_half"), (kerr(0.1), 8, "kerr")],
     ("wigner", "_rotation"): [(0,), (3,)],
 }
 

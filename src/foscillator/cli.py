@@ -65,7 +65,7 @@ from .fock import (
     heisenberg_invariant,
     vacuum_density,
 )
-from .nonlinearity import _PARAMETERS, KINDS, spec_from_dict, spec_to_dict
+from .nonlinearity import _ATTRIBUTES, _PARAMETERS, KINDS, spec_from_dict, spec_to_dict
 from .thermo import deformed_partition
 from .tomography import quantum_tomogram, radon_classical
 from .wigner import deformed_wigner, wigner_from_density
@@ -182,9 +182,6 @@ _NONLINEARITY_FLAGS = (
     _flag("--table", type=str, default=None,
           help="comma-separated per-level samples for a custom profile"),
 )
-# Keys of a config "nonlinearity" object, and the flags they set; a profile
-# parameter's flag is named after its JSON field and stores to its attribute.
-_PROFILE_FIELDS = {"kind": "kind"} | {field: attr for field, attr, _ in _PARAMETERS.values()}
 
 _X_FLAGS = (
     _flag("--x-min", type=_finite_float, default=-6.0),
@@ -209,13 +206,15 @@ _STATE_FLAGS = (
 
 
 def _build_spec(args):
+    """The profile of ``--kind`` and the parameter flags that are set, from
+    the command line or a config; a parameter of another kind is refused."""
     data = {"kind": args.kind}
-    if args.kind in _PARAMETERS:
-        field, attr, _ = _PARAMETERS[args.kind]
+    for kind, (field, attr) in _PARAMETERS.items():
         value = getattr(args, attr)
-        if value is None:
-            raise DomainError(f"the {args.kind} profile needs --{field}")
-        data[field] = [float(v) for v in value.split(",")] if field == "table" else value
+        if value is not None:
+            data[field] = [float(v) for v in value.split(",")] if field == "table" else value
+        elif kind == args.kind:
+            raise DomainError(f"the {kind} profile needs --{field}")
     return spec_from_dict(data)
 
 
@@ -561,16 +560,18 @@ def _apply_config(args, cmd: _Command):
 
 
 def _apply_profile(args, flags: dict, block):
-    """A config "nonlinearity" object: it replaces the whole profile."""
+    """A config "nonlinearity" object, in the fields of a spec's JSON form: it
+    replaces the whole profile.  A parameter's flag stores to the spec
+    attribute of its field."""
     if not isinstance(block, dict) or "kind" not in block:
         raise DomainError("config nonlinearity must be an object with a 'kind' field")
     args.lam = args.chi = args.table = None
     for key, value in block.items():
-        if key not in _PROFILE_FIELDS:
+        if key not in _ATTRIBUTES:
             raise DomainError(f"unknown config field 'nonlinearity.{key}'")
         if key == "table" and isinstance(value, list):
             value = ",".join(str(v) for v in value)
-        flag = flags[_PROFILE_FIELDS[key]]
+        flag = flags[_ATTRIBUTES[key]]
         setattr(args, flag.dest, flag.from_config(f"nonlinearity.{key}", value))
 
 

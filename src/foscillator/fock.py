@@ -68,13 +68,14 @@ def deformed_lowering(spec: NonlinearitySpec, dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _level_table(spec: NonlinearitySpec, dim: int, form: str):
+def _level_energies(spec: NonlinearitySpec, dim: int, form: str):
     """(f, H): the profile values the form reads, checked positive, and H(n)
     on levels 0..dim-1, both read-only.
 
     The symmetric form reads f(0..dim), one level past the top state, the
     normal forms f(0..dim-1); the kerr form reads none, and f is None.
-    A process-wide table of the last few (spec, dim, form).
+    A process-wide table of the last few (spec, dim, form): a spec is a
+    value, so the evolutions and invariants of one state evaluate it once.
     """
     _check_dim(dim)
     if form not in HAMILTONIAN_FORMS:
@@ -96,16 +97,6 @@ def _level_table(spec: NonlinearitySpec, dim: int, form: str):
         fvals.flags.writeable = False
     h.flags.writeable = False
     return fvals, h
-
-
-def _level_energies(spec: NonlinearitySpec, dim: int, form: str):
-    """``_level_table``, shared for a profile given by values, so the
-    evolutions and invariants of one state evaluate it once.  A custom
-    ``fn`` is called afresh on every use: it may hold state that the
-    spec's equality does not see."""
-    if spec.fn is not None:
-        return _level_table.__wrapped__(spec, dim, form)
-    return _level_table(spec, dim, form)
 
 
 def hamiltonian_diagonal(
@@ -201,11 +192,15 @@ def _validated(m: np.ndarray, check_spectrum: bool) -> np.ndarray:
 
 
 def _field(data: dict, name: str, convert, what: str):
-    """``convert(data[name])``; DomainError naming the field if it fails."""
+    """``convert(data[name])``; DomainError naming the field if it fails or
+    gives None."""
     try:
-        return convert(data[name])
+        out = convert(data[name])
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"density field {name!r} must be {what}") from None
+        out = None
+    if out is None:
+        raise DomainError(f"density field {name!r} must be {what}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -262,7 +257,8 @@ class DensityMatrix:
     def from_dict(cls, data: dict) -> "DensityMatrix":
         if not isinstance(data, dict) or not {"dim", "re", "im"} <= set(data):
             raise DomainError("density description needs dim, re, im fields")
-        dim = _field(data, "dim", int, "an integer")
+        # int() alone would read 2.9 as 2
+        dim = _field(data, "dim", lambda v: int(v) if float(v).is_integer() else None, "an integer")
         re, im = (_field(data, name, lambda v: np.asarray(v, dtype=float), "an array of numbers")
                   for name in ("re", "im"))
         if re.shape != (dim, dim) or im.shape != (dim, dim):

@@ -7,17 +7,18 @@ Built-in kinds:
 * ``identity``   f = 1, the ordinary harmonic oscillator
 * ``q``          f(n) = sqrt(sinh(lam*n)/(lam*n)), the q-oscillator profile
 * ``kerr``       f(n) = sqrt(1 - chi + chi*n), the Kerr medium profile
-* ``custom``     a user callable or a per-level sample table
+* ``custom``     a per-level sample table, linear between its samples
 
-All profiles are dimensionless; frequencies are in units of the undeformed
-oscillator frequency.
+A profile is a value: a spec is hashable, equal specs give the same f, and
+every spec round-trips through JSON.  All profiles are dimensionless;
+frequencies are in units of the undeformed oscillator frequency.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,20 +26,34 @@ from .errors import DegenerateDeformationError, DomainError
 
 KINDS = ("identity", "q", "kerr", "custom")
 
+# Each kind's one parameter: its JSON field and the spec attribute that holds it.
+_PARAMETERS = {"q": ("lambda", "lam"), "kerr": ("chi", "chi"), "custom": ("table", "table")}
+# The spec attribute of each field of the JSON form.
+_ATTRIBUTES = {"kind": "kind"} | dict(_PARAMETERS.values())
+
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Immutable description of a deformation profile."""
+    """Immutable description of a deformation profile: its kind, and the
+    kind's one parameter if it has one; the other parameters keep their
+    defaults, so that equal profiles are equal specs."""
 
     kind: str
     lam: float = 0.0
     chi: float = 0.0
     table: Optional[tuple] = None
-    fn: Optional[Callable] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown nonlinearity kind {self.kind!r}")
+        if self.kind == "custom" and self.table is None:
+            raise DomainError("custom profile needs a table")
+        for kind, (field, attr) in _PARAMETERS.items():
+            value = getattr(self, attr)
+            if kind == self.kind:
+                object.__setattr__(self, attr, _read_field(kind, field, value))
+            elif value != self.__dataclass_fields__[attr].default:
+                raise DomainError(f"the {self.kind} profile takes no {field!r} field")
         if self.kind == "q":
             if not (self.lam > 0.0 and math.isfinite(self.lam)):
                 raise DomainError("q profile needs lam > 0")
@@ -46,15 +61,29 @@ class NonlinearitySpec:
             if not math.isfinite(self.chi):
                 raise DomainError("kerr profile needs finite chi")
         if self.kind == "custom":
-            if (self.table is None) == (self.fn is None):
-                raise DomainError("custom profile needs exactly one of table or fn")
-            if self.table is not None:
-                tab = tuple(float(v) for v in self.table)
-                if len(tab) < 2:
-                    raise DomainError("custom table needs at least two samples")
-                if not all(math.isfinite(v) for v in tab):
-                    raise DomainError("custom table entries must be finite")
-                object.__setattr__(self, "table", tab)
+            if len(self.table) < 2:
+                raise DomainError("custom table needs at least two samples")
+            if not all(math.isfinite(v) for v in self.table):
+                raise DomainError("custom table entries must be finite")
+
+
+def _read_field(kind: str, field: str, value):
+    """A kind's parameter as the spec holds it: a float, or for a table a
+    tuple of floats.  ``float`` would read a bool as 0 or 1 and a string
+    table as its characters; both are refused with what it cannot read, by
+    a ``DomainError`` that names the field."""
+    table = field == "table"
+    items = None
+    if not (table and isinstance(value, (str, bytes))):
+        try:
+            items = tuple(value) if table else (value,)
+            out = tuple(float(v) for v in items)
+        except (TypeError, ValueError, OverflowError):
+            items = None
+    if items is None or any(isinstance(v, (bool, np.bool_)) for v in items):
+        what = "a list of numbers" if table else "a number"
+        raise DomainError(f"{kind} profile field {field!r} must be {what}, got {value!r}")
+    return out if table else out[0]
 
 
 def identity() -> NonlinearitySpec:
@@ -62,15 +91,15 @@ def identity() -> NonlinearitySpec:
 
 
 def q_oscillator(lam: float) -> NonlinearitySpec:
-    return NonlinearitySpec(kind="q", lam=float(lam))
+    return NonlinearitySpec(kind="q", lam=lam)
 
 
 def kerr(chi: float) -> NonlinearitySpec:
-    return NonlinearitySpec(kind="kerr", chi=float(chi))
+    return NonlinearitySpec(kind="kerr", chi=chi)
 
 
-def custom(fn: Callable = None, table: Sequence[float] = None) -> NonlinearitySpec:
-    return NonlinearitySpec(kind="custom", fn=fn, table=table)
+def custom(table: Sequence[float]) -> NonlinearitySpec:
+    return NonlinearitySpec(kind="custom", table=table)
 
 
 def _flat_argument(x, name: str):
@@ -109,20 +138,10 @@ def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
                 f"kerr profile hit 1 - chi + chi*n <= 0 at n = {bad!r}")
         vals = np.sqrt(sq)
     else:
-        if spec.table is not None:
-            top = len(spec.table) - 1
-            if arr.size and np.max(arr) > top:
-                raise DomainError(f"custom table covers [0, {top}] only")
-            vals = np.interp(arr, np.arange(top + 1), np.asarray(spec.table))
-        else:
-            vals = np.asarray(spec.fn(arr), dtype=float)
-            if vals.shape != arr.shape:
-                try:
-                    vals = np.broadcast_to(vals, arr.shape).copy()
-                except ValueError:
-                    raise DomainError(
-                        f"custom fn returned shape {vals.shape} for {arr.size} levels; "
-                        "it must return one value or one per level") from None
+        top = len(spec.table) - 1
+        if arr.size and np.max(arr) > top:
+            raise DomainError(f"custom table covers [0, {top}] only")
+        vals = np.interp(arr, np.arange(top + 1), np.asarray(spec.table))
     finite = np.isfinite(vals)
     if arr.size and not np.all(finite):
         bad = float(arr[np.argmin(finite)])
@@ -132,21 +151,13 @@ def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
 
 
 def _eval_f_prime(spec: NonlinearitySpec, e: np.ndarray) -> np.ndarray:
-    """df/dE on continuous energy for a custom profile.
-
-    A table is linear between its samples, so its slope is exact: that of
-    the segment [k, k + 1) holding E, which gives a knot the slope of the
-    segment above it, and the last segment at the top sample.  A callable
-    ``fn`` takes a central difference, clipped at E = 0.
-    """
-    if spec.table is not None:
-        tab = np.asarray(spec.table)
-        k = np.minimum(e.astype(np.intp), tab.size - 2)
-        return tab[k + 1] - tab[k]
-    h = 1e-6 * np.maximum(1.0, np.abs(e))
-    lo = np.maximum(e - h, 0.0)
-    hi = e + h
-    return (eval_f(spec, hi) - eval_f(spec, lo)) / (hi - lo)
+    """df/dE on continuous energy for a custom table, exact since the table
+    is linear between its samples: the slope of the segment [k, k + 1)
+    holding E, which gives a knot the slope of the segment above it, and the
+    last segment at the top sample."""
+    tab = np.asarray(spec.table)
+    k = np.minimum(e.astype(np.intp), tab.size - 2)
+    return tab[k + 1] - tab[k]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -221,43 +232,26 @@ def require_positive(spec: NonlinearitySpec, n_max: int) -> np.ndarray:
     return factors
 
 
-# Each kind's one parameter: its JSON field, the spec attribute that holds
-# it, and the builder that takes it.
-_PARAMETERS = {
-    "q": ("lambda", "lam", q_oscillator),
-    "kerr": ("chi", "chi", kerr),
-    "custom": ("table", "table", lambda table: custom(table=table)),
-}
-
-
 def spec_to_dict(spec: NonlinearitySpec) -> dict:
-    """JSON-ready description; callable customs cannot be serialized."""
+    """JSON-ready description: the kind and its one parameter, if it has one."""
     out = {"kind": spec.kind}
     if spec.kind in _PARAMETERS:
-        field, attr, _ = _PARAMETERS[spec.kind]
+        field, attr = _PARAMETERS[spec.kind]
         value = getattr(spec, attr)
-        if value is None:
-            raise DomainError("a callable custom profile has no JSON form")
         out[field] = list(value) if field == "table" else value
     return out
 
 
 def spec_from_dict(data: dict) -> NonlinearitySpec:
-    """Inverse of :func:`spec_to_dict`."""
+    """Inverse of :func:`spec_to_dict`; a field the kind does not take is refused."""
     if not isinstance(data, dict) or "kind" not in data:
         raise DomainError("nonlinearity description needs a 'kind' field")
     kind = data["kind"]
     if kind not in KINDS:
         raise DomainError(f"unknown nonlinearity kind {kind!r}")
-    if kind == "identity":
-        return identity()
-    field, _, build = _PARAMETERS[kind]
-    if field not in data:
-        raise DomainError(f"{kind} profile needs a {field!r} field")
-    value = data[field]
-    try:
-        value = [float(v) for v in value] if field == "table" else float(value)
-    except (TypeError, ValueError, OverflowError):
-        what = "a list of numbers" if field == "table" else "a number"
-        raise DomainError(f"{kind} profile field {field!r} must be {what}, got {value!r}") from None
-    return build(value)
+    for key in data:
+        if key not in _ATTRIBUTES:
+            raise DomainError(f"nonlinearity description has an unknown field {key!r}")
+    if kind in _PARAMETERS and _PARAMETERS[kind][0] not in data:
+        raise DomainError(f"{kind} profile needs a {_PARAMETERS[kind][0]!r} field")
+    return NonlinearitySpec(**{_ATTRIBUTES[key]: value for key, value in data.items()})

@@ -649,6 +649,25 @@ def test_missing_profile_parameter_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["--kind", "q", "--lambda", "0.1", "--chi", "0.3"], None, "the q profile takes no 'chi' field"),
+    (["--table", "1,1.1"], None, "the identity profile takes no 'table' field"),
+    ([], {"nonlinearity": {"kind": "kerr", "chi": 0.1, "lambda": 0.2}},
+     "the kerr profile takes no 'lambda' field"),
+    (["--kind", "q", "--lambda", "0.1"], {"chi": 0.3}, "the q profile takes no 'chi' field"),
+], ids=["flag", "identity-flag", "config-block", "config-field"])
+def test_parameter_of_another_kind_exits_2(tmp_path, capsys, argv, config, message):
+    # it had no effect, yet the sidecar recorded it
+    out = tmp_path / "amps.csv"
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    assert main(["coherent"] + argv + ["--output", str(out)]) == 2
+    _one_error_line(capsys, message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("state", ["coherent:1.0+0.5j", "fock:x", "nl-coherent:1,2,3"])
 def test_bad_state_selector_names_the_accepted_forms(tmp_path, capsys, state):
     out = tmp_path / "w.csv"

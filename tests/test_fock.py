@@ -72,9 +72,10 @@ def test_density_from_dict_refuses_malformed_input(data, message):
     ("dim", "x", "density field 'dim' must be an integer"),
     ("dim", None, "density field 'dim' must be an integer"),
     ("dim", math.inf, "density field 'dim' must be an integer"),
+    ("dim", 2.9, "density field 'dim' must be an integer"),
     ("re", [["x", 0.0], [0.0, 0.0]], "density field 're' must be an array of numbers"),
     ("im", [[0.0], [0.0, 0.0]], "density field 'im' must be an array of numbers"),
-], ids=["dim-string", "dim-null", "dim-inf", "re-string", "im-ragged"])
+], ids=["dim-string", "dim-null", "dim-inf", "dim-fraction", "re-string", "im-ragged"])
 def test_density_from_dict_names_a_field_it_cannot_convert(field, value, message):
     data = {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]], field: value}
     with pytest.raises(DomainError, match=re.escape(message)):
@@ -180,15 +181,17 @@ def test_invariant_matches_the_dense_construction(spec, form):
         np.testing.assert_array_equal(heisenberg_invariant(spec, dim, t, form), dense)
 
 
-def test_invariant_evaluates_the_profile_once():
+def test_invariant_evaluates_the_profile_once(monkeypatch):
     calls = []
 
-    def profile(n):
-        calls.append(np.size(n))
-        return np.sqrt(1.0 + 0.1 * np.asarray(n))
+    def counting(spec, top):
+        calls.append(top)
+        return require_positive(spec, top)
 
-    heisenberg_invariant(custom(fn=profile), 12, 0.7)
-    assert calls == [13]
+    monkeypatch.setattr(fock, "require_positive", counting)
+    fock._level_energies.cache_clear()
+    heisenberg_invariant(custom(table=[math.sqrt(1.0 + 0.1 * k) for k in range(13)]), 12, 0.7)
+    assert calls == [12]
 
 
 def test_one_level_table_serves_every_evolution_and_invariant(monkeypatch):
@@ -201,7 +204,7 @@ def test_one_level_table_serves_every_evolution_and_invariant(monkeypatch):
         return require_positive(spec, top)
 
     monkeypatch.setattr(fock, "require_positive", counting)
-    fock._level_table.cache_clear()
+    fock._level_energies.cache_clear()
     spec, rho = custom(table=[1.0 + 0.01 * k for k in range(45)]), coherent_density(1.0, 40)
     heisenberg_invariant(spec, 40, 0.0)
     for t in (0.5, 1.7, 4.2):
@@ -210,50 +213,12 @@ def test_one_level_table_serves_every_evolution_and_invariant(monkeypatch):
     assert calls == [40]
 
 
-class _ScaledProfile:
-    # a profile object whose parameter can change after the spec is built
-    def __init__(self, scale):
-        self.scale = scale
-
-    def __call__(self, n):
-        return np.sqrt(1.0 + self.scale * np.asarray(n))
-
-
-def test_custom_profile_is_evaluated_afresh_on_every_use():
-    profile = _ScaledProfile(0.1)
-    spec, rho = custom(fn=profile), coherent_density(1.0, 30)
-    before = hamiltonian_diagonal(spec, 30)
-    evolved = evolve_density(rho, spec, 1.3).matrix
-    profile.scale = 0.2
-    np.testing.assert_array_equal(hamiltonian_diagonal(spec, 30),
-                                  hamiltonian_diagonal(custom(fn=_ScaledProfile(0.2)), 30))
-    assert not np.array_equal(hamiltonian_diagonal(spec, 30), before)
-    assert not np.array_equal(evolve_density(rho, spec, 1.3).matrix, evolved)
-
-
 def test_hamiltonian_diagonal_is_a_writable_copy():
     spec = q_oscillator(0.1)
     h = hamiltonian_diagonal(spec, 8)
     expected = h.copy()
     h[:] = 0.0
     np.testing.assert_array_equal(hamiltonian_diagonal(spec, 8), expected)
-
-
-class _EqualityProfile:
-    # defines equality only, so it cannot be hashed
-    def __eq__(self, other):
-        return isinstance(other, _EqualityProfile)
-
-    def __call__(self, n):
-        return np.sqrt(1.0 + 0.1 * np.asarray(n))
-
-
-def test_unhashable_custom_profile_still_evolves():
-    spec = custom(fn=_EqualityProfile())
-    rho = coherent_density(1.0, 30)
-    np.testing.assert_array_equal(hamiltonian_diagonal(spec, 30),
-                                  hamiltonian_diagonal(custom(fn=_EqualityProfile().__call__), 30))
-    assert evolve_density(rho, spec, 1.3).matrix.shape == (30, 30)
 
 
 def test_invariant_matches_conjugation():

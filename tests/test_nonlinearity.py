@@ -1,11 +1,14 @@
 """Deformation profiles, frequency laws, and profile factorials."""
 
+import json
 import math
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from foscillator import (
     DegenerateDeformationError,
@@ -79,7 +82,7 @@ def test_profile_rejects_negative_argument():
 
 
 _EVERY_KIND = [identity(), q_oscillator(0.1), kerr(0.1), custom(table=[1.0, 1.1, 1.3]),
-               custom(fn=lambda n: 1.0 + 0.1 * n)]
+               custom(table=[1.0 + 0.1 * k for k in range(3)])]
 
 
 @pytest.mark.parametrize("spec", _EVERY_KIND, ids=lambda spec: spec.kind)
@@ -105,12 +108,6 @@ def test_custom_table_refuses_a_non_finite_entry(entry):
         custom(table=[1.0, entry, 1.2])
 
 
-def test_custom_callable_may_return_one_value():
-    spec = custom(fn=lambda n: 2.0)
-    np.testing.assert_array_equal(eval_f(spec, np.arange(3.0)), [2.0, 2.0, 2.0])
-    assert eval_f(spec, 1.5) == 2.0
-
-
 @pytest.mark.parametrize("law, expected", [("amplitude", [1.0, 1.3 + 2.0 * 0.2]),
                                            ("canonical", [1.0, 1.69 + 4.0 * 1.3 * 0.2])])
 def test_custom_table_frequency_at_the_ends_of_the_table(law, expected):
@@ -134,23 +131,17 @@ def test_custom_table_interpolates():
         eval_f(spec, 2.5)
 
 
-def test_custom_callable_profile():
-    spec = custom(fn=lambda n: 1.0 + 0.0 * np.asarray(n))
-    np.testing.assert_allclose(eval_f(spec, np.arange(5, dtype=float)), 1.0)
-
-
 def test_custom_needs_exactly_one_source():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="custom profile needs a table"):
         NonlinearitySpec(kind="custom")
-    with pytest.raises(DomainError):
-        NonlinearitySpec(kind="custom", fn=lambda n: n, table=(1.0, 1.0))
-    with pytest.raises(DomainError):
-        custom(table=[1.0])  # too short
+    with pytest.raises(DomainError, match="custom table needs at least two samples"):
+        custom(table=[1.0])
 
 
 def test_profile_rejects_non_finite_output():
-    with pytest.raises(DomainError):
-        eval_f(custom(fn=lambda n: np.full_like(np.asarray(n, float), np.nan)), 1.0)
+    # a table is finite by construction; the q profile overflows past lam n ~ 1427
+    with pytest.raises(DomainError, match="f overflows the float range"):
+        eval_f(q_oscillator(2.0), np.array([1.0, 1000.0]))
 
 
 def test_frequency_identity_is_unity():
@@ -292,7 +283,7 @@ def test_frequency_kerr_canonical_law():
 
 def test_frequency_linear_profile_amplitude_law():
     # f(E) = E/2 gives omega = f + E f' = E
-    spec = custom(fn=lambda e: np.asarray(e, float) / 2.0)
+    spec = custom(table=[k / 2.0 for k in range(4)])
     e = np.array([0.5, 1.0, 2.0, 3.0])
     np.testing.assert_allclose(frequency(spec, e), e, rtol=1e-9)
 
@@ -355,15 +346,6 @@ def test_spec_json_round_trip(spec):
     assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
-def test_spec_serialization_rejects_callables_and_junk():
-    with pytest.raises(DomainError):
-        spec_to_dict(custom(fn=lambda n: n))
-    with pytest.raises(DomainError):
-        spec_from_dict({"kind": "warp"})
-    with pytest.raises(DomainError):
-        spec_from_dict({"kind": "q"})  # missing lambda
-
-
 @pytest.mark.parametrize("data, message", [
     ([], "nonlinearity description needs a 'kind' field"),
     ({"lambda": 0.1}, "nonlinearity description needs a 'kind' field"),
@@ -371,6 +353,11 @@ def test_spec_serialization_rejects_callables_and_junk():
     ({"kind": "custom"}, "custom profile needs a 'table' field"),
     ({"kind": "q", "lambda": -0.1}, "q profile needs lam > 0"),
     ({"kind": "custom", "table": [1.0]}, "custom table needs at least two samples"),
+    ({"kind": "warp"}, "unknown nonlinearity kind 'warp'"),
+    ({"kind": "q"}, "q profile needs a 'lambda' field"),
+    ({"kind": "q", "lambda": 0.1, "chi": 0.3}, "the q profile takes no 'chi' field"),
+    ({"kind": "identity", "table": [1.0, 1.1]}, "the identity profile takes no 'table' field"),
+    ({"kind": "kerr", "chi": 0.1, "bogus": 1}, "nonlinearity description has an unknown field 'bogus'"),
 ])
 def test_spec_from_dict_refuses_malformed_input(data, message):
     with pytest.raises(DomainError, match=re.escape(message)):
@@ -386,17 +373,44 @@ def test_spec_from_dict_refuses_malformed_input(data, message):
     ({"kind": "q", "lambda": 10**400}, "q profile field 'lambda' must be a number, got 1000"),
     ({"kind": "custom", "table": [1.0, 10**400]},
      "custom profile field 'table' must be a list of numbers, got [1.0, 1000"),
-], ids=["q-string", "kerr-null", "table-string", "table-number", "q-huge-int", "table-huge-int"])
+    ({"kind": "custom", "table": "123"}, "custom profile field 'table' must be a list of numbers, got '123'"),
+    ({"kind": "q", "lambda": True}, "q profile field 'lambda' must be a number, got True"),
+    ({"kind": "custom", "table": [1.0, False]},
+     "custom profile field 'table' must be a list of numbers, got [1.0, False]"),
+], ids=["q-string", "kerr-null", "table-string", "table-number", "q-huge-int", "table-huge-int",
+        "table-is-a-string", "q-bool", "table-bool"])
 def test_spec_from_dict_names_a_field_it_cannot_convert(data, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         spec_from_dict(data)
 
 
-def test_custom_callable_of_the_wrong_length_is_a_domain_error():
-    spec = custom(fn=lambda n: np.ones(3))
-    with pytest.raises(DomainError, match=re.escape(
-            "custom fn returned shape (3,) for 2 levels; it must return one value or one per level")):
-        eval_f(spec, np.arange(2.0))
+@pytest.mark.parametrize("build, message", [
+    (lambda: custom(table="15"), "custom profile field 'table' must be a list of numbers, got '15'"),
+    (lambda: q_oscillator(True), "q profile field 'lambda' must be a number, got True"),
+    (lambda: kerr(np.True_), "kerr profile field 'chi' must be a number, got np.True_"),
+    (lambda: custom(table=3), "custom profile field 'table' must be a list of numbers, got 3"),
+], ids=["string-table", "q-bool", "kerr-numpy-bool", "table-number"])
+def test_builders_refuse_a_string_table_and_a_bool_number(build, message):
+    # float() reads a string table as its characters and a bool as 0 or 1
+    with pytest.raises(DomainError, match=re.escape(message)):
+        build()
+
+
+_FINITE = st.floats(-1e300, 1e300, allow_nan=False)
+_SPECS = st.one_of(
+    st.just(identity()),
+    st.floats(1e-300, 1e300).map(q_oscillator),
+    _FINITE.map(kerr),
+    st.lists(_FINITE, min_size=2, max_size=40).map(custom),
+)
+
+
+@given(spec=_SPECS)
+def test_every_spec_round_trips_through_json_and_hashes_as_a_value(spec):
+    # the level tables of fock are cached by spec, so equal specs must hash equal
+    back = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+    assert back == spec
+    assert hash(back) == hash(spec)
 
 
 def test_table_slope_is_exact_on_each_segment():
@@ -424,3 +438,6 @@ def test_constructor_validation():
         q_oscillator(-0.1)
     with pytest.raises(DomainError):
         NonlinearitySpec(kind="galaxy")
+    # a parameter of another kind would make the spec unequal to its JSON form
+    with pytest.raises(DomainError, match="the q profile takes no 'chi' field"):
+        NonlinearitySpec(kind="q", lam=0.1, chi=0.3)

@@ -1,9 +1,14 @@
 """The package surface: what ``foscillator.__all__`` promises can be imported,
-what its modules may raise, and what they cache for the whole process."""
+what its modules may raise, what they cache for the whole process, and the
+README's Python examples."""
 
 import ast
 import importlib
 import inspect
+import os
+import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -11,7 +16,7 @@ import numpy as np
 import pytest
 
 import foscillator
-from foscillator import errors, identity, kerr, q_oscillator
+from foscillator import custom, errors, identity, kerr, q_oscillator
 
 
 def test_exported_names_are_unique_and_star_importable():
@@ -76,8 +81,10 @@ def test_modules_raise_only_the_package_errors():
 _CACHES = {
     ("classical", "_clenshaw_curtis"): [(16,)],
     ("classical", "_periodic_trapezoid"): [(16,)],
-    ("fock", "_level_table"): [(q_oscillator(0.1), 8, "symmetric"), (kerr(0.1), 8, "normal"),
-                               (identity(), 8, "normal_half"), (kerr(0.1), 8, "kerr")],
+    ("fock", "_level_energies"): [(q_oscillator(0.1), 8, "symmetric"), (kerr(0.1), 8, "normal"),
+                                  (identity(), 8, "normal_half"), (kerr(0.1), 8, "kerr"),
+                                  (custom(table=[1.0, 1.1, 1.3, 1.2, 1.0, 1.1, 1.2, 1.3, 1.4]), 8,
+                                   "symmetric")],
     ("wigner", "_rotation"): [(0,), (3,)],
 }
 
@@ -111,3 +118,24 @@ def test_caches_hand_out_read_only_arrays(module, name):
     for args in _CACHES[module, name]:
         arrays = list(_arrays(function(*args)))
         assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+_README_PYTHON = re.findall(r"^```python\n(.*?)^```$",
+                            (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+                            flags=re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_a_python_example():
+    assert _README_PYTHON
+
+
+@pytest.mark.parametrize("source", _README_PYTHON,
+                         ids=[f"block{i}" for i in range(len(_README_PYTHON))])
+def test_readme_python_example_runs_clean(tmp_path, source):
+    # each block as printed, in a fresh process where a RuntimeWarning is an error
+    package_root = str(Path(foscillator.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", source],
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -25,7 +25,7 @@ class TruncationError(ValueError):
 
 
 class SeriesDivergenceError(ValueError):
-    """Thermal series terms stopped decaying; the weight map grows too fast."""
+    """A Gibbs sum diverges: the spectrum it sums is unbounded below."""
 
 
 class NumericToleranceError(RuntimeError):

@@ -1,17 +1,16 @@
 """Thermal state of the oscillator and first-order deformed corrections.
 
-The undeformed ladder and the built-in level weight chi(n) = n^2 have closed
-forms for Z and every moment the reports need, so no report sums a series;
-the blockwise series serves arbitrary level weights and is the tests' oracle.
-Each closed form raises DomainError naming beta where it leaves the float
-range: Z underflows past beta = 1416.79, the k-th moment ~ k!/beta^k
-overflows as beta -> 0.
+The undeformed ladder has closed forms for Z and every moment the reports
+need, so no report sums a series.  Each closed form raises DomainError naming
+beta where it leaves the float range: Z underflows past beta = 1416.79, the
+k-th moment ~ k!/beta^k overflows as beta -> 0.
 
 Deformed spectra E_n = n + 1/2 + g n^2 are treated to first order in g:
 Z_f = Z0 (1 - beta g <n^2>), with the energy picking up both the direct
 shift g <n^2> and the reweighting term g beta (E0 <n^2> - <H n^2>).  The
-exact sums are also exposed; they are deliberately independent of the
-perturbative path so they can act as its oracle.
+exact values come from one direct Gibbs sum over the same spectrum (g >= 0),
+deliberately independent of the closed forms and the perturbative path so it
+can act as their oracle.
 """
 
 from __future__ import annotations
@@ -19,27 +18,19 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, SeriesDivergenceError
 
 _BLOCK = 4096
-_REL_STOP = 1e-16
 _MAX_TERMS = 10_000_000
-_WEIGHT_USAGE = "level weight must take an array of levels and return one value or one per level"
 # Largest beta whose Z = 1/(2 sinh(beta/2)) is a normal double; past it Z
 # underflows and sinh overflows, so the closed forms are refused there.
 _BETA_MAX = 2.0 * math.asinh(0.5 / sys.float_info.min)
 # Smallest beta whose k-th moment ~ k!/beta^k (k = 1: Z, E, <n>) stays below
 # half the float maximum, so subnormal rounding of beta cannot tip it over.
 _BETA_MIN = {k: (2.0 * math.factorial(k) / sys.float_info.max) ** (1.0 / k) for k in (1, 2, 3)}
-
-
-def square_level(n):
-    """Default level weight chi(n) = n^2."""
-    return np.asarray(n, dtype=float) ** 2
 
 
 @dataclass(frozen=True)
@@ -120,70 +111,68 @@ def _occupation_third_moment(beta: float) -> float:
     return x * (1.0 + 4.0 * x + x * x) / (-math.expm1(-beta)) ** 3
 
 
-def _eval_weight(fn: Callable, narr: np.ndarray) -> np.ndarray:
-    """``fn`` called once on the levels ``narr``, its result broadcast to their shape.
-
-    DomainError if ``fn`` cannot take the array or its result is neither
-    one value nor one per level.
-    """
-    try:
-        out = fn(narr)
-    except DomainError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{_WEIGHT_USAGE}; called on an array it raised {type(exc).__name__}: {exc}") from exc
-    try:
-        vals = np.asarray(out, dtype=float)
-        return vals if vals.shape == narr.shape else np.broadcast_to(vals, narr.shape)
-    except (TypeError, ValueError) as exc:
-        shape = getattr(out, "shape", None)
-        got = f"an array of shape {shape}" if shape is not None else repr(out)
-        raise DomainError(f"{_WEIGHT_USAGE}; for {narr.size} levels it returned {got}") from exc
-
-
 def _entropy_free_energy(beta: float, energy: float, log_z: float):
     """S = beta E + log Z and F = -log Z / beta."""
     return beta * energy + log_z, -log_z / beta
 
 
-def thermal_series(beta: float, fn: Optional[Callable] = None) -> float:
-    """sum_n fn(n) exp(-beta (n + 1/2)), blockwise with a decay guard.
+def _check_coupling(g: float) -> float:
+    g = float(g)
+    if not math.isfinite(g):
+        raise DomainError("coupling g must be finite")
+    return g
 
-    ``fn`` takes an array of levels and returns their weights, or one
-    weight for all of them; it defaults to 1.  Raises if the terms stop
-    decaying (the weight outgrows the Boltzmann factor) past n = 64/beta,
-    the peak of n^64 e^(-beta n), before the tail criterion is met.
+
+def _level_terms(beta: float, g: float, levels: np.ndarray) -> np.ndarray:
+    """Rows n^k e^(-beta (n + g n^2)), k = 0, 1, 2, over ``levels``."""
+    w = np.exp(-beta * levels * (1.0 + g * levels))
+    return np.stack([w, levels * w, levels * (levels * w)])
+
+
+def _tail_negligible(sums: np.ndarray, terms: np.ndarray) -> bool:
+    """Whether the tail past the last column of ``terms`` leaves every row sum unchanged.
+
+    For g >= 0 each row n^k e^(-beta (n + g n^2)) is log-concave in n, so the
+    ratio r = last/previous of consecutive terms only falls; once r < 1 the
+    rest of the row sums to at most last r/(1 - r) = last^2/(previous - last).
     """
-    beta = _check_beta(beta)
-    guard_from = max(4 * _BLOCK, 64.0 / beta)
-    total = 0.0
-    prev_block = math.inf
-    grew = 0
-    start = 0
-    while start < _MAX_TERMS:
-        narr = np.arange(start, start + _BLOCK, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.exp(-beta * (narr + 0.5))
-            if fn is not None:
-                terms = terms * _eval_weight(fn, narr)
-        block = float(np.sum(terms))
-        if not math.isfinite(block):
-            raise SeriesDivergenceError("thermal series overflowed; weight grows too fast")
-        total += block
-        mag = float(np.max(np.abs(terms)))
-        if mag == 0.0 or abs(block) < _REL_STOP * max(abs(total), 1e-300):
-            return total
-        if abs(block) >= prev_block and start >= guard_from:
-            grew += 1
-            if grew >= 3:
-                raise SeriesDivergenceError(
-                    "thermal series terms stopped decaying; weight grows too fast"
-                )
-        else:
-            grew = 0
-        prev_block = abs(block)
-        start += _BLOCK
-    raise SeriesDivergenceError("thermal series did not converge")
+    return all(last == 0.0 or (last < prev and total + last * (last / (prev - last)) == total)
+               for total, last, prev in zip(sums, terms[:, -1], terms[:, -2]))
+
+
+def _gibbs_sum(beta: float, g: float):
+    """log Z, <H> and <n^2> of H(n) = n + 1/2 + g n^2 (g >= 0) from one direct sum.
+
+    The levels are summed in blocks of _BLOCK until the log-concave tail bound
+    of each of sum w, sum n w and sum n^2 w (w = e^(-beta (n + g n^2))) leaves
+    it unchanged.  SeriesDivergenceError for g < 0, where the spectrum is
+    unbounded below; DomainError naming beta where the sum would need more
+    than _MAX_TERMS levels.
+    """
+    if g < 0.0:
+        raise SeriesDivergenceError(
+            f"at g = {g!r}, the spectrum n + 1/2 + g n^2 is unbounded below, so Z diverges")
+    sums = np.zeros(3)
+    for start in range(0, _MAX_TERMS, _BLOCK):
+        terms = _level_terms(beta, g, np.arange(start, start + _BLOCK, dtype=float))
+        sums += terms.sum(axis=1)
+        if _tail_negligible(sums, terms):
+            z0, n1, n2 = sums
+            return math.log(z0) - 0.5 * beta, 0.5 + (n1 + g * n2) / z0, n2 / z0
+    # the level count at which the same bound, against the sums so far, would stop,
+    # rounded up to _MAX_TERMS times a power of two
+    n = float(_MAX_TERMS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n < sys.float_info.max / 2 and not _tail_negligible(
+                sums, _level_terms(beta, g, np.array([n - 1.0, n]))):
+            n *= 2.0
+    raise DomainError(f"at beta = {beta!r}, the Gibbs sum over n + 1/2 + g n^2 needs about "
+                      f"{n:.1g} levels, more than the {_MAX_TERMS} it may sum")
+
+
+def thermal_series(beta: float) -> float:
+    """Z = sum_n exp(-beta (n + 1/2)) as a direct Gibbs sum; the closed forms' oracle."""
+    return math.exp(_gibbs_sum(_check_beta(beta), 0.0)[0])
 
 
 def linear_thermo(beta: float) -> ThermoReport:
@@ -198,11 +187,13 @@ def linear_thermo(beta: float) -> ThermoReport:
     return _finite(ThermoReport(beta=beta, z=z, energy=e, entropy=s, free_energy=f))
 
 
-def chi_expectation(beta: float, chi: Optional[Callable] = None) -> float:
-    """Thermal average <chi(n)> in the undeformed state, as a series."""
-    if chi is None:
-        chi = square_level
-    return thermal_series(beta, chi) / partition_closed(beta)
+def chi_expectation(beta: float) -> float:
+    """Thermal average <n^2> in the undeformed state, as a direct Gibbs sum.
+
+    Refused, as partition_closed is, where Z leaves the float range.
+    """
+    partition_closed(beta)
+    return _gibbs_sum(beta, 0.0)[2]
 
 
 def deformed_partition(beta: float, g: float) -> DeformedThermoReport:
@@ -214,9 +205,7 @@ def deformed_partition(beta: float, g: float) -> DeformedThermoReport:
     the float range.
     """
     beta = _check_beta(beta)
-    g = float(g)
-    if not math.isfinite(g):
-        raise DomainError("coupling g must be finite")
+    g = _check_coupling(g)
     n3 = _occupation_third_moment(beta)
     base = linear_thermo(beta)
     chi_mean = occupation_second_moment(beta)
@@ -232,16 +221,16 @@ def deformed_partition(beta: float, g: float) -> DeformedThermoReport:
 
 
 def exact_deformed_report(beta: float, g: float) -> ThermoReport:
-    """Exact sums over E_n = n + 1/2 + g n^2; oracle for the first-order path."""
+    """Exact Z, E, S and F of E_n = n + 1/2 + g n^2 from one direct Gibbs sum.
+
+    The oracle for the first-order path.  SeriesDivergenceError for g < 0,
+    where the spectrum is unbounded below; DomainError naming beta where Z
+    leaves the float range or the sum would need more than 10^7 levels.
+    """
     beta = _check_beta(beta)
-    g = float(g)
-
-    def boltzmann_shift(n):
-        return np.exp(-beta * g * square_level(n))
-
-    z = thermal_series(beta, boltzmann_shift)
+    log_z, e, _ = _gibbs_sum(beta, _check_coupling(g))
+    z = math.exp(log_z)
     if z < sys.float_info.min:
         raise DomainError(f"at beta = {beta!r}, the exact Z = {z!r} leaves the float range")
-    e = thermal_series(beta, lambda n: (n + 0.5 + g * square_level(n)) * boltzmann_shift(n)) / z
-    s, f = _entropy_free_energy(beta, e, math.log(z))
+    s, f = _entropy_free_energy(beta, e, log_z)
     return ThermoReport(beta=beta, z=z, energy=e, entropy=s, free_energy=f)

@@ -19,8 +19,8 @@ handler and flags.  The parser is built from that table,
 and ``--config file.json`` is checked against it: each key names a flag of
 the command (``beta_steps`` or ``beta-steps``), its value goes through the
 flag's type and choices as if typed on the command line, and it overrides
-the flag.  Unknown keys are refused.  A ``"nonlinearity"`` object selects
-the profile.
+the flag.  Unknown keys are refused.  A ``"nonlinearity"`` object is a
+profile's JSON form, read by ``spec_from_dict``; it replaces the profile flags.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .fock import (
     heisenberg_invariant,
     vacuum_density,
 )
-from .nonlinearity import _ATTRIBUTES, _PARAMETERS, KINDS, spec_from_dict, spec_to_dict
+from .nonlinearity import _PARAMETERS, KINDS, spec_from_dict, spec_to_dict
 from .thermo import deformed_partition
 from .tomography import quantum_tomogram, radon_classical
 from .wigner import deformed_wigner, wigner_from_density
@@ -207,15 +207,30 @@ _STATE_FLAGS = (
 
 def _build_spec(args):
     """The profile of ``--kind`` and the parameter flags that are set, from
-    the command line or a config; a parameter of another kind is refused."""
+    the command line or a config, read by ``spec_from_dict``: ``--table`` text
+    as the list of its comma-separated entries.  A parameter of another kind
+    is refused whatever its value."""
     data = {"kind": args.kind}
     for kind, (field, attr) in _PARAMETERS.items():
         value = getattr(args, attr)
         if value is not None:
-            data[field] = [float(v) for v in value.split(",")] if field == "table" else value
+            # a table set from a config "nonlinearity" block is a list already
+            data[field] = value.split(",") if isinstance(value, str) else value
         elif kind == args.kind:
             raise DomainError(f"the {kind} profile needs --{field}")
-    return spec_from_dict(data)
+    spec = spec_from_dict(data)
+    _set_profile(args, spec)
+    return spec
+
+
+def _set_profile(args, spec):
+    """Set the profile flags to ``spec``: its kind, its parameter as the spec
+    holds it (a table as a list of floats) and None for the others, so a
+    sidecar records one form of a profile, from flags or from a config."""
+    fields = spec_to_dict(spec)
+    args.kind = spec.kind
+    for field, attr in _PARAMETERS.values():
+        setattr(args, attr, fields.get(field))
 
 
 def _x_axis(args) -> np.ndarray:
@@ -551,28 +566,12 @@ def _apply_config(args, cmd: _Command):
     flags = {f.dest: f for f in cmd.options if f.dest != "config"}
     for key, value in data.items():
         if key == "nonlinearity" and "kind" in flags:
-            _apply_profile(args, flags, value)
+            _set_profile(args, spec_from_dict(value))
             continue
         flag = flags.get(key.replace("-", "_"))
         if flag is None:
             raise DomainError(f"unknown config field {key!r} for {cmd.name}")
         setattr(args, flag.dest, flag.from_config(key, value))
-
-
-def _apply_profile(args, flags: dict, block):
-    """A config "nonlinearity" object, in the fields of a spec's JSON form: it
-    replaces the whole profile.  A parameter's flag stores to the spec
-    attribute of its field."""
-    if not isinstance(block, dict) or "kind" not in block:
-        raise DomainError("config nonlinearity must be an object with a 'kind' field")
-    args.lam = args.chi = args.table = None
-    for key, value in block.items():
-        if key not in _ATTRIBUTES:
-            raise DomainError(f"unknown config field 'nonlinearity.{key}'")
-        if key == "table" and isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        flag = flags[_ATTRIBUTES[key]]
-        setattr(args, flag.dest, flag.from_config(f"nonlinearity.{key}", value))
 
 
 def _resolved_parameters(args) -> dict:

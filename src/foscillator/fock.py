@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -309,27 +308,6 @@ def _poisson_amplitudes(alpha: complex, dim: int) -> np.ndarray:
 def coherent_density(alpha: complex, dim: int) -> DensityMatrix:
     """Harmonic coherent state projected onto the truncated basis."""
     return density_from_amplitudes(_poisson_amplitudes(alpha, dim))
-
-
-def coherent_truncation_dim(alpha: complex) -> int:
-    """Smallest dim whose Poisson tail mass is below 1e-12 (below 1000 for
-    |alpha|^2 up to 708.4; past that the sum's start e^(-|alpha|^2) is
-    subnormal, too imprecise to end it at the right level, and refused)."""
-    r = abs(complex(alpha))
-    if not math.isfinite(r):
-        raise DomainError("alpha must be finite")
-    x = r * r
-    term = math.exp(-x)
-    if term < sys.float_info.min:
-        raise TruncationError(
-            f"|alpha|^2 = {x:.6g} is past 708.4, where e^-|alpha|^2 leaves the normal float range")
-    cum = term
-    n = 0
-    while 1.0 - cum >= 1e-12:
-        n += 1
-        term *= x / n
-        cum += term
-    return n + 1
 
 
 def evolve_density(

@@ -28,8 +28,6 @@ KINDS = ("identity", "q", "kerr", "custom")
 
 # Each kind's one parameter: its JSON field and the spec attribute that holds it.
 _PARAMETERS = {"q": ("lambda", "lam"), "kerr": ("chi", "chi"), "custom": ("table", "table")}
-# The spec attribute of each field of the JSON form.
-_ATTRIBUTES = {"kind": "kind"} | dict(_PARAMETERS.values())
 
 
 @dataclass(frozen=True)
@@ -243,15 +241,21 @@ def spec_to_dict(spec: NonlinearitySpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> NonlinearitySpec:
-    """Inverse of :func:`spec_to_dict`; a field the kind does not take is refused."""
+    """Inverse of :func:`spec_to_dict`: the kind and its one parameter, if it
+    has one.  An unknown field, or a field of another kind, is refused by its
+    presence, whatever its value."""
     if not isinstance(data, dict) or "kind" not in data:
         raise DomainError("nonlinearity description needs a 'kind' field")
     kind = data["kind"]
     if kind not in KINDS:
         raise DomainError(f"unknown nonlinearity kind {kind!r}")
-    for key in data:
-        if key not in _ATTRIBUTES:
-            raise DomainError(f"nonlinearity description has an unknown field {key!r}")
-    if kind in _PARAMETERS and _PARAMETERS[kind][0] not in data:
-        raise DomainError(f"{kind} profile needs a {_PARAMETERS[kind][0]!r} field")
-    return NonlinearitySpec(**{_ATTRIBUTES[key]: value for key, value in data.items()})
+    field, attr = _PARAMETERS.get(kind, (None, None))
+    extra = [key for key in data if key not in ("kind", field)]
+    unknown = [key for key in extra if key not in dict(_PARAMETERS.values())]
+    if unknown:
+        raise DomainError(f"nonlinearity description has an unknown field {unknown[0]!r}")
+    if extra:
+        raise DomainError(f"the {kind} profile takes no {extra[0]!r} field")
+    if field is not None and field not in data:
+        raise DomainError(f"{kind} profile needs a {field!r} field")
+    return NonlinearitySpec(kind, **({attr: data[field]} if field else {}))

@@ -25,6 +25,10 @@ from .errors import DomainError, SeriesDivergenceError
 
 _BLOCK = 4096
 _MAX_TERMS = 10_000_000
+# x = beta (n + g n^2) at the level n where the Gibbs sum stops: past it the
+# tail of sum n^2 w holds about x^2 e^-x / 2 of that sum, which no longer moves
+# a double once x - 2 ln x = 52 ln 2.
+_TAIL_X = 43.5934680360042
 # Largest beta whose Z = 1/(2 sinh(beta/2)) is a normal double; past it Z
 # underflows and sinh overflows, so the closed forms are refused there.
 _BETA_MAX = 2.0 * math.asinh(0.5 / sys.float_info.min)
@@ -140,39 +144,52 @@ def _tail_negligible(sums: np.ndarray, terms: np.ndarray) -> bool:
                for total, last, prev in zip(sums, terms[:, -1], terms[:, -2]))
 
 
+def _levels_needed(beta: float, g: float) -> float:
+    """The level n where beta (n + g n^2) = _TAIL_X, inf past the float range:
+    the positive root 2y / (1 + sqrt(1 + 4 g y)), y = _TAIL_X / beta, as
+    t / (h + hypot(h, sqrt(g))) with t = sqrt(y), h = 1/(2t), so that no step
+    overflows or underflows before the result does."""
+    t = math.sqrt(_TAIL_X) / math.sqrt(beta)
+    h = 0.5 / t
+    return t / (h + math.hypot(h, math.sqrt(g)))
+
+
 def _gibbs_sum(beta: float, g: float):
-    """log Z, <H> and <n^2> of H(n) = n + 1/2 + g n^2 (g >= 0) from one direct sum.
+    """Z, log Z, <H> and <n^2> of H(n) = n + 1/2 + g n^2 (g >= 0) from one direct sum.
 
     The levels are summed in blocks of _BLOCK until the log-concave tail bound
     of each of sum w, sum n w and sum n^2 w (w = e^(-beta (n + g n^2))) leaves
-    it unchanged.  SeriesDivergenceError for g < 0, where the spectrum is
-    unbounded below; DomainError naming beta where the sum would need more
-    than _MAX_TERMS levels.
+    it unchanged.  Every caller refuses here: SeriesDivergenceError for g < 0,
+    where the spectrum is unbounded below; DomainError naming beta where Z is
+    not a normal double (past beta = 1416.79), or where the sum would need
+    more than _MAX_TERMS levels (below beta ~ 4.4e-6).
     """
     if g < 0.0:
         raise SeriesDivergenceError(
             f"at g = {g!r}, the spectrum n + 1/2 + g n^2 is unbounded below, so Z diverges")
+    n = _levels_needed(beta, g)
     sums = np.zeros(3)
-    for start in range(0, _MAX_TERMS, _BLOCK):
+    # n comes within ~6% of the level where the sum stops, so a sum that
+    # cannot stop within _MAX_TERMS levels is not begun
+    for start in range(0, _MAX_TERMS if n < 2 * _MAX_TERMS else 0, _BLOCK):
         terms = _level_terms(beta, g, np.arange(start, start + _BLOCK, dtype=float))
         sums += terms.sum(axis=1)
         if _tail_negligible(sums, terms):
             z0, n1, n2 = sums
-            return math.log(z0) - 0.5 * beta, 0.5 + (n1 + g * n2) / z0, n2 / z0
-    # the level count at which the same bound, against the sums so far, would stop,
-    # rounded up to _MAX_TERMS times a power of two
-    n = float(_MAX_TERMS)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while n < sys.float_info.max / 2 and not _tail_negligible(
-                sums, _level_terms(beta, g, np.array([n - 1.0, n]))):
-            n *= 2.0
-    raise DomainError(f"at beta = {beta!r}, the Gibbs sum over n + 1/2 + g n^2 needs about "
-                      f"{n:.1g} levels, more than the {_MAX_TERMS} it may sum")
+            log_z = math.log(z0) - 0.5 * beta
+            z = math.exp(log_z)
+            if z < sys.float_info.min:
+                raise DomainError(f"at beta = {beta!r}, the exact Z = {z!r} leaves the float range")
+            return z, log_z, 0.5 + (n1 + g * n2) / z0, n2 / z0
+    need = f"about {n:.1g} levels" if n < math.inf else "a level count past the float range"
+    raise DomainError(f"at beta = {beta!r}, the Gibbs sum over n + 1/2 + g n^2 needs {need}, "
+                      f"more than the {_MAX_TERMS} it may sum")
 
 
 def thermal_series(beta: float) -> float:
-    """Z = sum_n exp(-beta (n + 1/2)) as a direct Gibbs sum; the closed forms' oracle."""
-    return math.exp(_gibbs_sum(_check_beta(beta), 0.0)[0])
+    """Z = sum_n exp(-beta (n + 1/2)) as a direct Gibbs sum, the closed forms'
+    oracle; refused where _gibbs_sum refuses, past beta = 1416.79 and below ~4.4e-6."""
+    return _gibbs_sum(_check_beta(beta), 0.0)[0]
 
 
 def linear_thermo(beta: float) -> ThermoReport:
@@ -188,12 +205,9 @@ def linear_thermo(beta: float) -> ThermoReport:
 
 
 def chi_expectation(beta: float) -> float:
-    """Thermal average <n^2> in the undeformed state, as a direct Gibbs sum.
-
-    Refused, as partition_closed is, where Z leaves the float range.
-    """
-    partition_closed(beta)
-    return _gibbs_sum(beta, 0.0)[2]
+    """Thermal average <n^2> in the undeformed state, as a direct Gibbs sum;
+    refused where _gibbs_sum refuses, past beta = 1416.79 and below ~4.4e-6."""
+    return _gibbs_sum(_check_beta(beta), 0.0)[3]
 
 
 def deformed_partition(beta: float, g: float) -> DeformedThermoReport:
@@ -223,14 +237,12 @@ def deformed_partition(beta: float, g: float) -> DeformedThermoReport:
 def exact_deformed_report(beta: float, g: float) -> ThermoReport:
     """Exact Z, E, S and F of E_n = n + 1/2 + g n^2 from one direct Gibbs sum.
 
-    The oracle for the first-order path.  SeriesDivergenceError for g < 0,
-    where the spectrum is unbounded below; DomainError naming beta where Z
-    leaves the float range or the sum would need more than 10^7 levels.
+    The oracle for the first-order path.  Refused where the sum refuses (see
+    _gibbs_sum): SeriesDivergenceError for g < 0, where the spectrum is
+    unbounded below; DomainError naming beta where Z leaves the float range
+    or the sum would need more than 10^7 levels.
     """
     beta = _check_beta(beta)
-    log_z, e, _ = _gibbs_sum(beta, _check_coupling(g))
-    z = math.exp(log_z)
-    if z < sys.float_info.min:
-        raise DomainError(f"at beta = {beta!r}, the exact Z = {z!r} leaves the float range")
+    z, log_z, e, _ = _gibbs_sum(beta, _check_coupling(g))
     s, f = _entropy_free_energy(beta, e, log_z)
     return ThermoReport(beta=beta, z=z, energy=e, entropy=s, free_energy=f)

@@ -38,6 +38,16 @@ def _read_sidecar(path):
         return json.load(fh)
 
 
+def _fosc(argv, options=(), **kwargs):
+    """``python [options] -m foscillator argv`` in a child process that imports
+    the package under test, whatever the working directory."""
+    package_root = str(Path(foscillator.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *options, "-m", "foscillator", *argv],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
 def test_tomogram_vacuum(tmp_path):
     out = tmp_path / "slice.csv"
     code = main(["tomogram", "--state", "vacuum", "--output", str(out)])
@@ -257,9 +267,7 @@ def test_failed_allocation_exits_2_with_one_line(tmp_path, argv):
     # limit, which binds only that process, so numpy's MemoryError is raised
     # at once instead of an exit 1 with a traceback
     out = tmp_path / "a.csv"
-    proc = subprocess.run([sys.executable, "-m", "foscillator"] + argv + ["--output", str(out)],
-                          capture_output=True, text=True, preexec_fn=_limit_address_space,
-                          timeout=120)
+    proc = _fosc(argv + ["--output", str(out)], preexec_fn=_limit_address_space, timeout=120)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate")
@@ -269,11 +277,8 @@ def test_failed_allocation_exits_2_with_one_line(tmp_path, argv):
 def test_frequency_overflow_exits_2_with_one_line(tmp_path):
     # lam E = 1003.52: f is finite there, the canonical frequency is not
     out = tmp_path / "traj.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "foscillator", "classical-trajectory", "--kind", "q",
-         "--lambda", "1", "--q0", "44.8", "--law", "canonical", "--output", str(out)],
-        capture_output=True, text=True,
-    )
+    proc = _fosc(["classical-trajectory", "--kind", "q", "--lambda", "1", "--q0", "44.8",
+                  "--law", "canonical", "--output", str(out)])
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
         "error: the canonical frequency overflows at E = 1003.5199999999999"]
@@ -597,11 +602,7 @@ def test_csv_uses_17_significant_digits(tmp_path):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "t.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "foscillator", "thermo", "--beta-min", "1",
-         "--beta-max", "2", "--output", str(out)],
-        capture_output=True, text=True,
-    )
+    proc = _fosc(["thermo", "--beta-min", "1", "--beta-max", "2", "--output", str(out)])
     assert proc.returncode == 0
     assert out.exists()
 
@@ -630,11 +631,7 @@ def test_help_still_exits_0(capsys):
 
 def test_bad_flag_value_in_a_subprocess_exits_2_with_one_line(tmp_path):
     out = tmp_path / "t.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "foscillator", "thermo", "--beta-steps", "many",
-         "--output", str(out)],
-        capture_output=True, text=True,
-    )
+    proc = _fosc(["thermo", "--beta-steps", "many", "--output", str(out)])
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
         "error: fosc thermo: argument --beta-steps: invalid int value: 'many'"]
@@ -655,9 +652,15 @@ def test_missing_profile_parameter_exits_2(tmp_path, capsys):
     ([], {"nonlinearity": {"kind": "kerr", "chi": 0.1, "lambda": 0.2}},
      "the kerr profile takes no 'lambda' field"),
     (["--kind", "q", "--lambda", "0.1"], {"chi": 0.3}, "the q profile takes no 'chi' field"),
-], ids=["flag", "identity-flag", "config-block", "config-field"])
+    (["--kind", "identity", "--chi", "0"], None, "the identity profile takes no 'chi' field"),
+    ([], {"kind": "identity", "chi": 0}, "the identity profile takes no 'chi' field"),
+    ([], {"nonlinearity": {"kind": "identity", "chi": 0}},
+     "the identity profile takes no 'chi' field"),
+], ids=["flag", "identity-flag", "config-block", "config-field", "default-value-flag",
+        "default-value-config-field", "default-value-config-block"])
 def test_parameter_of_another_kind_exits_2(tmp_path, capsys, argv, config, message):
-    # it had no effect, yet the sidecar recorded it
+    # it had no effect, yet the sidecar recorded it; a value equal to the
+    # default was let through
     out = tmp_path / "amps.csv"
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -696,11 +699,8 @@ def test_quantum_evolve_past_phase_precision_exits_0(tmp_path):
 def test_profile_overflow_exits_2_with_one_line(tmp_path):
     # f = sqrt(sinh(n)/n) leaves the float range at n = 1428 for lambda = 1
     out = tmp_path / "amps.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "foscillator", "coherent", "--kind", "q", "--lambda", "1",
-         "--dim", "1500", "--output", str(out)],
-        capture_output=True, text=True,
-    )
+    proc = _fosc(["coherent", "--kind", "q", "--lambda", "1", "--dim", "1500",
+                  "--output", str(out)])
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
         "error: profile evaluated to a non-finite value at n = 1428.0: "
@@ -761,11 +761,7 @@ def test_readme_lists_every_command():
 def test_readme_command_runs_clean(tmp_path, line):
     # each README example, as typed, in a fresh process where a RuntimeWarning is an error
     argv = shlex.split(line)[1:]
-    package_root = str(Path(foscillator.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "foscillator"] + argv,
-                          capture_output=True, text=True, cwd=tmp_path, env=env)
+    proc = _fosc(argv, options=("-W", "error::RuntimeWarning"), cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
     output = argv[argv.index("--output") + 1]
     assert _read_sidecar(tmp_path / output)["status"] == "ok"
@@ -878,12 +874,20 @@ def test_state_file_with_a_field_that_does_not_convert_exits_2_with_one_line(
 
 @pytest.mark.parametrize("config, message", [
     ([{"g": 0.1}], "config must be a JSON object"),
-    ({"nonlinearity": "kerr"}, "config nonlinearity must be an object with a 'kind' field"),
-    ({"nonlinearity": {"chi": 0.1}}, "config nonlinearity must be an object with a 'kind' field"),
+    ({"nonlinearity": "kerr"}, "nonlinearity description needs a 'kind' field"),
+    ({"nonlinearity": {"chi": 0.1}}, "nonlinearity description needs a 'kind' field"),
     ({"nonlinearity": {"kind": "kerr", "chi": 0.1, "lambda": 0.2, "bogus": 1}},
-     "unknown config field 'nonlinearity.bogus'"),
+     "nonlinearity description has an unknown field 'bogus'"),
     ({"format": "json"}, "unknown config field 'format' for coherent"),
-], ids=["list", "string-block", "block-without-kind", "unknown-block-field", "format"])
+    # spec_from_dict reads the block: the CLI read these three as tables
+    ({"nonlinearity": {"kind": "custom", "table": "1,1.1,1.2"}},
+     "custom profile field 'table' must be a list of numbers, got '1,1.1,1.2'"),
+    ({"nonlinearity": {"kind": "custom", "table": [1, True, 1.2]}},
+     "custom profile field 'table' must be a list of numbers, got [1, True, 1.2]"),
+    ({"nonlinearity": {"kind": "custom", "table": [[1, 2], [3]]}},
+     "custom profile field 'table' must be a list of numbers, got [[1, 2], [3]]"),
+], ids=["list", "string-block", "block-without-kind", "unknown-block-field", "format",
+        "table-string", "table-bool", "table-nested"])
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -906,6 +910,32 @@ def test_config_gives_the_artifact_of_its_flags(tmp_path, argv, config, flags):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(argv + ["--config", str(cfg), "--output", str(a)]) == 0
     assert main(argv + flags + ["--output", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert _read_sidecar(a) == _read_sidecar(b)
+
+
+def test_table_entry_that_is_not_a_number_exits_2_with_one_line(tmp_path, capsys):
+    # float() printed its bare message, naming neither the flag nor the field
+    out = tmp_path / "amps.csv"
+    assert main(["coherent", "--kind", "custom", "--table", "1,x,1.2", "--output", str(out)]) == 2
+    _one_error_line(capsys, "custom profile field 'table' must be a list of numbers, "
+                            "got ['1', 'x', '1.2']")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("profile", [
+    ["--kind", "kerr", "--chi", "0.1"],
+    ["--kind", "custom", "--table", ",".join(f"{1 + 0.01 * k:g}" for k in range(25))],
+], ids=["kerr", "custom"])
+def test_two_mode_profile_is_a_config_block(tmp_path, profile):
+    # the "nonlinearity" object of a two-mode artifact is the JSON form a
+    # config block takes, and rebuilds the same artifact
+    argv = ["two-mode", "--dim1", "12", "--dim2", "12", "--alpha1-re", "0.5", "--alpha2-re", "0.4"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(argv + profile + ["--output", str(a)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nonlinearity": json.loads(a.read_text())["nonlinearity"]}))
+    assert main(argv + ["--config", str(cfg), "--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert _read_sidecar(a) == _read_sidecar(b)
 

@@ -2,7 +2,6 @@
 
 import math
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -10,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import gammaln
-from scipy.stats import poisson
 
 from foscillator import (
     DensityMatrix,
     DomainError,
     TruncationError,
     coherent_density,
-    coherent_truncation_dim,
     commutator_defect,
     custom,
     deformed_lowering,
@@ -395,58 +392,6 @@ def test_coherent_density_matches_gammaln_reference(alpha, dim):
     c /= np.linalg.norm(c)
     rho = coherent_density(alpha, dim)
     np.testing.assert_allclose(rho.matrix, np.outer(c, c.conj()), rtol=0.0, atol=1e-13)
-
-
-def test_coherent_truncation_dim_bounds_tail():
-    alpha = 1.3
-    d = coherent_truncation_dim(alpha)
-    x = abs(alpha) ** 2
-    term, cum = math.exp(-x), math.exp(-x)
-    for n in range(1, d):
-        term *= x / n
-        cum += term
-    assert 1.0 - cum < 1e-12
-    # one level fewer would not have met the criterion
-    assert 1.0 - (cum - term) >= 1e-12
-
-
-@pytest.mark.parametrize("alpha", [math.inf, math.nan, complex(0.0, math.inf)])
-def test_coherent_truncation_dim_refuses_non_finite_alpha(alpha):
-    with pytest.raises(DomainError, match="alpha must be finite"):
-        coherent_truncation_dim(alpha)
-
-
-def test_coherent_truncation_dim_refuses_an_overflowing_mean():
-    # |alpha|^2 overflows to inf: no tail sum can be taken
-    with pytest.raises(TruncationError):
-        coherent_truncation_dim(1e200)
-
-
-@settings(max_examples=200)
-@given(st.floats(0.0, 708.0))
-def test_coherent_truncation_dim_matches_the_poisson_tail(mean):
-    # dim - 1 is the least n with P(N > n) < 1e-12 for N ~ Poisson(|alpha|^2),
-    # up to the rounding of the running sum 1 - cum: at most dim ulps of 1
-    r = math.sqrt(mean)
-    x = r * r
-    d = coherent_truncation_dim(r)
-    slack = d * 2.0 ** -52
-    assert poisson.sf(d - 1, x) < 1e-12 + slack
-    assert d == 1 or poisson.sf(d - 2, x) >= 1e-12 - slack
-
-
-def test_coherent_truncation_dim_at_the_end_of_its_range():
-    assert coherent_truncation_dim(math.sqrt(700.0)) == 895
-    # the largest mean whose start e^-x is a normal float: the loop ends below 1000
-    top = math.nextafter(-math.log(sys.float_info.min), 0.0)
-    assert coherent_truncation_dim(math.sqrt(top)) < 1000
-
-
-@pytest.mark.parametrize("mean", [708.4, 720.0, 740.0, 744.4, 744.9, 745.1])
-def test_coherent_truncation_dim_refuses_a_subnormal_start(mean):
-    # e^-x is subnormal or 0 here and has lost the digits the tail sum needs
-    with pytest.raises(TruncationError, match="past 708.4"):
-        coherent_truncation_dim(math.sqrt(mean))
 
 
 def test_density_from_amplitudes_normalizes():

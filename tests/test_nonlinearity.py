@@ -358,6 +358,9 @@ def test_spec_json_round_trip(spec):
     ({"kind": "q", "lambda": 0.1, "chi": 0.3}, "the q profile takes no 'chi' field"),
     ({"kind": "identity", "table": [1.0, 1.1]}, "the identity profile takes no 'table' field"),
     ({"kind": "kerr", "chi": 0.1, "bogus": 1}, "nonlinearity description has an unknown field 'bogus'"),
+    # refused by its presence: a value equal to the default was let through
+    ({"kind": "identity", "chi": 0}, "the identity profile takes no 'chi' field"),
+    ({"kind": "kerr", "chi": 0.1, "lambda": 0.0}, "the kerr profile takes no 'lambda' field"),
 ])
 def test_spec_from_dict_refuses_malformed_input(data, message):
     with pytest.raises(DomainError, match=re.escape(message)):

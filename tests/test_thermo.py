@@ -169,6 +169,21 @@ def test_beta_past_the_level_budget_is_a_domain_error():
         exact_deformed_report(2e-6, 0.0)
 
 
+@pytest.mark.parametrize("beta, g, need", [
+    (1e-7, 0.0, "about 4e+08 levels"),
+    (1e-300, 0.0, "about 4e+301 levels"),
+    (1e-310, 1.0, "about 7e+155 levels"),
+    (5e-324, 0.0, "a level count past the float range"),
+])
+def test_level_budget_refusal_computes_its_count(beta, g, need):
+    # the count solves beta (n + g n^2) = 43.59; doubling against the partial
+    # sums reported 6e+08, 8e+302, 4e+156 and 1e+308
+    with pytest.raises(DomainError, match=re.escape(
+            f"at beta = {beta!r}, the Gibbs sum over n + 1/2 + g n^2 needs {need}, "
+            "more than the 10000000 it may sum")):
+        exact_deformed_report(beta, g)
+
+
 def test_nonpositive_beta_rejected():
     for bad in (0.0, -1.0):
         with pytest.raises(DomainError):
@@ -185,12 +200,26 @@ def test_beta_past_the_float_range_of_z_is_a_domain_error(beta):
     # OverflowError and the exact sums ZeroDivisionError
     at = re.escape(f"at beta = {beta!r}, ")
     closed = at + re.escape("Z = 1/(2 sinh(beta/2)) leaves the float range: beta must be <= 1416.79")
-    for call in (partition_closed, linear_thermo, chi_expectation,
-                 lambda b: deformed_partition(b, 0.001)):
+    for call in (partition_closed, linear_thermo, lambda b: deformed_partition(b, 0.001)):
         with pytest.raises(DomainError, match=closed):
             call(beta)
-    with pytest.raises(DomainError, match=at + "the exact Z = .* leaves the float range"):
-        exact_deformed_report(beta, 0.001)
+    # the direct sums refuse in _gibbs_sum; thermal_series returned the
+    # subnormal 4.476e-309 at 1420 and 0.0 past it
+    for call in (thermal_series, chi_expectation, lambda b: exact_deformed_report(b, 0.001)):
+        with pytest.raises(DomainError, match=at + "the exact Z = .* leaves the float range"):
+            call(beta)
+
+
+def test_chi_expectation_refuses_in_its_own_sum(monkeypatch):
+    # it called partition_closed only to refuse; the sum now refuses for itself
+    def refuse(*args):
+        raise AssertionError("chi_expectation called a closed form")
+
+    monkeypatch.setattr(thermo, "partition_closed", refuse)
+    assert chi_expectation(1.0) == pytest.approx(occupation_second_moment(1.0), rel=1e-13)
+    with pytest.raises(DomainError, match=re.escape(
+            "at beta = 1420.0, the exact Z = 4.47628622567513e-309 leaves the float range")):
+        chi_expectation(1420.0)
 
 
 def test_largest_beta_keeps_its_closed_forms():

@@ -20,7 +20,6 @@ from foscillator import (
     PhasePoint,
     classical_invariants,
     coherent_density,
-    coherent_truncation_dim,
     custom,
     deformed_lowering,
     deformed_parity_operator,
@@ -455,7 +454,7 @@ def _random_mixed_state(dim, seed):
 
 _STATES = st.one_of(
     st.builds(_random_mixed_state, st.integers(2, 60), st.integers(0, 2 ** 32 - 1)),
-    st.builds(lambda r, phi: coherent_density(r * np.exp(1j * phi), coherent_truncation_dim(r) + 5),
+    st.builds(lambda r, phi: coherent_density(r * np.exp(1j * phi), 40),
               st.floats(0.0, 2.5), st.floats(-math.pi, math.pi)),
     st.builds(lambda r, phi, spec: nonlinear_coherent_state(r * np.exp(1j * phi), spec, 40).density(),
               st.floats(0.0, 1.5), st.floats(-math.pi, math.pi),

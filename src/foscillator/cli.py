@@ -20,7 +20,8 @@ and ``--config file.json`` is checked against it: each key names a flag of
 the command (``beta_steps`` or ``beta-steps``), its value goes through the
 flag's type and choices as if typed on the command line, and it overrides
 the flag.  Unknown keys are refused.  A ``"nonlinearity"`` object is a
-profile's JSON form, read by ``spec_from_dict``; it replaces the profile flags.
+profile's JSON form, read by ``spec_from_dict``; it replaces the profile flags,
+which the config may not also give, and is how a sidecar records the profile.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
@@ -65,7 +67,7 @@ from .fock import (
     heisenberg_invariant,
     vacuum_density,
 )
-from .nonlinearity import _PARAMETERS, KINDS, spec_from_dict, spec_to_dict
+from .nonlinearity import _PARAMETERS, KINDS, NonlinearitySpec, spec_from_dict, spec_to_dict
 from .thermo import deformed_partition
 from .tomography import quantum_tomogram, radon_classical
 from .wigner import deformed_wigner, wigner_from_density
@@ -82,9 +84,11 @@ class Artifact:
     checks: Dict[str, dict] = field(default_factory=dict)
 
     def add_check(self, name: str, value: float, threshold: Optional[float] = None):
+        """A NaN or infinite value is never ok; JSON holds it as "nan", "inf" or "-inf"."""
         value = float(value)
-        ok = True if threshold is None else (value <= threshold)
-        self.checks[name] = {"value": value, "threshold": threshold, "ok": bool(ok)}
+        ok = math.isfinite(value) and (threshold is None or value <= threshold)
+        self.checks[name] = {"value": value if math.isfinite(value) else str(value),
+                             "threshold": threshold, "ok": ok}
 
     def breaches(self):
         return [k for k, c in self.checks.items() if not c["ok"]]
@@ -105,7 +109,7 @@ def _render(art: Artifact) -> tuple:
     """The artifact's text and file extension: a JSON object as JSON, a
     table as CSV."""
     if art.json_object is not None:
-        return json.dumps(art.json_object, sort_keys=True, indent=2) + "\n", "json"
+        return json.dumps(art.json_object, sort_keys=True, indent=2, allow_nan=False) + "\n", "json"
     lines = [",".join(art.columns)]
     for row in art.data.tolist():
         lines.append(",".join(format(v, ".17g") for v in row))
@@ -133,8 +137,10 @@ class _Flag:
         return self.kwargs.get("dest", self.name[2:].replace("-", "_"))
 
     def from_config(self, key: str, value):
-        """``value`` from a config file, converted and checked as if typed
-        after this flag on the command line; a store_true flag takes a bool."""
+        """``value`` from a config file, converted and checked as if typed after
+        this flag on the command line; a store_true flag takes a bool, --table a list."""
+        if self.dest == "table" and isinstance(value, list):
+            return value
         if self.kwargs.get("action") == "store_true":
             if not isinstance(value, bool):
                 raise DomainError(f"config field {key!r} must be true or false")
@@ -182,6 +188,7 @@ _NONLINEARITY_FLAGS = (
     _flag("--table", type=str, default=None,
           help="comma-separated per-level samples for a custom profile"),
 )
+_PROFILE_DESTS = tuple(flag.dest for flag in _NONLINEARITY_FLAGS)
 
 _X_FLAGS = (
     _flag("--x-min", type=_finite_float, default=-6.0),
@@ -206,47 +213,37 @@ _STATE_FLAGS = (
 
 
 def _build_spec(args):
-    """The profile of ``--kind`` and the parameter flags that are set, from
-    the command line or a config, read by ``spec_from_dict``: ``--table`` text
-    as the list of its comma-separated entries.  A parameter of another kind
-    is refused whatever its value."""
-    data = {"kind": args.kind}
-    for kind, (field, attr) in _PARAMETERS.items():
-        value = getattr(args, attr)
-        if value is not None:
-            # a table set from a config "nonlinearity" block is a list already
-            data[field] = value.split(",") if isinstance(value, str) else value
-        elif kind == args.kind:
-            raise DomainError(f"the {kind} profile needs --{field}")
-    spec = spec_from_dict(data)
-    _set_profile(args, spec)
+    """The run's profile, from a config block or the profile flags, which
+    then give way to its JSON form, so a sidecar's parameters replay the run."""
+    spec = vars(args).pop("nonlinearity", None)
+    if spec is None:
+        field, attr = _PARAMETERS.get(args.kind, (None, None))
+        if attr is not None and getattr(args, attr) is None:
+            raise DomainError(f"the {args.kind} profile needs --{field}")
+        table = args.table.split(",") if isinstance(args.table, str) else args.table
+        spec = NonlinearitySpec(args.kind, lam=args.lam, chi=args.chi, table=table)
+    for dest in _PROFILE_DESTS:
+        delattr(args, dest)
+    args.nonlinearity = spec_to_dict(spec)
     return spec
 
 
-def _set_profile(args, spec):
-    """Set the profile flags to ``spec``: its kind, its parameter as the spec
-    holds it (a table as a list of floats) and None for the others, so a
-    sidecar records one form of a profile, from flags or from a config."""
-    fields = spec_to_dict(spec)
-    args.kind = spec.kind
-    for field, attr in _PARAMETERS.values():
-        setattr(args, attr, fields.get(field))
-
-
-def _x_axis(args) -> np.ndarray:
-    if args.x_points < 2:
-        raise DomainError("--x-points must be >= 2")
-    if not args.x_max > args.x_min:
-        raise DomainError("--x-max must exceed --x-min")
-    return np.linspace(args.x_min, args.x_max, args.x_points)
-
-
-def _grid_axis(args) -> np.ndarray:
-    if args.points < 2:
-        raise DomainError("--points must be >= 2")
-    if not args.extent > 0:
-        raise DomainError("--extent must be > 0")
-    return np.linspace(-args.extent, args.extent, args.points)
+def _axis(args, grid: bool) -> np.ndarray:
+    """The samples of the --extent grid axis or of the --x-min/--x-max axis;
+    a span past the float range, where linspace steps by inf, is refused."""
+    if grid:
+        lo, hi, points, count, order, span = (-args.extent, args.extent, args.points, "--points",
+                                              "--extent must be > 0", "2 * --extent")
+    else:
+        lo, hi, points, count, order, span = (args.x_min, args.x_max, args.x_points, "--x-points",
+                                              "--x-max must exceed --x-min", "--x-max - --x-min")
+    if points < 2:
+        raise DomainError(f"{count} must be >= 2")
+    if not hi > lo:
+        raise DomainError(order)
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"{span} overflows the float range")
+    return np.linspace(lo, hi, points)
 
 
 def _parse_state(token: str, dim: int, spec) -> DensityMatrix:
@@ -304,7 +301,7 @@ def _cmd_classical_propagate(args) -> Artifact:
     spec = _build_spec(args)
     dist = gaussian_distribution(args.center_q, args.center_p, args.sigma)
     moved = propagate_distribution(dist, spec, args.time, args.law)
-    axis = _grid_axis(args)
+    axis = _axis(args, grid=True)
     qq, pp = np.meshgrid(axis, axis, indexing="ij")
     vals = np.asarray(moved.density(qq, pp), dtype=float)
     art = Artifact(["q", "p", "value"], _table(qq, pp, vals))
@@ -334,7 +331,7 @@ def _cmd_quantum_evolve(args) -> Artifact:
 def _cmd_wigner(args) -> Artifact:
     spec = _build_spec(args)
     rho = _parse_state(args.state, args.dim, spec)
-    axis = _grid_axis(args)
+    axis = _axis(args, grid=True)
     if args.variant == "standard":
         grid = wigner_from_density(rho, axis, axis)
     else:
@@ -351,7 +348,7 @@ def _cmd_wigner(args) -> Artifact:
 
 def _cmd_tomogram(args) -> Artifact:
     spec = _build_spec(args)
-    x_axis = _x_axis(args)
+    x_axis = _axis(args, grid=False)
     if args.source == "quantum":
         rho = _parse_state(args.state, args.dim, spec)
         sl = quantum_tomogram(rho, args.mu, args.nu, x_axis)
@@ -375,7 +372,7 @@ def _cmd_coherent(args) -> Artifact:
     alpha = complex(args.alpha_re, args.alpha_im)
     state = nonlinear_coherent_state(alpha, spec, args.dim)
     if args.wavefunction:
-        x_axis = _x_axis(args)
+        x_axis = _axis(args, grid=False)
         psi = position_wavefunction(state, x_axis)
         art = Artifact(["x", "re", "im", "abs2"],
                        _table(x_axis, psi.real, psi.imag, _abs2(psi)))
@@ -535,7 +532,13 @@ _COMMAND_TABLE = {cmd.name: cmd for cmd in (
 
 class _Parser(argparse.ArgumentParser):
     """Raises ``DomainError`` on a bad command line instead of printing usage
-    and exiting, so ``main`` reports it like a bad --config value."""
+    and exiting, so ``main`` reports it like a bad --config value.  -1e-3, -inf
+    and -nan are values too: Python 3.11 took only -1 and -1.5 forms as ones."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise DomainError(f"{self.prog}: {message}")
@@ -564,19 +567,18 @@ def _apply_config(args, cmd: _Command):
     if not isinstance(data, dict):
         raise DomainError("config must be a JSON object")
     flags = {f.dest: f for f in cmd.options if f.dest != "config"}
+    profile = [key for key in data if key.replace("-", "_") in _PROFILE_DESTS]
+    if "nonlinearity" in data and profile and "kind" in flags:
+        raise DomainError(f"config gives both a 'nonlinearity' block and "
+                          f"the profile field {profile[0]!r}")
     for key, value in data.items():
         if key == "nonlinearity" and "kind" in flags:
-            _set_profile(args, spec_from_dict(value))
+            args.nonlinearity = spec_from_dict(value)
             continue
         flag = flags.get(key.replace("-", "_"))
         if flag is None:
             raise DomainError(f"unknown config field {key!r} for {cmd.name}")
         setattr(args, flag.dest, flag.from_config(key, value))
-
-
-def _resolved_parameters(args) -> dict:
-    skip = {"command", "output", "config"}
-    return {key: value for key, value in vars(args).items() if key not in skip}
 
 
 def _write_outputs(args, art: Artifact) -> str:
@@ -585,12 +587,14 @@ def _write_outputs(args, art: Artifact) -> str:
     sidecar = json.dumps(
         {
             "command": args.command,
-            "parameters": _resolved_parameters(args),
+            "parameters": {key: value for key, value in vars(args).items()
+                           if key not in ("command", "output", "config")},
             "checks": art.checks,
             "status": status,
         },
         sort_keys=True,
         indent=2,
+        allow_nan=False,
     ) + "\n"
     output = args.output or f"{args.command}.{extension}"
     if output == "-":

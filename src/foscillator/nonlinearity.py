@@ -33,36 +33,34 @@ _PARAMETERS = {"q": ("lambda", "lam"), "kerr": ("chi", "chi"), "custom": ("table
 @dataclass(frozen=True)
 class NonlinearitySpec:
     """Immutable description of a deformation profile: its kind, and the
-    kind's one parameter if it has one; the other parameters keep their
-    defaults, so that equal profiles are equal specs."""
+    kind's one parameter if it has one.  None is absent: a kind needs its own
+    parameter and takes no other, so that equal profiles are equal specs."""
 
     kind: str
-    lam: float = 0.0
-    chi: float = 0.0
+    lam: Optional[float] = None
+    chi: Optional[float] = None
     table: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.kind == "custom" and self.table is None:
-            raise DomainError("custom profile needs a table")
-        for kind, (field, attr) in _PARAMETERS.items():
-            value = getattr(self, attr)
-            if kind == self.kind:
-                object.__setattr__(self, attr, _read_field(kind, field, value))
-            elif value != self.__dataclass_fields__[attr].default:
+        own = _PARAMETERS.get(self.kind)
+        for field, attr in _PARAMETERS.values():
+            if (field, attr) != own and getattr(self, attr) is not None:
                 raise DomainError(f"the {self.kind} profile takes no {field!r} field")
-        if self.kind == "q":
-            if not (self.lam > 0.0 and math.isfinite(self.lam)):
-                raise DomainError("q profile needs lam > 0")
-        if self.kind == "kerr":
-            if not math.isfinite(self.chi):
-                raise DomainError("kerr profile needs finite chi")
-        if self.kind == "custom":
-            if len(self.table) < 2:
-                raise DomainError("custom table needs at least two samples")
-            if not all(math.isfinite(v) for v in self.table):
-                raise DomainError("custom table entries must be finite")
+        if own is not None:
+            field, attr = own
+            if getattr(self, attr) is None:
+                raise DomainError(f"{self.kind} profile needs a {field!r} field")
+            object.__setattr__(self, attr, _read_field(self.kind, field, getattr(self, attr)))
+        if self.kind == "q" and not (self.lam > 0.0 and math.isfinite(self.lam)):
+            raise DomainError("q profile needs lam > 0")
+        if self.kind == "kerr" and not math.isfinite(self.chi):
+            raise DomainError("kerr profile needs finite chi")
+        if self.kind == "custom" and len(self.table) < 2:
+            raise DomainError("custom table needs at least two samples")
+        if self.kind == "custom" and not all(math.isfinite(v) for v in self.table):
+            raise DomainError("custom table entries must be finite")
 
 
 def _read_field(kind: str, field: str, value):
@@ -232,30 +230,27 @@ def require_positive(spec: NonlinearitySpec, n_max: int) -> np.ndarray:
 
 def spec_to_dict(spec: NonlinearitySpec) -> dict:
     """JSON-ready description: the kind and its one parameter, if it has one."""
-    out = {"kind": spec.kind}
-    if spec.kind in _PARAMETERS:
-        field, attr = _PARAMETERS[spec.kind]
-        value = getattr(spec, attr)
-        out[field] = list(value) if field == "table" else value
-    return out
+    fields = {field: getattr(spec, attr) for field, attr in _PARAMETERS.values()}
+    return {"kind": spec.kind, **{field: list(value) if field == "table" else value
+                                  for field, value in fields.items() if value is not None}}
+
+
+class _Null:
+    """A JSON null: a field the constructor sees as present, where None is absent."""
+
+    def __repr__(self):
+        return "None"
 
 
 def spec_from_dict(data: dict) -> NonlinearitySpec:
-    """Inverse of :func:`spec_to_dict`: the kind and its one parameter, if it
-    has one.  An unknown field, or a field of another kind, is refused by its
-    presence, whatever its value."""
+    """Inverse of :func:`spec_to_dict`.  The constructor holds the field
+    rule; this reader refuses what it cannot see, by its presence: an
+    unknown field, and a JSON null."""
     if not isinstance(data, dict) or "kind" not in data:
         raise DomainError("nonlinearity description needs a 'kind' field")
-    kind = data["kind"]
-    if kind not in KINDS:
-        raise DomainError(f"unknown nonlinearity kind {kind!r}")
-    field, attr = _PARAMETERS.get(kind, (None, None))
-    extra = [key for key in data if key not in ("kind", field)]
-    unknown = [key for key in extra if key not in dict(_PARAMETERS.values())]
+    attrs = dict(_PARAMETERS.values())
+    unknown = [key for key in data if key != "kind" and key not in attrs]
     if unknown:
         raise DomainError(f"nonlinearity description has an unknown field {unknown[0]!r}")
-    if extra:
-        raise DomainError(f"the {kind} profile takes no {extra[0]!r} field")
-    if field is not None and field not in data:
-        raise DomainError(f"{kind} profile needs a {field!r} field")
-    return NonlinearitySpec(kind, **({attr: data[field]} if field else {}))
+    return NonlinearitySpec(data["kind"], **{attrs[key]: _Null() if value is None else value
+                                             for key, value in data.items() if key != "kind"})

@@ -87,8 +87,9 @@ class WignerGrid:
     p_axis: np.ndarray
     values: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")
     def normalization(self) -> float:
-        """Integral of Re W over the grid with the dq dp / (2 pi) measure."""
+        """Integral of Re W dq dp / (2 pi) over the grid; inf, unwarned, past the float range."""
         inner = np.trapezoid(self.values.real, self.p_axis, axis=1)
         return float(np.trapezoid(inner, self.q_axis) / (2.0 * math.pi))
 

@@ -7,10 +7,13 @@ import resource
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import foscillator
 from foscillator import (
@@ -30,12 +33,17 @@ from foscillator import (
     two_mode_eigen_residuals,
     wigner_from_density,
 )
-from foscillator.cli import _COMMAND_TABLE, main
+from foscillator.cli import _COMMAND_TABLE, build_parser, main
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def _read_sidecar(path):
+    """The sidecar, read as strict JSON: NaN and Infinity are refused."""
     with open(str(path) + ".meta.json", "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_refuse_constant)
 
 
 def _fosc(argv, options=(), **kwargs):
@@ -351,7 +359,7 @@ def test_tomogram_far_out_on_x_is_zero(tmp_path, capsys, source):
 @pytest.mark.parametrize("low, written, code", [(math.nan, None, 3), (-0.0, 0.0, 0), (-1e-3, 1e-3, 3)])
 def test_negativity_check_keeps_nan(tmp_path, monkeypatch, low, written, code):
     # max(0.0, -nan) is 0.0 in Python, so a nan cell passed the check; a
-    # minimum of -0.0 still reads 0.0, not -0.0
+    # minimum of -0.0 still reads 0.0, not -0.0; strict JSON holds nan as text
     def fake(rho, mu, nu, x):
         values = np.full(x.shape, 0.5)
         values[1] = low
@@ -362,7 +370,7 @@ def test_negativity_check_keeps_nan(tmp_path, monkeypatch, low, written, code):
     assert main(["tomogram", "--output", str(out)]) == code
     value = _read_sidecar(out)["checks"]["negativity"]["value"]
     if written is None:
-        assert math.isnan(value)
+        assert value == "nan"
     else:
         assert value == written and math.copysign(1.0, value) == 1.0
 
@@ -456,6 +464,10 @@ def test_empty_basis_exits_2_with_one_line(tmp_path, capsys, command):
     ["coherent", "--alpha-re", "nan"],
     ["two-mode", "--alpha1-re", "nan"],
     ["thermo", "--g", "inf"],
+    # argparse read these as a missing value: "expected one argument"
+    ["classical-trajectory", "--q0", "-inf"],
+    ["tomogram", "--x-min", "-Infinity"],
+    ["coherent", "--alpha-re", "-nan"],
 ])
 def test_non_finite_float_flag_exits_2_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "out.dat"
@@ -476,6 +488,33 @@ def test_non_finite_config_value_exits_2_with_one_line(tmp_path, capsys, text):
     assert err.startswith("error: config field 'x_max': ") and err.count("\n") == 1
     assert "is not a finite number" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classical-trajectory", "--q0", "-1e-3"],
+    ["tomogram", "--x-min", "-1e-3"],
+    ["coherent", "--alpha-re", "-2E-1"],
+], ids=lambda argv: argv[0])
+def test_negative_number_in_exponent_form_is_a_value(tmp_path, argv):
+    # argparse took only -1 and -1.5 forms as negative numbers, and read
+    # --q0 -1e-3 as a missing value
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(argv + ["--output", str(a)]) == 0
+    assert main(argv[:1] + [f"{argv[1]}={argv[2]}", "--output", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+_NEGATIVE_TEXT = st.builds(lambda x, form: form.format(-x), st.floats(0.0, 1e300),
+                           st.sampled_from(["{!r}", "{:e}", "{:E}", "{:.3g}", "{:.0e}", "{:.1f}"]))
+
+
+@given(text=_NEGATIVE_TEXT)
+def test_negative_float_text_reads_as_in_a_config(text):
+    # a value the config form accepts parses on the command line too
+    parser = build_parser()
+    flag = next(f for f in _COMMAND_TABLE["tomogram"].options if f.name == "--x-min")
+    args = parser.parse_args(["tomogram", "--x-min", text])
+    assert args.x_min == flag.from_config("x_min", text) == float(text)
 
 
 def test_every_float_flag_refuses_non_finite_values():
@@ -571,8 +610,7 @@ def test_nonlinearity_config_block(tmp_path):
     assert main(["quantum-evolve", "--state", "fock:1", "--dim", "8",
                  "--config", str(cfg), "--output", str(out)]) == 0
     meta = _read_sidecar(out)
-    assert meta["parameters"]["kind"] == "kerr"
-    assert meta["parameters"]["chi"] == 0.5
+    assert meta["parameters"]["nonlinearity"] == {"kind": "kerr", "chi": 0.5}
 
 
 def test_numeric_tolerance_breach_exits_3(tmp_path):
@@ -767,9 +805,70 @@ def test_readme_command_runs_clean(tmp_path, line):
     assert _read_sidecar(tmp_path / output)["status"] == "ok"
 
 
+# each command at a size that reads the profile on levels 0..2 at most,
+# which the shortest drawn table covers
+_PROFILE_RUNS = {
+    "classical-trajectory": ["--q0", "1", "--steps", "5", "--t-max", "1"],
+    "classical-propagate": ["--center-q", "0.3", "--sigma", "0.1", "--time", "0.5",
+                            "--extent", "1", "--points", "5"],
+    "quantum-evolve": ["--state", "vacuum", "--dim", "2", "--time", "0.5"],
+    "wigner": ["--state", "vacuum", "--dim", "2", "--extent", "1", "--points", "3",
+               "--variant", "usual-parity", "--pad", "0"],
+    "tomogram": ["--source", "classical", "--center-q", "0.3", "--sigma", "0.1",
+                 "--time", "0.5", "--x-points", "5"],
+    "coherent": ["--alpha-re", "0.001", "--dim", "3"],
+    "two-mode": ["--alpha1-re", "1e-7", "--alpha2-re", "1e-7", "--dim1", "2", "--dim2", "2"],
+}
+_PROFILE_FLAGS = st.one_of(
+    st.just(["--kind", "identity"]),
+    st.floats(0.01, 1.0).map(lambda lam: ["--kind", "q", "--lambda", repr(lam)]),
+    st.floats(0.0, 0.5).map(lambda chi: ["--kind", "kerr", "--chi", repr(chi)]),
+    st.lists(st.floats(1.0, 2.0), min_size=3, max_size=6, unique=True).map(
+        lambda table: ["--kind", "custom", "--table", ",".join(map(repr, sorted(table)))]),
+)
+_PROFILE_ARGV = st.builds(lambda name, profile: [name, *_PROFILE_RUNS[name], *profile],
+                          st.sampled_from(sorted(_PROFILE_RUNS)), _PROFILE_FLAGS)
+
+
+def _readme_examples(test):
+    """The README commands, without their --output, as explicit examples."""
+    for line in _README_COMMANDS:
+        argv = shlex.split(line)[1:]
+        at = argv.index("--output")
+        test = example(argv=argv[:at] + argv[at + 2:])(test)
+    return test
+
+
+@settings(max_examples=40)
+@given(argv=_PROFILE_ARGV)
+@_readme_examples
+def test_sidecar_parameters_replay_the_run(argv):
+    # the sidecar recorded the profile as four flag fields, three of them
+    # null, which --config refused: 7 of the 8 README commands exited 2
+    with tempfile.TemporaryDirectory() as workdir:
+        first, again, config = (os.path.join(workdir, name) for name in ("a", "b", "cfg.json"))
+        assert main(argv + ["--output", first]) == 0
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(_read_sidecar(first)["parameters"], fh)
+        assert main(argv + ["--config", config, "--output", again]) == 0
+        for suffix in ("", ".meta.json"):
+            assert Path(first + suffix).read_bytes() == Path(again + suffix).read_bytes()
+
+
 def _one_error_line(capsys, message):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_non_finite_check_value_is_not_ok_and_is_strict_json(tmp_path, capsys):
+    # the grid sum overflows; the sidecar held "value": Infinity with status ok
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--extent", "1e300", "--points", "3", "--output", str(out)]) == 3
+    assert capsys.readouterr().err == "numeric tolerance failure: normalization\n"
+    meta = _read_sidecar(out)
+    assert meta["checks"]["normalization"] == {"value": "inf", "threshold": None, "ok": False}
+    assert meta["status"] == "tolerance-breach"
+    assert out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -783,6 +882,16 @@ def _one_error_line(capsys, message):
     (["thermo", "--beta-steps", "1", "--beta-min", "1", "--beta-max", "2"],
      "one step needs --beta-min == --beta-max"),
     (["thermo", "--beta-min", "2", "--beta-max", "1"], "--beta-max must exceed --beta-min"),
+    # a span past the float range: linspace stepped by inf, so coherent wrote
+    # an x column of nan, inf, 1e308 with status ok, and the others failed
+    # further on, after numpy warnings
+    (["coherent", "--wavefunction", "--x-min=-1e308", "--x-max=1e308", "--x-points", "3"],
+     "--x-max - --x-min overflows the float range"),
+    (["tomogram", "--x-min=-1e308", "--x-max=1e308", "--x-points", "3"],
+     "--x-max - --x-min overflows the float range"),
+    (["wigner", "--extent", "1e308", "--points", "3"], "2 * --extent overflows the float range"),
+    (["classical-propagate", "--extent", "1e308", "--points", "3"],
+     "2 * --extent overflows the float range"),
 ])
 def test_range_checks_exit_2_with_one_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out.dat"
@@ -886,8 +995,14 @@ def test_state_file_with_a_field_that_does_not_convert_exits_2_with_one_line(
      "custom profile field 'table' must be a list of numbers, got [1, True, 1.2]"),
     ({"nonlinearity": {"kind": "custom", "table": [[1, 2], [3]]}},
      "custom profile field 'table' must be a list of numbers, got [[1, 2], [3]]"),
+    # a block next to a profile key: the block first exited 2, the key first
+    # exited 0 and dropped chi
+    ({"nonlinearity": {"kind": "q", "lambda": 0.1}, "chi": 0.3},
+     "config gives both a 'nonlinearity' block and the profile field 'chi'"),
+    ({"chi": 0.3, "nonlinearity": {"kind": "q", "lambda": 0.1}},
+     "config gives both a 'nonlinearity' block and the profile field 'chi'"),
 ], ids=["list", "string-block", "block-without-kind", "unknown-block-field", "format",
-        "table-string", "table-bool", "table-nested"])
+        "table-string", "table-bool", "table-nested", "block-then-field", "field-then-block"])
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -903,7 +1018,12 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, config, message):
      ["--kind", "custom", "--table", "1,1.25,1.5"]),
     (["coherent", "--alpha-re", "0.7", "--dim", "30", "--x-points", "11"],
      {"wavefunction": True}, ["--wavefunction"]),
-], ids=["table-list", "wavefunction"])
+    # a top-level "table" was refused unless it was comma text
+    (["coherent", "--kind", "custom", "--alpha-re", "1e-7", "--dim", "2"],
+     {"table": [1, 1.1]}, ["--table", "1,1.1"]),
+    (["coherent", "--kind", "custom", "--alpha-re", "1e-7", "--dim", "2"],
+     {"table": "1,1.1"}, ["--table", "1,1.1"]),
+], ids=["table-list", "wavefunction", "top-level-table-list", "top-level-table-text"])
 def test_config_gives_the_artifact_of_its_flags(tmp_path, argv, config, flags):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -132,7 +132,7 @@ def test_custom_table_interpolates():
 
 
 def test_custom_needs_exactly_one_source():
-    with pytest.raises(DomainError, match="custom profile needs a table"):
+    with pytest.raises(DomainError, match="custom profile needs a 'table' field"):
         NonlinearitySpec(kind="custom")
     with pytest.raises(DomainError, match="custom table needs at least two samples"):
         custom(table=[1.0])
@@ -444,3 +444,33 @@ def test_constructor_validation():
     # a parameter of another kind would make the spec unequal to its JSON form
     with pytest.raises(DomainError, match="the q profile takes no 'chi' field"):
         NonlinearitySpec(kind="q", lam=0.1, chi=0.3)
+    # refused by presence: these gave a spec holding the int 0, equal to
+    # identity(), and a Kerr profile with chi = 0
+    with pytest.raises(DomainError, match="the identity profile takes no 'chi' field"):
+        NonlinearitySpec(kind="identity", chi=0)
+    with pytest.raises(DomainError, match="kerr profile needs a 'chi' field"):
+        NonlinearitySpec(kind="kerr")
+
+
+_VALUES = st.one_of(
+    st.floats(), st.integers(-3, 3), st.booleans(), st.sampled_from(["", "x", "0.1", "1,2"]),
+    st.lists(st.one_of(st.floats(0.5, 2.0), st.booleans(), st.just("x")), max_size=4),
+)
+_FIELDS = st.dictionaries(st.sampled_from(["lambda", "chi", "table"]), _VALUES)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@given(kind=st.sampled_from(["identity", "q", "kerr", "custom", "warp"]), fields=_FIELDS)
+def test_constructor_and_reader_hold_one_field_rule(kind, fields):
+    # with no null and no unknown key, the reader adds nothing to the
+    # constructor's rule: the same spec, or the same refusal
+    attrs = {"lambda": "lam", "chi": "chi", "table": "table"}
+    built = _outcome(lambda: NonlinearitySpec(kind, **{attrs[k]: v for k, v in fields.items()}))
+    read = _outcome(lambda: spec_from_dict({"kind": kind, **fields}))
+    assert built == read

@@ -12,9 +12,14 @@ with C computed once per state through the orthogonal rotation matrices of
 each order m + n, built by Risbo's stable recursion (J. Geodesy 70, 383
 (1996)).  These matrices do not depend on the state: those of orders up to
 ``_CACHED_ORDER`` (every order of a state of up to 64 levels) are built once
-per process and kept read-only, at most 5.7 MB; higher orders are stepped
+per process and kept read-only in stacks of 16 consecutive orders, 6.7 MB
+at the cap, and a state's cached orders are contracted with its
+anti-diagonals in one batched product per stack; higher orders are stepped
 per state from the last cached one.  On a cartesian grid the map is two
-matrix products; orders past the last populated entry of rho cost nothing.
+matrix products with the Hermite tables of its axes.  A table depends only
+on its axis, so one table per distinct axis (of up to ``_AXIS_POINTS``
+points, the last ``_AXIS_TABLES`` axes) is built to the cap and kept for
+the process.  Orders past the last populated entry of rho cost nothing.
 
 Two deformed variants are provided, differing in which parity enters the
 trace against the exponential of the deformed ladder generator:
@@ -54,7 +59,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -72,9 +77,23 @@ _RHO_SKIP = 1e-16
 _PHASE_TOL = 1e-10
 # Phase-space points evaluated together by the batched maps.
 _BLOCK = 8192
-# Highest order whose rotation matrix is kept for the life of the process:
-# orders 0..126 hold sum (N+1)(N+3) doubles, 5.7 MB, and cover dim <= 64.
+# Highest order whose rotation matrix is kept for the life of the process;
+# orders 0..126 cover dim <= 64.
 _CACHED_ORDER = 126
+# The cached orders in stacks of _GROUP consecutive orders: layer N % _GROUP
+# of stack N // _GROUP holds R^N, between its two zero columns, in its
+# top-left corner, and zeros elsewhere.  A stack whose last order is K has
+# layers of (K + 1) x (K + 3) doubles: 6.7 MB over the 8 stacks.  A layer is
+# written when its order is built, so only the pages of the orders in use
+# are touched, and a map contracts a stack in one batched product.
+_GROUP = 16
+_STACKS = [np.zeros((last + 1 - first, last + 1, last + 3))
+           for first in range(0, _CACHED_ORDER + 1, _GROUP)
+           for last in [min(first + _GROUP, _CACHED_ORDER + 1) - 1]]
+# Grid axes of at most this many points keep their Hermite tables, up to
+# _AXIS_TABLES axes at a time: at most 4 x 127 x 1024 doubles, 4.2 MB.
+_AXIS_POINTS = 1024
+_AXIS_TABLES = 4
 # 2 sqrt(pi) (-i)^k: the transform of phi_k(sqrt2 y) over y, times the map's 2.
 _FOURIER_PHASES = 2.0 * math.sqrt(math.pi) * np.array([1.0, -1j, -1.0, 1j])
 
@@ -169,17 +188,42 @@ def _rotation_step(r: np.ndarray, order: int, dim: int) -> np.ndarray:
 
 @cache
 def _rotation(order: int) -> np.ndarray:
-    """R^order on all its columns, between its two zero columns; shared read-only.
+    """R^order on all its columns, between its two zero columns: a read-only
+    view of its layer of ``_STACKS``, shared by every map.
 
     A state of order + 1 levels carries every column, so the step from
     R^(order-1) at dim = order + 1 builds the whole matrix.
     """
-    if order == 0:
-        r = np.array([[0.0, 1.0, 0.0]])
-    else:
-        r = _rotation_step(_rotation(order - 1), order, order + 1)
+    r = _STACKS[order // _GROUP][order % _GROUP, :order + 1, :order + 3]
+    r[...] = [[0.0, 1.0, 0.0]] if order == 0 else _rotation_step(_rotation(order - 1), order, order + 1)
     r.flags.writeable = False
     return r
+
+
+def _cached_orders(m: np.ndarray, top: int) -> np.ndarray:
+    """by[N, j] = sum_m R^N[j, m] rho[m, N-m] for N <= top <= _CACHED_ORDER,
+    zero for j > N: one batched product per group of ``_STACKS``.
+
+    rho's anti-diagonal of order N is laid out on the columns of R^N,
+    anti[N, c] = rho[c-1, N+1-c], with zeros where rho has no entry and at
+    the zero columns; the layers are zero past R^N, so every layer of a
+    group meets the group's full width.
+    """
+    _rotation(top)  # builds R^0 .. R^top into the stacks
+    stacks = _STACKS[:top // _GROUP + 1]
+    width = stacks[-1].shape[2]
+    d = min(m.shape[0], top + 1)
+    levels = np.arange(d)
+    # 2d - 1 >= top + 1 rows: top <= 2 (dim - 1), and d = top + 1 otherwise
+    anti = np.zeros((2 * d - 1, width), dtype=complex)
+    anti[levels[:, None] + levels, levels[:, None] + 1] = m[:d, :d]
+    parts = anti.view(float).reshape(2 * d - 1, width, 2)
+    by = np.zeros((top + 1, width - 2, 2))
+    for first, stack in zip(range(0, top + 1, _GROUP), stacks):
+        layers = stack[:top + 1 - first]
+        n, rows, cols = layers.shape
+        by[first:first + n, :rows] = layers @ parts[first:first + n, :cols]
+    return by.view(complex)[..., 0]
 
 
 def _hermite_gauss_coefficients(m: np.ndarray) -> np.ndarray:
@@ -192,30 +236,31 @@ def _hermite_gauss_coefficients(m: np.ndarray) -> np.ndarray:
         C[j, N-j] = 2 sqrt(pi) (-i)^(N-j) sum_m R^N[j, m] rho[m, N-m].
 
     The orders stop at the largest m + n with |rho[m, n]| >= _RHO_SKIP.
-    R^N for N <= _CACHED_ORDER is read from the process-wide ``_rotation``
-    cache (at most 127 matrices, 5.7 MB); past it the carried columns are
-    stepped on from the cached R^_CACHED_ORDER and not kept.
+    Orders N <= _CACHED_ORDER are read from the process-wide stacks that
+    ``_rotation`` fills (at most 127 matrices, 6.7 MB) and summed a stack at
+    a time by ``_cached_orders``; past the cap the carried columns are
+    stepped on from the cached R^_CACHED_ORDER, one order at a time, and not
+    kept.
     """
     dim = m.shape[0]
     levels, partners = np.nonzero(np.abs(m) >= _RHO_SKIP)
     top = int(np.max(levels + partners, initial=0))
-    # by_order[N, j] = sum_m R^N[j, m] rho[m, N-m]; diagonal dim-1-N of the
-    # column-reversed rho is rho[m, N-m] over the carried columns of R^N.
-    anti = m[:, ::-1]
-    by_order = np.zeros((top + 1, top + 1), dtype=complex)
-    for order in range(top + 1):
-        if order <= _CACHED_ORDER:
-            # carried columns lo..hi and a neighbour on each side; the step
-            # past _CACHED_ORDER reads a neighbour only where it is a zero
-            # column of the cached matrix
-            lo, hi = max(0, order - dim + 1), min(order, dim - 1)
-            r = _rotation(order)[:, lo:hi + 3]
-        else:
+    cached = min(top, _CACHED_ORDER)
+    c = np.zeros((top + 1, top + 1), dtype=complex)
+    orders, j = np.tril_indices(cached + 1)
+    c[j, orders - j] = _cached_orders(m, cached)[orders, j]
+    if top > _CACHED_ORDER:
+        # carried columns lo..hi and a neighbour on each side; the step reads
+        # a neighbour only where it is a zero column of the cached matrix
+        lo, hi = max(0, _CACHED_ORDER - dim + 1), min(_CACHED_ORDER, dim - 1)
+        r = _rotation(_CACHED_ORDER)[:, lo:hi + 3]
+        # diagonal dim-1-N of the column-reversed rho is rho[m, N-m] over the
+        # carried columns of R^N
+        anti = m[:, ::-1]
+        for order in range(_CACHED_ORDER + 1, top + 1):
             r = _rotation_step(r, order, dim)
-        by_order[order, :order + 1] = r[:, 1:-1] @ np.diagonal(anti, dim - 1 - order)
-    orders, j = np.tril_indices(top + 1)
-    c = np.zeros_like(by_order)
-    c[j, orders - j] = by_order[orders, j]
+            j = np.arange(order + 1)
+            c[j, order - j] = r[:, 1:-1] @ np.diagonal(anti, dim - 1 - order)
     c *= _FOURIER_PHASES[np.arange(top + 1) % 4]
     return c
 
@@ -263,6 +308,28 @@ def _warn_if_grid_small(rho: DensityMatrix, q_axis: np.ndarray, p_axis: np.ndarr
         )
 
 
+@lru_cache(maxsize=_AXIS_TABLES)
+def _hermite_table(axis: bytes) -> np.ndarray:
+    """phi_0 .. phi_126 (_CACHED_ORDER) at sqrt2 x for the points x of an
+    axis, given as the bytes of its doubles; shared read-only.
+
+    The recurrence runs forward, so rows 0..top of this table are bit for
+    bit the table built to top, the far-field columns of ``hermite``
+    included.  At most _AXIS_TABLES tables of _AXIS_POINTS points: 4.2 MB.
+    """
+    table = hermite_functions(_CACHED_ORDER, math.sqrt(2.0) * np.frombuffer(axis))
+    table.flags.writeable = False
+    return table
+
+
+def _axis_table(axis: np.ndarray, top: int) -> np.ndarray:
+    """phi_0 .. phi_top at sqrt2 x for the points x of ``axis``, read from
+    ``_hermite_table`` when the axis and the order are within its caps."""
+    if top <= _CACHED_ORDER and axis.size <= _AXIS_POINTS:
+        return _hermite_table(axis.tobytes())[:top + 1]
+    return hermite_functions(top, math.sqrt(2.0) * axis.ravel())
+
+
 def wigner_from_density(rho: DensityMatrix, q_axis, p_axis) -> WignerGrid:
     """W on the cartesian grid q_axis x p_axis; one Hermite table serves
     both axes when they are equal."""
@@ -271,9 +338,8 @@ def wigner_from_density(rho: DensityMatrix, q_axis, p_axis) -> WignerGrid:
     _warn_if_grid_small(rho, q_axis, p_axis)
     c = _hermite_gauss_coefficients(rho.matrix)
     top = c.shape[0] - 1
-    phi_q = hermite_functions(top, math.sqrt(2.0) * q_axis.ravel())
-    same = np.array_equal(p_axis, q_axis)
-    phi_p = phi_q if same else hermite_functions(top, math.sqrt(2.0) * p_axis.ravel())
+    phi_q = _axis_table(q_axis, top)
+    phi_p = phi_q if np.array_equal(p_axis, q_axis) else _axis_table(p_axis, top)
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=phi_q.T @ c @ phi_p)
 
 

@@ -313,6 +313,29 @@ def test_classical_edge_values_exit_2_with_one_line(tmp_path, capsys, argv, mess
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("profile, message", [
+    ([], None),
+    (["--kind", "kerr", "--chi", "0.1"], "profile evaluated to a non-finite value at n = inf"),
+    (["--kind", "q", "--lambda", "0.1"],
+     "profile evaluated to a non-finite value at n = inf: f overflows the float range"),
+], ids=["identity", "kerr", "q"])
+def test_wide_classical_grid_runs_without_warnings(tmp_path, profile, message):
+    # the energy and the Gaussian exponent overflow at the far corners of a
+    # finite grid; two numpy RuntimeWarnings were printed there, each an
+    # error in this child process
+    out = tmp_path / "blob.csv"
+    proc = _fosc(["classical-propagate", "--extent", "1e200", "--points", "3", *profile,
+                  "--output", str(out)], options=["-W", "error::RuntimeWarning"])
+    if message is None:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = [[float(v) for v in row.split(",")] for row in out.read_text().splitlines()[1:]]
+        assert [value for q, p, value in rows if abs(q) + abs(p) > 0.0] == [0.0] * 8
+        assert rows[4][2] > 0.0
+    else:
+        assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, beta", [
     (["thermo", "--beta-min", "1500", "--beta-max", "1500", "--beta-steps", "1", "--g", "0.001"], "1500.0"),
     (["thermo", "--beta-max", "1e6"], "66667.13333333333"),

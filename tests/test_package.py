@@ -86,6 +86,7 @@ _CACHES = {
                                   (custom(table=[1.0, 1.1, 1.3, 1.2, 1.0, 1.1, 1.2, 1.3, 1.4]), 8,
                                    "symmetric")],
     ("wigner", "_rotation"): [(0,), (3,)],
+    ("wigner", "_hermite_table"): [(np.linspace(-3.0, 3.0, 5).tobytes(),)],
 }
 
 

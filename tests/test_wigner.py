@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import comb, gammaln
 
@@ -327,22 +327,30 @@ def test_rotation_step_carries_only_the_columns_a_state_uses():
 
 @pytest.mark.parametrize("n", [0, 1, 4, 9])
 def test_fock_map_stops_at_order_two_n(monkeypatch, n):
-    # warm cache: each map reads R^0 .. R^2n and no higher order
+    # warm cache: each map asks for R^2n and reads no layer of a higher
+    # order: with those layers poisoned by nan, the maps stay bit for bit
     cached = wigner_module._rotation
     cached(2 * n)
-    reads = []
+    ax = np.linspace(-7.0, 7.0, 11)
+    rho = fock_density(n, 40)
+    grid = wigner_from_density(rho, ax, ax).values
+    point = wigner_values(rho, 0.3, -0.2)
+    group = wigner_module._GROUP
+    poisoned = [stack.copy() for stack in wigner_module._STACKS]
+    for order in range(2 * n + 1, wigner_module._CACHED_ORDER + 1):
+        poisoned[order // group][order % group] = np.nan
+    asks = []
 
     def read(order):
-        reads.append(order)
+        asks.append(order)
         return cached(order)
 
+    monkeypatch.setattr(wigner_module, "_STACKS", poisoned)
     monkeypatch.setattr(wigner_module, "_rotation", read)
-    ax = np.linspace(-7.0, 7.0, 11)
-    wigner_from_density(fock_density(n, 40), ax, ax)
-    assert reads == list(range(2 * n + 1))
-    reads.clear()
-    wigner_values(fock_density(n, 40), 0.3, -0.2)
-    assert reads == list(range(2 * n + 1))
+    np.testing.assert_array_equal(wigner_from_density(rho, ax, ax).values, grid)
+    assert asks == [2 * n]
+    assert wigner_values(rho, 0.3, -0.2) == point
+    assert asks == [2 * n, 2 * n]
     monkeypatch.undo()
 
     # cold cache: the first map takes the 2n steps up to R^2n, the next none
@@ -362,13 +370,15 @@ def test_fock_map_stops_at_order_two_n(monkeypatch, n):
     assert steps == []
 
 
-def _uncached_coefficients(m, top):
-    # C of _hermite_gauss_coefficients from the carried recursion, no cache
+def _uncached_coefficients(m, top, part=lambda x: x):
+    # C of _hermite_gauss_coefficients from the carried recursion, no cache,
+    # one product per order; part=np.abs gives the scale of each sum,
+    # 2 sqrt(pi) sum_m |R^N[j, m] rho[m, N-m]| at C[j, N-j] up to its phase
     dim = m.shape[0]
     c = np.zeros((top + 1, top + 1), dtype=complex)
     for order, r in enumerate(_rotation_matrices(top, dim)):
         j = np.arange(order + 1)
-        c[j, order - j] = r @ np.diagonal(m[:, ::-1], dim - 1 - order)
+        c[j, order - j] = part(r) @ part(np.diagonal(m[:, ::-1], dim - 1 - order))
     return c * wigner_module._FOURIER_PHASES[np.arange(top + 1) % 4]
 
 
@@ -381,28 +391,51 @@ def test_cached_rotations_give_the_uncached_coefficients_bit_for_bit(dim):
     wigner_module._rotation.cache_clear()
     cold = wigner_module._hermite_gauss_coefficients(rho.matrix)
     warm = wigner_module._hermite_gauss_coefficients(rho.matrix)
-    np.testing.assert_array_equal(cold, reference)
-    np.testing.assert_array_equal(warm, reference)
+    np.testing.assert_array_equal(warm, cold)
+    # Orders up to the cap are summed a group at a time, in another order
+    # than the reference's product per order.  Each way rounds the N + 1
+    # products of order N and their sum within gamma_(N+1) = (N + 1) u of
+    # sum_m |R^N[j, m] rho[m, N-m]| per part (u = eps / 2), and the Fourier
+    # phase 2 sqrt(pi) (-i)^k rounds each result once more, so a part of the
+    # two differs by at most (2 (N + 1) + 2) u (1 + (N + 1) u) of that sum
+    # times 2 sqrt(pi); (N + 3) eps covers it.
+    orders = np.add.outer(np.arange(top + 1), np.arange(top + 1))
+    bound = (orders + 3) * np.finfo(float).eps * np.abs(_uncached_coefficients(rho.matrix, top, np.abs))
+    assert np.all(np.abs(cold.real - reference.real) <= bound)
+    assert np.all(np.abs(cold.imag - reference.imag) <= bound)
+    # past the cap the orders are stepped one at a time, as in the reference
+    past = orders > wigner_module._CACHED_ORDER
+    np.testing.assert_array_equal(cold[past], reference[past])
 
 
 def test_rotation_cache_stops_at_its_cap_and_is_read_only():
     wigner_module._rotation.cache_clear()
     wigner_values(_random_mixed_state(200, 5), 0.1, 0.2)  # top 358
     assert wigner_module._rotation.cache_info().currsize == wigner_module._CACHED_ORDER + 1 == 127
+    group = wigner_module._GROUP
     for order in range(wigner_module._CACHED_ORDER + 1):
         r = wigner_module._rotation(order)
         assert r.shape == (order + 1, order + 3)
+        layer = wigner_module._STACKS[order // group][order % group]
+        assert np.shares_memory(r, layer)
+        np.testing.assert_array_equal(layer[:order + 1, :order + 3], r)
+        assert not layer[order + 1:].any() and not layer[:, order + 3:].any()
         with pytest.raises(ValueError, match="read-only"):
             r[0, 1] = 0.0
+    # the groups hold orders 0..126 and no other: 6.7 MB
+    assert sum(len(stack) for stack in wigner_module._STACKS) == 127
+    assert sum(stack.nbytes for stack in wigner_module._STACKS) == 6_668_168
 
 
 def test_cli_import_leaves_the_rotation_cache_empty():
     src = os.path.dirname(os.path.dirname(os.path.abspath(foscillator.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import foscillator.cli, foscillator.wigner as w; print(w._rotation.cache_info().currsize)"
+    probe = ("import foscillator.cli, foscillator.wigner as w; "
+             "print(w._rotation.cache_info().currsize, w._hermite_table.cache_info().currsize, "
+             "sum(s.any() for s in w._STACKS))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.strip() == "0 0 0"
 
 
 def test_standard_grid_larger_than_one_block_matches_point_calls():
@@ -462,17 +495,31 @@ _STATES = st.one_of(
 )
 
 
+# Axes in any order, repeats and both zeros allowed
+_AXES = st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=24).map(np.array)
+# States past the rotation cache's cap: tops 128 .. 142 take the stepping path
+_PAST_CAP = st.builds(_random_mixed_state, st.integers(73, 80), st.integers(0, 2 ** 32 - 1))
+
+
 @settings(max_examples=40)
-@given(rho=_STATES)
-def test_standard_map_grid_points_and_laguerre_reference_agree(rho):
-    ax = np.linspace(-8.0, 8.0, 33)
-    qq, pp = np.meshgrid(ax, ax, indexing="ij")
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "grid extent", RuntimeWarning)
-        grid = wigner_from_density(rho, ax, ax).values
-    points = wigner_values(rho, qq, pp)
-    np.testing.assert_allclose(grid, points, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(grid, _laguerre_reference(rho, qq, pp), rtol=0, atol=1e-13)
+@given(rhos=st.lists(st.one_of(_STATES, _PAST_CAP), min_size=1, max_size=3), q_axis=_AXES,
+       p_axis=st.none() | _AXES)
+@example(rhos=[_random_mixed_state(40, 1), coherent_density(0.5, 40), _random_mixed_state(73, 2),
+               fock_density(3, 10)],
+         q_axis=np.linspace(-8.0, 8.0, 33), p_axis=None)
+def test_standard_map_grid_points_and_laguerre_reference_agree(rhos, q_axis, p_axis):
+    # maps in sequence on one axis: the first builds its Hermite table, the
+    # next read it, at rising and falling tops; p_axis None reuses the q axis
+    p_axis = q_axis.copy() if p_axis is None else p_axis
+    qq, pp = np.meshgrid(q_axis, p_axis, indexing="ij")
+    wigner_module._hermite_table.cache_clear()
+    for rho in rhos:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "grid extent", RuntimeWarning)
+            grid = wigner_from_density(rho, q_axis, p_axis).values
+        points = wigner_values(rho, qq, pp)
+        np.testing.assert_allclose(grid, points, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(grid, _laguerre_reference(rho, qq, pp), rtol=0, atol=1e-13)
 
 
 @settings(max_examples=20)
@@ -612,6 +659,9 @@ def test_deformed_grid_larger_than_one_block_matches_point_calls(monkeypatch):
 
 
 def test_standard_grid_builds_one_hermite_table_for_equal_axes(monkeypatch):
+    # equal axes build one table, an axis already seen builds none, and a
+    # new p axis builds one; an axis past the table cache's point cap is
+    # built per map, once for equal axes
     calls = []
     table = wigner_module.hermite_functions
 
@@ -620,13 +670,39 @@ def test_standard_grid_builds_one_hermite_table_for_equal_axes(monkeypatch):
         return table(n_max, x)
 
     monkeypatch.setattr(wigner_module, "hermite_functions", counted)
+    wigner_module._hermite_table.cache_clear()
     rho = coherent_density(0.7 - 0.2j, 20)
     ax = np.linspace(-7.0, 7.0, 41)
     wigner_from_density(rho, ax, ax.copy())
     assert calls == [41]
     calls.clear()
+    wigner_from_density(rho, ax.copy(), ax)
+    wigner_from_density(fock_density(3, 20), ax, ax)
+    assert calls == []
     wigner_from_density(rho, ax, np.linspace(-7.0, 7.0, 43))
-    assert calls == [41, 43]
+    assert calls == [43]
+    calls.clear()
+    wide = np.linspace(-7.0, 7.0, wigner_module._AXIS_POINTS + 1)
+    wigner_from_density(rho, wide, wide.copy())
+    wigner_from_density(rho, wide, wide)
+    assert calls == [wide.size, wide.size]
+
+
+# sqrt2 x passes 37.6, where the far-field columns of hermite take over,
+# from |x| = 26.6 on
+_FAR_AXIS = np.concatenate((np.linspace(-40.0, 40.0, 33), [-0.0, 26.5, 26.7, 30.0, 1e155, -1e300]))
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 37, 125, 126])
+def test_cached_hermite_table_is_the_table_built_to_its_top(top):
+    wigner_module._hermite_table.cache_clear()
+    for _ in range(2):  # built, then read
+        rows = wigner_module._axis_table(_FAR_AXIS, top)
+        np.testing.assert_array_equal(rows, hermite_functions(top, math.sqrt(2.0) * _FAR_AXIS))
+        assert not rows.flags.writeable
+    info = wigner_module._hermite_table.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert wigner_module._hermite_table(_FAR_AXIS.tobytes()).shape == (127, _FAR_AXIS.size)
 
 
 _NON_FINITE = [math.nan, math.inf, -math.inf]

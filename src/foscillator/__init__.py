@@ -9,6 +9,8 @@ functions, symplectic tomography, deformed coherent states with their
 entanglement diagnostics, and first-order deformed thermodynamics.
 """
 
+from types import ModuleType as _ModuleType
+
 from .classical import (
     PhasePoint,
     PhaseSpaceDistribution,
@@ -98,76 +100,6 @@ from .wigner import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PhasePoint",
-    "PhaseSpaceDistribution",
-    "amplitude_trajectory",
-    "classical_invariants",
-    "evolve_amplitude",
-    "gaussian_distribution",
-    "phase_space_integral",
-    "propagate_distribution",
-    "CoherentStateVector",
-    "SchmidtSpectrum",
-    "TwoModeState",
-    "eigen_residual",
-    "nonlinear_coherent_state",
-    "position_wavefunction",
-    "schmidt_spectrum",
-    "two_mode_coherent_state",
-    "two_mode_eigen_residuals",
-    "DegenerateDeformationError",
-    "DegenerateRayError",
-    "DomainError",
-    "NumericToleranceError",
-    "SeriesDivergenceError",
-    "TruncationError",
-    "DensityMatrix",
-    "coherent_density",
-    "commutator_defect",
-    "deformed_lowering",
-    "density_from_amplitudes",
-    "evolve_density",
-    "expectation",
-    "fock_density",
-    "hamiltonian_diagonal",
-    "heisenberg_invariant",
-    "lowering_operator",
-    "vacuum_density",
-    "hermite_functions",
-    "NonlinearitySpec",
-    "custom",
-    "eval_f",
-    "f_factorial",
-    "frequency",
-    "identity",
-    "kerr",
-    "log_f_factorial",
-    "q_oscillator",
-    "spec_from_dict",
-    "spec_to_dict",
-    "DeformedThermoReport",
-    "ThermoReport",
-    "chi_expectation",
-    "deformed_partition",
-    "exact_deformed_report",
-    "linear_thermo",
-    "mean_energy",
-    "occupation",
-    "occupation_second_moment",
-    "partition_closed",
-    "thermal_series",
-    "TomogramSlice",
-    "classical_tomogram_evolved",
-    "fock_tomogram_closed",
-    "quantum_tomogram",
-    "radon_classical",
-    "ray_from_scale_angle",
-    "WignerGrid",
-    "deformed_parity_operator",
-    "deformed_wigner",
-    "deformed_wigner_values",
-    "wigner_from_density",
-    "wigner_values",
-    "__version__",
-]
+# every name imported above, submodules aside, and the version
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)] + ["__version__"]

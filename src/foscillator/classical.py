@@ -66,11 +66,17 @@ class PhaseSpaceDistribution:
     """Positive density on phase space, negligible outside support_radius.
 
     ``density`` must accept broadcastable q, p arrays and return values of
-    the broadcast shape; normalization uses the plain dq dp measure.
+    the broadcast shape; normalization uses the plain dq dp measure.  A radius
+    R for which E = (q^2 + p^2)/2 overflows at |q| = |p| = R is refused.
     """
 
     density: Callable
     support_radius: float
+
+    def __post_init__(self):
+        r = float(self.support_radius)
+        if not math.isfinite(r * r + r * r):
+            raise DomainError(f"support radius {r:.6g}: (q^2 + p^2)/2 leaves the float range")
 
     def __call__(self, q, p):
         return self.density(q, p)
@@ -177,14 +183,19 @@ def gaussian_distribution(
     """Isotropic normalized Gaussian blob, unit total mass."""
     if not 0.0 < sigma < math.inf:
         raise DomainError("sigma must be > 0 and finite")
-    if not (math.isfinite(center_q) and math.isfinite(center_p)):
-        raise DomainError("the centre must be finite")
     scale = 2.0 * math.pi * sigma * sigma
     norm = 1.0 / scale if scale > 0.0 else math.inf
     if norm == math.inf:
         raise DomainError(f"sigma = {sigma!r} is too small: 1/(2 pi sigma^2) overflows")
     if support_radius is None:
         support_radius = math.hypot(center_q, center_p) + 8.5 * sigma
+    # the exponent below at its largest on the support disk, |dq|, |dp| <= R + |centre|;
+    # a centre that is not finite leaves the float range here too
+    span = support_radius + math.hypot(center_q, center_p)
+    if not math.isfinite((span * span + span * span) / (2.0 * sigma * sigma)):
+        raise DomainError(f"the blob at ({center_q:.6g}, {center_p:.6g}) of sigma {sigma:.6g} on "
+                          f"the support radius {support_radius:.6g}: its exponent leaves the "
+                          "float range")
 
     def density(q, p):
         dq = np.asarray(q, float) - center_q

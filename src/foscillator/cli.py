@@ -46,6 +46,7 @@ from .classical import (
     PhasePoint,
 )
 from .coherent import (
+    _TOP_WEIGHT_TOL,
     eigen_residual,
     nonlinear_coherent_state,
     position_wavefunction,
@@ -56,7 +57,9 @@ from .coherent import (
 from .errors import DomainError, NumericToleranceError
 from .fock import (
     HAMILTONIAN_FORMS,
+    _HERM_TOL,
     _TAIL_TOL,
+    _TRACE_TOL,
     _hermiticity_residual,
     _tail_mass,
     DensityMatrix,
@@ -69,7 +72,7 @@ from .fock import (
 )
 from .nonlinearity import _PARAMETERS, KINDS, NonlinearitySpec, spec_from_dict, spec_to_dict
 from .thermo import deformed_partition
-from .tomography import quantum_tomogram, radon_classical
+from .tomography import _NEG_FLOOR, quantum_tomogram, radon_classical
 from .wigner import deformed_wigner, wigner_from_density
 
 
@@ -277,10 +280,7 @@ def _cmd_classical_trajectory(args) -> Artifact:
     spec = _build_spec(args)
     if args.steps < 1:
         raise DomainError("--steps must be >= 1")
-    try:
-        e0 = 0.5 * (args.q0 ** 2 + args.p0 ** 2)
-    except OverflowError:
-        e0 = math.inf
+    e0 = 0.5 * (args.q0 * args.q0 + args.p0 * args.p0)
     if e0 == math.inf:
         raise DomainError("the initial energy (q0^2 + p0^2)/2 overflows")
     times = np.linspace(0.0, args.t_max, args.steps + 1)
@@ -324,8 +324,8 @@ def _cmd_quantum_evolve(args) -> Artifact:
     art = Artifact(json_object=rho_t.to_dict())
     q0 = expectation(rho0, heisenberg_invariant(spec, rho0.dim, 0.0, args.form))
     qt = expectation(rho_t, heisenberg_invariant(spec, rho_t.dim, args.time, args.form))
-    art.add_check("trace_residual", abs(np.trace(m).real - 1.0), 1e-10)
-    art.add_check("hermiticity_residual", _hermiticity_residual(m), 1e-12)
+    art.add_check("trace_residual", abs(np.trace(m).real - 1.0), _TRACE_TOL)
+    art.add_check("hermiticity_residual", _hermiticity_residual(m), _HERM_TOL)
     art.add_check("purity_drift", abs(rho_t.purity() - rho0.purity()), 1e-10)
     art.add_check("tail_mass", _tail_mass(m), _TAIL_TOL)
     art.add_check("invariant_drift", abs(qt - q0), 1e-9)
@@ -363,9 +363,10 @@ def _cmd_tomogram(args) -> Artifact:
         sl = radon_classical(dist, args.mu, args.nu, x_axis)
     art = Artifact(["x", "value"], _table(sl.x_axis, sl.values))
     art.add_check("norm_residual", abs(sl.norm - 1.0), 1e-6)
+    # the slice floored negatives down to -_NEG_FLOOR to 0, so any left breach;
     # a NaN minimum stays NaN and breaches; a minimum of -0.0 reads 0.0
     low = sl.min_value()
-    art.add_check("negativity", 0.0 if low >= 0.0 else -low, 1e-9)
+    art.add_check("negativity", 0.0 if low >= 0.0 else -low, _NEG_FLOOR)
     if args.source == "classical":
         art.add_check("quadrature_error", sl.quadrature_error, _QUAD_TOL)
     return art
@@ -386,7 +387,7 @@ def _cmd_coherent(args) -> Artifact:
                        _table(np.arange(amps.size), amps.real, amps.imag, _abs2(amps)))
     art.add_check("norm_residual", abs(np.linalg.norm(state.amplitudes) - 1.0), 1e-12)
     art.add_check("eigen_residual", eigen_residual(state), 1e-8)
-    art.add_check("top_weight", abs(state.amplitudes[-1]) ** 2, 1e-12)
+    art.add_check("top_weight", abs(state.amplitudes[-1]) ** 2, _TOP_WEIGHT_TOL)
     return art
 
 

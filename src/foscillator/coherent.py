@@ -13,18 +13,18 @@ modes, and the Schmidt spectrum quantifies it.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .fock import DensityMatrix, _log_factorials, density_from_amplitudes
+from .fock import (DensityMatrix, _coherent_amplitudes, _log_factorials, _log_powers,
+                   _normalized, density_from_amplitudes)
 from .hermite import hermite_functions
 from .nonlinearity import NonlinearitySpec, eval_f, log_f_factorial
 
-_TAIL_TOL = 1e-12
+_TOP_WEIGHT_TOL = 1e-12  # probability left on the top level (two modes: top row and column)
 _SCHMIDT_SEPARABLE_TOL = 1e-9
 _EDGE_LEVELS = 5  # top levels an eigen residual skips
 
@@ -66,14 +66,6 @@ class SchmidtSpectrum:
         return self.sigma2 < _SCHMIDT_SEPARABLE_TOL
 
 
-def _normalized(logmag: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """Unit-norm amplitudes exp(logmag + i phase), the largest magnitude
-    scaled to 1 before exponentiating so that no weight overflows."""
-    mag = np.exp(logmag - logmag.max())
-    mag /= np.linalg.norm(mag)
-    return mag * (np.cos(phase) + 1j * np.sin(phase))
-
-
 def nonlinear_coherent_state(
     alpha: complex, spec: NonlinearitySpec, dim: int
 ) -> CoherentStateVector:
@@ -82,17 +74,8 @@ def nonlinear_coherent_state(
     The last retained weight must carry less than 1e-12 probability, so the
     truncation defect of the eigenvalue relation stays at the roundoff level.
     """
-    if dim < 2:
-        raise DomainError("coherent state needs dim >= 2")
-    logf = log_f_factorial(spec, dim - 1)
-    r, phase0 = cmath.polar(alpha)
-    n = np.arange(dim, dtype=float)
-    if r == 0.0:
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-    else:
-        amps = _normalized(n * math.log(r) - logf - 0.5 * _log_factorials(dim - 1), phase0 * n)
-    if abs(amps[-1]) ** 2 >= _TAIL_TOL:
+    amps = _coherent_amplitudes(alpha, spec, dim)
+    if abs(amps[-1]) ** 2 >= _TOP_WEIGHT_TOL:
         raise TruncationError(
             f"top weight {abs(amps[-1])**2:.3e} exceeds the tail criterion; increase dim"
         )
@@ -128,15 +111,13 @@ def two_mode_coherent_state(
     r2, ph2 = cmath.polar(alpha2)
     n1 = np.arange(d1, dtype=float)[:, None]
     n2 = np.arange(d2, dtype=float)[None, :]
-    # log r * 0 must stay 0 when an amplitude vanishes
-    l1 = n1 * math.log(r1) if r1 > 0.0 else np.where(n1 == 0, 0.0, -np.inf)
-    l2 = n2 * math.log(r2) if r2 > 0.0 else np.where(n2 == 0, 0.0, -np.inf)
+    l1, l2 = _log_powers(r1, n1), _log_powers(r2, n2)
     total = (n1 + n2).astype(int)
     log_fact = _log_factorials(max(d1, d2) - 1)
     logmag = l1 + l2 - 0.5 * log_fact[:d1, None] - 0.5 * log_fact[None, :d2] - logf[total]
     coeff = _normalized(logmag, ph1 * n1 + ph2 * n2)
     edge = float(np.sum(np.abs(coeff[-1, :]) ** 2) + np.sum(np.abs(coeff[:, -1]) ** 2))
-    if edge >= _TAIL_TOL:
+    if edge >= _TOP_WEIGHT_TOL:
         raise TruncationError(
             f"edge weight {edge:.3e} exceeds the tail criterion; increase dims"
         )

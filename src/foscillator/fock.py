@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .nonlinearity import NonlinearitySpec, require_positive
+from .nonlinearity import NonlinearitySpec, identity, log_f_factorial, require_positive
 
 HAMILTONIAN_FORMS = ("symmetric", "normal", "normal_half", "kerr")
 
@@ -38,9 +38,8 @@ def _check_dim(dim: int) -> None:
 
 
 def lowering_operator(dim: int) -> np.ndarray:
-    """Truncated annihilation operator, a[n-1, n] = sqrt(n)."""
-    _check_dim(dim)
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
+    """Truncated annihilation operator a[n-1, n] = sqrt(n), the f = 1 deformed ladder."""
+    return deformed_lowering(identity(), dim)
 
 
 def commutator_defect(dim: int) -> np.ndarray:
@@ -191,10 +190,11 @@ def _validated(m: np.ndarray, check_spectrum: bool) -> np.ndarray:
 
 
 def _field(data: dict, name: str, convert, what: str):
-    """``convert(data[name])``; DomainError naming the field if it fails or
-    gives None."""
+    """``convert(data[name])``; DomainError naming the field if it fails,
+    gives None, or meets a boolean anywhere, which float() reads as 0 or 1."""
     try:
-        out = convert(data[name])
+        items = np.asarray(data[name], dtype=object).flat
+        out = None if any(isinstance(v, (bool, np.bool_)) for v in items) else convert(data[name])
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None:
@@ -293,21 +293,33 @@ def _log_factorials(n_max: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n_max + 1.0)))))
 
 
-def _poisson_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    r, phi = cmath.polar(alpha)
+def _log_powers(r: float, n: np.ndarray) -> np.ndarray:
+    """log r^n for r >= 0: n log r, and 0^0 = 1 when r = 0."""
+    return n * math.log(r) if r > 0.0 else np.where(n == 0, 0.0, -np.inf)
+
+
+def _normalized(logmag: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Unit-norm amplitudes exp(logmag + i phase), the largest magnitude
+    scaled to 1 before exponentiating so that no weight overflows."""
+    mag = np.exp(logmag - logmag.max())
+    mag /= np.linalg.norm(mag)
+    return mag * (np.cos(phase) + 1j * np.sin(phase))
+
+
+def _coherent_amplitudes(alpha: complex, spec: NonlinearitySpec, dim: int) -> np.ndarray:
+    """Unit-norm weights alpha^n / (F(n) sqrt(n!)), n < dim, F(n) = f(0) ... f(n), assembled
+    in log space (log F = 0 for the harmonic state); each state applies its own truncation rule."""
+    if dim < 2:
+        raise DomainError("coherent state needs dim >= 2")
+    logf = log_f_factorial(spec, dim - 1)
+    r, phase0 = cmath.polar(alpha)
     n = np.arange(dim, dtype=float)
-    if r == 0.0:
-        c = np.zeros(dim, dtype=complex)
-        c[0] = 1.0
-        return c
-    logmag = n * math.log(r) - 0.5 * _log_factorials(dim - 1) - 0.5 * r * r
-    phase = n * phi
-    return np.exp(logmag) * (np.cos(phase) + 1j * np.sin(phase))
+    return _normalized(_log_powers(r, n) - logf - 0.5 * _log_factorials(dim - 1), phase0 * n)
 
 
 def coherent_density(alpha: complex, dim: int) -> DensityMatrix:
-    """Harmonic coherent state projected onto the truncated basis."""
-    return density_from_amplitudes(_poisson_amplitudes(alpha, dim))
+    """Harmonic coherent state on the truncated basis, the f = 1 deformed coherent state."""
+    return density_from_amplitudes(_coherent_amplitudes(alpha, identity(), dim))
 
 
 def evolve_density(

@@ -11,6 +11,7 @@ from scipy.integrate import solve_ivp
 from foscillator import (
     DomainError,
     PhasePoint,
+    PhaseSpaceDistribution,
     amplitude_trajectory,
     classical_invariants,
     custom,
@@ -160,6 +161,28 @@ def test_gaussian_distribution_refuses_a_sigma_whose_norm_overflows(sigma):
     # 2 pi sigma^2 is subnormal at 1e-155 and 0.0 at 1e-300
     with pytest.raises(DomainError, match="1/\\(2 pi sigma\\^2\\) overflows"):
         gaussian_distribution(0.0, 0.0, sigma)
+
+
+def test_gaussian_exponent_stays_in_the_float_range_on_its_support():
+    # at sigma = 1 the exponent's numerator dq^2 + dp^2 reaches 8 R^2 at
+    # |dq| = |dp| = 2R, finite below R = sqrt(max / 8); the support radius of
+    # a blob that far out is its centre's distance
+    edge = math.sqrt(np.finfo(float).max / 8.0)
+    with pytest.raises(DomainError, match=r"blob at \(4\.74\d*e\+153, 0\) of sigma 1 on the "
+                                          r"support radius 4\.74\d*e\+153"):
+        gaussian_distribution(edge * (1.0 + 1e-12), 0.0, 1.0)
+    blob = gaussian_distribution(edge * (1.0 - 1e-12), 0.0, 1.0)
+    r = blob.support_radius
+    with np.errstate(over="raise"):
+        assert blob.density(-r, 2.0 * r) == 0.0
+
+
+def test_support_radius_keeps_the_energy_in_the_float_range():
+    # (q^2 + p^2)/2 at |q| = |p| = R is R^2, finite below R = sqrt(max / 2)
+    edge = math.sqrt(np.finfo(float).max / 2.0)
+    with pytest.raises(DomainError, match=r"support radius 9\.48\d*e\+153"):
+        PhaseSpaceDistribution(lambda q, p: 0.0 * q, edge * (1.0 + 1e-12))
+    PhaseSpaceDistribution(lambda q, p: 0.0 * q, edge * (1.0 - 1e-12))
 
 
 def test_stationary_isotropic_gaussian():

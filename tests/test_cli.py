@@ -336,6 +336,35 @@ def test_wide_classical_grid_runs_without_warnings(tmp_path, profile, message):
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, blob", [
+    (["classical-propagate", "--center-q", "2e154"],
+     "(2e+154, 0) of sigma 0.5 on the support radius 2e+154"),
+    (["classical-propagate", "--sigma", "1e154"],
+     "(1, 0) of sigma 1e+154 on the support radius 8.5e+154"),
+    (["tomogram", "--source", "classical", "--center-q", "1e200"],
+     "(1e+200, 0) of sigma 1 on the support radius 1e+200"),
+    (["tomogram", "--source", "classical", "--center-q", "1e200", "--time", "1", "--kind", "kerr",
+      "--chi", "0.1"], "(1e+200, 0) of sigma 1 on the support radius 1e+200"),
+], ids=["centre", "sigma", "slice", "kerr-slice"])
+def test_blob_past_the_float_range_exits_2_without_warnings(tmp_path, argv, blob):
+    # each printed numpy overflow warnings, then exited 3 on a check or 2 on
+    # a non-finite density; a RuntimeWarning is an error in this child process
+    proc = _fosc(argv + ["--output", str(tmp_path / "out.csv")],
+                 options=["-W", "error::RuntimeWarning"])
+    assert (proc.returncode, proc.stderr) == (
+        2, f"error: the blob at {blob}: its exponent leaves the float range\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_blob_inside_the_float_range_runs_without_warnings(tmp_path):
+    # too narrow for its radius to integrate, but no overflow on its support
+    out = tmp_path / "blob.csv"
+    proc = _fosc(["classical-propagate", "--center-q", "1e153", "--output", str(out)],
+                 options=["-W", "error::RuntimeWarning"])
+    assert (proc.returncode, proc.stderr) == (3, "numeric tolerance failure: norm_residual\n")
+    assert _read_sidecar(out)["status"] == "tolerance-breach"
+
+
 @pytest.mark.parametrize("argv, beta", [
     (["thermo", "--beta-min", "1500", "--beta-max", "1500", "--beta-steps", "1", "--g", "0.001"], "1500.0"),
     (["thermo", "--beta-max", "1e6"], "66667.13333333333"),

@@ -33,7 +33,7 @@ from foscillator import (
     vacuum_density,
 )
 from foscillator import fock
-from foscillator.fock import _hermiticity_residual, _log_factorials, _poisson_amplitudes
+from foscillator.fock import _coherent_amplitudes, _hermiticity_residual, _log_factorials
 from foscillator.nonlinearity import require_positive
 
 
@@ -72,7 +72,11 @@ def test_density_from_dict_refuses_malformed_input(data, message):
     ("dim", 2.9, "density field 'dim' must be an integer"),
     ("re", [["x", 0.0], [0.0, 0.0]], "density field 're' must be an array of numbers"),
     ("im", [[0.0], [0.0, 0.0]], "density field 'im' must be an array of numbers"),
-], ids=["dim-string", "dim-null", "dim-inf", "dim-fraction", "re-string", "im-ragged"])
+    ("dim", True, "density field 'dim' must be an integer"),
+    ("re", [[True, False], [False, False]], "density field 're' must be an array of numbers"),
+    ("im", [[0.0, 0.0], [0.0, False]], "density field 'im' must be an array of numbers"),
+], ids=["dim-string", "dim-null", "dim-inf", "dim-fraction", "re-string", "im-ragged",
+        "dim-bool", "re-bool", "im-bool"])
 def test_density_from_dict_names_a_field_it_cannot_convert(field, value, message):
     data = {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]], field: value}
     with pytest.raises(DomainError, match=re.escape(message)):
@@ -97,8 +101,26 @@ def test_commutator_defect_localizes_at_truncation():
     assert np.max(np.abs(d) * (1.0 - np.eye(4))) < 1e-14
 
 
-def test_deformed_lowering_identity_reduces():
-    np.testing.assert_array_equal(deformed_lowering(identity(), 8), lowering_operator(8))
+@settings(max_examples=60)
+@given(r=st.floats(0.0, 3.0), phi=st.floats(-math.pi, math.pi), dim=st.integers(2, 200))
+def test_identity_profile_gives_the_harmonic_ladder_and_coherent_state(r, phi, dim):
+    np.testing.assert_array_equal(lowering_operator(dim), deformed_lowering(identity(), dim))
+    alpha = r * complex(math.cos(phi), math.sin(phi))
+    try:
+        harmonic = coherent_density(alpha, dim).matrix
+        deformed = nonlinear_coherent_state(alpha, identity(), dim).density().matrix
+    except TruncationError:
+        return  # each builder keeps its own truncation rule
+    # Both are unit vectors of the weights exp(lambda_n + i n phi), with
+    # lambda_n = n log r - log(n!)/2 formed in log space: each lambda_n to
+    # within (dim + 4) eps (1 + L), L = max_n |n log r| + log(n!)/2, and the
+    # exponential and the normalisation keep that relative error per weight,
+    # so an entry c_m conj(c_n), |c| <= 1, is off by at most twice it in each
+    # builder, and the two differ by at most four times it.
+    n = np.arange(dim)
+    big = np.max(n * abs(math.log(r)) + 0.5 * _log_factorials(dim - 1)) if r > 0.0 else 0.0
+    bound = 4.0 * (dim + 4) * np.finfo(float).eps * (1.0 + big)
+    assert np.max(np.abs(harmonic - deformed)) <= bound
 
 
 def test_deformed_lowering_kerr_entry():
@@ -384,7 +406,7 @@ def test_log_factorials_match_gammaln():
     np.testing.assert_allclose(table[2:], expected[2:], rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("alpha, dim", [(0.7, 12), (1.5 + 0.8j, 40), (-3.0 + 2.0j, 90)])
+@pytest.mark.parametrize("alpha, dim", [(0.7, 12), (1.5 + 0.8j, 40), (-3.0 + 2.0j, 90), (6.0 - 2.5j, 160)])
 def test_coherent_density_matches_gammaln_reference(alpha, dim):
     n = np.arange(dim, dtype=float)
     r, phase = abs(alpha), math.atan2(complex(alpha).imag, complex(alpha).real)
@@ -422,7 +444,8 @@ def _trusted_builds():
     cases = [
         ("vacuum", lambda: vacuum_density(20), _pure(np.eye(20)[0])),
         ("fock", lambda: fock_density(5, 20), _pure(np.eye(20)[5])),
-        ("coherent", lambda: coherent_density(1.1 + 0.6j, 40), _pure(_poisson_amplitudes(1.1 + 0.6j, 40))),
+        ("coherent", lambda: coherent_density(1.1 + 0.6j, 40),
+         _pure(_coherent_amplitudes(1.1 + 0.6j, identity(), 40))),
     ]
     for spec in (kerr(0.1), q_oscillator(0.1)):
         amps = nonlinear_coherent_state(1.2 - 0.3j, spec, 40).amplitudes

@@ -28,8 +28,8 @@ def test_exported_names_are_unique_and_star_importable():
 
 
 def test_every_public_name_is_exported():
-    # __all__ repeats the imports above it; a name imported but not listed
-    # would be public yet missing from star imports
+    # __all__ is read off the imports; a public name bound after it would be
+    # missing from star imports
     public = {name for name, value in vars(foscillator).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public <= set(foscillator.__all__)

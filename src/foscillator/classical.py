@@ -97,11 +97,14 @@ def _cos_sin(theta):
     return (1.0 - h2) / d, (2.0 * h) / d
 
 
+@np.errstate(over="ignore")
 def _rotate(spec, q, p, t, law):
     """(q, p) turned counterclockwise by omega(E) t, E = (q^2 + p^2)/2, for
     broadcastable q, p and t: the flow run back by t, or forward by -t.
     The cosine and sine of omega t come from one tangent of the half angle
-    per point (``_cos_sin``)."""
+    per point (``_cos_sin``).  Past |q|, |p| ~ 1.3e154, E overflows to inf
+    unwarned: the identity flow turns the point all the same, and a deformed
+    frequency refuses that E."""
     e = 0.5 * (q * q + p * p)
     c, s = _cos_sin(frequency(spec, e, law) * t)
     return q * c - p * s, q * s + p * c
@@ -197,6 +200,7 @@ def gaussian_distribution(
                           f"the support radius {support_radius:.6g}: its exponent leaves the "
                           "float range")
 
+    @np.errstate(over="ignore")  # far out the exponent overflows to -inf: the density reads 0
     def density(q, p):
         dq = np.asarray(q, float) - center_q
         dp = np.asarray(p, float) - center_p

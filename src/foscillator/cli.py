@@ -17,9 +17,13 @@ breach can be inspected).
 Each subcommand is declared once, in ``_COMMAND_TABLE``: name, help,
 handler and flags.  The parser is built from that table,
 and ``--config file.json`` is checked against it: each key names a flag of
-the command (``beta_steps`` or ``beta-steps``), its value goes through the
-flag's type and choices as if typed on the command line, and it overrides
-the flag.  Unknown keys are refused.  A ``"nonlinearity"`` object is a
+the command (``beta_steps`` or ``beta-steps``) and overrides it.  The
+command's own flags read each value as ``--flag=value``, a JSON number as
+its JSON text, so a bad value gets argparse's message after
+``config field '<key>': ``; JSON settles only a switch (true or false), a
+``table`` list and a string flag (a string).  Unknown keys are refused.
+Sizes, levels and counts are integers by ``errors._count``, in the library
+as for the flags.  A ``"nonlinearity"`` object is a
 profile's JSON form, read by ``spec_from_dict``; it replaces the profile flags,
 which the config may not also give, and is how a sidecar records the profile.
 """
@@ -54,7 +58,7 @@ from .coherent import (
     two_mode_coherent_state,
     two_mode_eigen_residuals,
 )
-from .errors import DomainError, NumericToleranceError
+from .errors import DomainError, NumericToleranceError, _count
 from .fock import (
     HAMILTONIAN_FORMS,
     _HERM_TOL,
@@ -138,31 +142,6 @@ class _Flag:
     def dest(self) -> str:
         return self.kwargs.get("dest", self.name[2:].replace("-", "_"))
 
-    def from_config(self, key: str, value):
-        """``value`` from a config file, converted and checked as if typed after
-        this flag on the command line; a store_true flag takes a bool, --table a list."""
-        if self.dest == "table" and isinstance(value, list):
-            return value
-        if self.kwargs.get("action") == "store_true":
-            if not isinstance(value, bool):
-                raise DomainError(f"config field {key!r} must be true or false")
-            return value
-        convert = self.kwargs.get("type", str)
-        wanted = "a string" if convert is str else "a number or a string"
-        if isinstance(value, bool) or not isinstance(value, (str, int, float)) \
-                or (convert is str and not isinstance(value, str)):
-            raise DomainError(f"config field {key!r} must be {wanted}, got {value!r}")
-        try:
-            out = convert(value if isinstance(value, str) else repr(value))
-        except ValueError:
-            raise DomainError(f"config field {key!r}: invalid {convert.__name__} value {value!r}")
-        except argparse.ArgumentTypeError as exc:
-            raise DomainError(f"config field {key!r}: {exc}")
-        choices = self.kwargs.get("choices")
-        if choices is not None and out not in choices:
-            raise DomainError(f"config field {key!r}: {out!r} is not one of {', '.join(choices)}")
-        return out
-
 
 def _flag(name: str, short: str = None, **kwargs) -> _Flag:
     return _Flag(name, kwargs, short)
@@ -239,8 +218,7 @@ def _axis(args, grid: bool) -> np.ndarray:
     else:
         lo, hi, points, count, order, span = (args.x_min, args.x_max, args.x_points, "--x-points",
                                               "--x-max must exceed --x-min", "--x-max - --x-min")
-    if points < 2:
-        raise DomainError(f"{count} must be >= 2")
+    _count(points, 2, f"{count} must be >= 2")
     if not hi > lo:
         raise DomainError(order)
     if not math.isfinite(hi - lo):
@@ -278,8 +256,7 @@ def _parse_state(token: str, dim: int, spec) -> DensityMatrix:
 
 def _cmd_classical_trajectory(args) -> Artifact:
     spec = _build_spec(args)
-    if args.steps < 1:
-        raise DomainError("--steps must be >= 1")
+    _count(args.steps, 1, "--steps must be >= 1")
     e0 = 0.5 * (args.q0 * args.q0 + args.p0 * args.p0)
     if e0 == math.inf:
         raise DomainError("the initial energy (q0^2 + p0^2)/2 overflows")
@@ -302,12 +279,7 @@ def _cmd_classical_propagate(args) -> Artifact:
     moved = propagate_distribution(dist, spec, args.time, args.law)
     axis = _axis(args, grid=True)
     qq, pp = np.meshgrid(axis, axis, indexing="ij")
-    # Past |q|, |p| ~ 1.3e154 the energy (q^2 + p^2)/2 and the Gaussian
-    # exponent overflow to inf: the identity flow then reads a density of 0
-    # there, and a deformed frequency refuses the energy with a DomainError,
-    # so numpy's overflow warnings would only repeat what the run reports
-    with np.errstate(over="ignore"):
-        vals = np.asarray(moved.density(qq, pp), dtype=float)
+    vals = np.asarray(moved.density(qq, pp), dtype=float)
     art = Artifact(["q", "p", "value"], _table(qq, pp, vals))
     norm, quadrature_error = _disk_quadrature(moved)
     art.add_check("norm_residual", abs(norm - 1.0), 1e-6)
@@ -417,8 +389,7 @@ def _cmd_two_mode(args) -> Artifact:
 
 
 def _cmd_thermo(args) -> Artifact:
-    if args.beta_steps < 1:
-        raise DomainError("--beta-steps must be >= 1")
+    _count(args.beta_steps, 1, "--beta-steps must be >= 1")
     if args.beta_steps == 1:
         if args.beta_max != args.beta_min:
             raise DomainError("one step needs --beta-min == --beta-max")
@@ -549,6 +520,12 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(f"{self.prog}: {message}")
 
 
+def _with_flags(parser: argparse.ArgumentParser, flags) -> argparse.ArgumentParser:
+    for flag in flags:
+        parser.add_argument(*flag.names, **flag.kwargs)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fosc",
@@ -557,14 +534,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in _COMMAND_TABLE.values():
-        p = sub.add_parser(cmd.name, help=cmd.help)
-        for flag in cmd.options:
-            p.add_argument(*flag.names, **flag.kwargs)
+        _with_flags(sub.add_parser(cmd.name, help=cmd.help), cmd.options)
     return parser
 
 
 def _apply_config(args, cmd: _Command):
-    """Overlay --config JSON onto parsed flags, each value typed by its flag."""
+    """Overlay --config JSON onto parsed flags: JSON settles a switch, a
+    ``table`` list and a string flag's string; the command's flags read the rest."""
     if args.config is None:
         return
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -576,6 +552,7 @@ def _apply_config(args, cmd: _Command):
     if "nonlinearity" in data and profile and "kind" in flags:
         raise DomainError(f"config gives both a 'nonlinearity' block and "
                           f"the profile field {profile[0]!r}")
+    parser = _with_flags(_Parser(add_help=False), flags.values())
     for key, value in data.items():
         if key == "nonlinearity" and "kind" in flags:
             args.nonlinearity = spec_from_dict(value)
@@ -583,7 +560,17 @@ def _apply_config(args, cmd: _Command):
         flag = flags.get(key.replace("-", "_"))
         if flag is None:
             raise DomainError(f"unknown config field {key!r} for {cmd.name}")
-        setattr(args, flag.dest, flag.from_config(key, value))
+        switch = flag.kwargs.get("action") == "store_true"
+        if switch and not isinstance(value, bool):
+            raise DomainError(f"config field {key!r} must be true or false")
+        if switch or flag.dest == "table" and isinstance(value, list):
+            setattr(args, flag.dest, value)
+        elif flag.kwargs.get("type", str) is str and not isinstance(value, str):
+            raise DomainError(f"config field {key!r} must be a string, got {value!r}")
+        else:
+            parser.prog = f"config field {key!r}"  # the prefix of its error message
+            text = value if isinstance(value, str) else json.dumps(value)
+            parser.parse_args([f"{flag.name}={text}"], namespace=args)
 
 
 def _write_outputs(args, art: Artifact) -> str:

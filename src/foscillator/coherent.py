@@ -18,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, _count
 from .fock import (DensityMatrix, _coherent_amplitudes, _log_factorials, _log_powers,
                    _normalized, density_from_amplitudes)
 from .hermite import hermite_functions
@@ -103,9 +103,7 @@ def two_mode_coherent_state(
     """
     if np.shape(dims) != (2,):
         raise DomainError("two-mode state needs a pair of dims")
-    d1, d2 = (int(v) for v in dims)
-    if d1 < 2 or d2 < 2:
-        raise DomainError("two-mode state needs dims >= 2")
+    d1, d2 = (_count(v, 2, "two-mode state needs dims >= 2") for v in dims)
     logf = log_f_factorial(spec, d1 + d2 - 2)
     r1, ph1 = cmath.polar(alpha1)
     r2, ph2 = cmath.polar(alpha2)

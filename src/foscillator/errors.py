@@ -7,6 +7,8 @@ RuntimeError and are kept distinct because they usually indicate a grid,
 truncation, or tolerance problem rather than a bad input.
 """
 
+import operator
+
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
@@ -30,3 +32,18 @@ class SeriesDivergenceError(ValueError):
 
 class NumericToleranceError(RuntimeError):
     """A computed quantity violated its accuracy contract."""
+
+
+def _count(value, minimum: int, message: str) -> int:
+    """``value`` as an int, the one rule for every size, level, order and
+    padding: DomainError(``message``) below ``minimum``, and naming the value
+    if it is a bool or anything else ``operator.index`` refuses, such as 2.5."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None:
+        raise DomainError(f"{message}: {value!r} is not an integer")
+    if n < minimum:
+        raise DomainError(message)
+    return n

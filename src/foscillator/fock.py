@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, _count
 from .nonlinearity import NonlinearitySpec, identity, log_f_factorial, require_positive
 
 HAMILTONIAN_FORMS = ("symmetric", "normal", "normal_half", "kerr")
@@ -30,11 +30,7 @@ _TRACE_TOL = 1e-10
 _EIG_TOL = 1e-10
 _TAIL_TOL = 1e-8
 _TAIL_FRACTION = 0.9
-
-
-def _check_dim(dim: int) -> None:
-    if dim < 2:
-        raise DomainError("operator truncation needs dim >= 2")
+_DIM_RULE = "operator truncation needs dim >= 2"
 
 
 def lowering_operator(dim: int) -> np.ndarray:
@@ -59,13 +55,13 @@ def deformed_lowering(spec: NonlinearitySpec, dim: int) -> np.ndarray:
     The profile must be positive on levels 0..dim-1, otherwise the deformed
     ladder loses rank and coherent-state weights are undefined.
     """
-    _check_dim(dim)
+    dim = _count(dim, 2, _DIM_RULE)
     fvals = require_positive(spec, dim - 1)
     n = np.arange(1.0, dim)
     return np.diag(np.sqrt(n) * fvals[1:], k=1).astype(complex)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)  # typed: a dim of 8.0 is refused, not read as 8
 def _level_energies(spec: NonlinearitySpec, dim: int, form: str):
     """(f, H): the profile values the form reads, checked positive, and H(n)
     on levels 0..dim-1, both read-only.
@@ -75,7 +71,7 @@ def _level_energies(spec: NonlinearitySpec, dim: int, form: str):
     A process-wide table of the last few (spec, dim, form): a spec is a
     value, so the evolutions and invariants of one state evaluate it once.
     """
-    _check_dim(dim)
+    dim = _count(dim, 2, _DIM_RULE)
     if form not in HAMILTONIAN_FORMS:
         raise DomainError(f"unknown hamiltonian form {form!r}")
     n = np.arange(dim, dtype=float)
@@ -165,8 +161,7 @@ def _validated(m: np.ndarray, check_spectrum: bool) -> np.ndarray:
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("density matrix must be square")
-    if m.shape[0] < 2:
-        raise DomainError("density matrix needs dim >= 2")
+    _count(m.shape[0], 2, "density matrix needs dim >= 2")
     herm = _hermiticity_residual(m)
     if not herm <= _HERM_TOL:
         # NaN fails every comparison, so the test is written to fail on it
@@ -190,8 +185,8 @@ def _validated(m: np.ndarray, check_spectrum: bool) -> np.ndarray:
 
 
 def _field(data: dict, name: str, convert, what: str):
-    """``convert(data[name])``; DomainError naming the field if it fails,
-    gives None, or meets a boolean anywhere, which float() reads as 0 or 1."""
+    """``convert(data[name])``; DomainError naming the field if it fails or
+    meets a boolean anywhere, which float() reads as 0 or 1."""
     try:
         items = np.asarray(data[name], dtype=object).flat
         out = None if any(isinstance(v, (bool, np.bool_)) for v in items) else convert(data[name])
@@ -256,8 +251,7 @@ class DensityMatrix:
     def from_dict(cls, data: dict) -> "DensityMatrix":
         if not isinstance(data, dict) or not {"dim", "re", "im"} <= set(data):
             raise DomainError("density description needs dim, re, im fields")
-        # int() alone would read 2.9 as 2
-        dim = _field(data, "dim", lambda v: int(v) if float(v).is_integer() else None, "an integer")
+        dim = _field(data, "dim", lambda v: _count(v, 0, "dim"), "an integer")
         re, im = (_field(data, name, lambda v: np.asarray(v, dtype=float), "an array of numbers")
                   for name in ("re", "im"))
         if re.shape != (dim, dim) or im.shape != (dim, dim):
@@ -281,9 +275,9 @@ def vacuum_density(dim: int) -> DensityMatrix:
 
 
 def fock_density(n: int, dim: int) -> DensityMatrix:
-    if not 0 <= n < dim:
-        raise DomainError(f"level {n} is outside the truncated basis of dim {dim}")
-    c = np.zeros(dim, dtype=complex)
+    outside = f"level {n} is outside the truncated basis of dim {dim}"
+    n = _count(n, 0, outside)
+    c = np.zeros(_count(dim, n + 1, outside), dtype=complex)
     c[n] = 1.0
     return density_from_amplitudes(c)
 
@@ -309,8 +303,7 @@ def _normalized(logmag: np.ndarray, phase: np.ndarray) -> np.ndarray:
 def _coherent_amplitudes(alpha: complex, spec: NonlinearitySpec, dim: int) -> np.ndarray:
     """Unit-norm weights alpha^n / (F(n) sqrt(n!)), n < dim, F(n) = f(0) ... f(n), assembled
     in log space (log F = 0 for the harmonic state); each state applies its own truncation rule."""
-    if dim < 2:
-        raise DomainError("coherent state needs dim >= 2")
+    dim = _count(dim, 2, "coherent state needs dim >= 2")
     logf = log_f_factorial(spec, dim - 1)
     r, phase0 = cmath.polar(alpha)
     n = np.arange(dim, dtype=float)

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _count
 
 # e^(-x^2/2) is a normal double above this exponent.
 _GAUSS_EXPONENT_MIN = -708.0
@@ -55,8 +55,7 @@ def _scaled_columns(n_max: int, x: np.ndarray) -> np.ndarray:
 
 def hermite_functions(n_max: int, x) -> np.ndarray:
     """Stack phi_0 .. phi_n_max evaluated at x; shape (n_max+1,) + x.shape."""
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
+    n_max = _count(n_max, 0, "n_max must be >= 0")
     xa = np.asarray(x, dtype=float).clip(-_X_CLAMP, _X_CLAMP)
     out = np.empty((n_max + 1,) + xa.shape)
     exponent = -0.5 * xa * xa

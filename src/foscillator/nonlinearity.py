@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDeformationError, DomainError
+from .errors import DegenerateDeformationError, DomainError, _count
 
 KINDS = ("identity", "q", "kerr", "custom")
 
@@ -199,9 +199,8 @@ def frequency(spec: NonlinearitySpec, energy, law: str = "amplitude"):
 
 def f_factorial(spec: NonlinearitySpec, n: int) -> float:
     """Product f(0) f(1) ... f(n); requires every factor > 0."""
-    if n != int(n) or n < 0:
-        raise DomainError("f_factorial needs an integer n >= 0")
-    return float(np.prod(require_positive(spec, int(n))))
+    n = _count(n, 0, "f_factorial needs an integer n >= 0")
+    return float(np.prod(require_positive(spec, n)))
 
 
 def log_f_factorial(spec: NonlinearitySpec, n_max: int) -> np.ndarray:
@@ -209,8 +208,6 @@ def log_f_factorial(spec: NonlinearitySpec, n_max: int) -> np.ndarray:
 
     Used by coherent-state weights where the plain product can overflow.
     """
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
     return np.cumsum(np.log(require_positive(spec, n_max)))
 
 
@@ -221,7 +218,7 @@ def require_positive(spec: NonlinearitySpec, n_max: int) -> np.ndarray:
     f <= 0, and passes on the ``DomainError`` of a profile that cannot be
     evaluated there, such as an overflow.
     """
-    factors = np.atleast_1d(eval_f(spec, np.arange(int(n_max) + 1)))
+    factors = eval_f(spec, np.arange(_count(n_max, 0, "n_max must be >= 0") + 1))
     if np.min(factors) <= 0.0:
         bad = int(np.argmax(factors <= 0.0))
         raise DegenerateDeformationError(f"profile hits f({bad}) <= 0")

@@ -52,7 +52,7 @@ from .classical import (
     _row_integrals,
     propagate_distribution,
 )
-from .errors import DegenerateRayError, DomainError
+from .errors import DegenerateRayError, DomainError, _count
 from .fock import DensityMatrix, evolve_density
 from .hermite import hermite_functions
 from .nonlinearity import NonlinearitySpec, identity
@@ -138,14 +138,14 @@ def _radon_lines(dist: PhaseSpaceDistribution, mu: float, nu: float, x: np.ndarr
     return values, err
 
 
-def _check_axis(x_axis) -> np.ndarray:
-    """``x_axis`` as a 1-D float array; DomainError for any other shape or a
-    non-finite point."""
-    x = np.asarray(x_axis, dtype=float)
+def _check_axis(axis, name: str = "X") -> np.ndarray:
+    """``axis`` as a 1-D float array; DomainError naming it for any other
+    shape or a non-finite point.  Wigner grids take their axes by this rule."""
+    x = np.asarray(axis, dtype=float)
     if x.ndim != 1:
-        raise DomainError(f"the X axis must be 1-D, got shape {x.shape}")
+        raise DomainError(f"the {name} axis must be 1-D, got shape {x.shape}")
     if not np.isfinite(x).all():
-        raise DomainError("the X axis must be finite")
+        raise DomainError(f"the {name} axis must be finite")
     return x
 
 
@@ -221,8 +221,7 @@ def fock_tomogram_closed(n: int, mu: float, nu: float, x) -> np.ndarray:
     exp(-y^2) H_n(y)^2 / (2^n n! sqrt(pi) r) at y = X/r, written through the
     normalized eigenfunctions so large n cannot overflow.
     """
-    if n < 0:
-        raise DomainError("level index must be >= 0")
+    n = _count(n, 0, "level index must be >= 0")
     r = _check_ray(mu, nu)
     with np.errstate(over="ignore"):  # as in _quantum_eval
         y = np.asarray(x, dtype=float) / r

@@ -51,7 +51,8 @@ square 21 x 21 grid centred on the origin have 106 distinct radii.
 
 At scattered points both maps are batched numpy contractions over blocks
 of ``_BLOCK`` points, which bounds their working memory whatever the number
-of points; neither starts threads.  Coordinates must be finite.
+of points; neither starts threads.  Coordinates must be finite, and grid
+axes 1-D.
 """
 
 from __future__ import annotations
@@ -64,10 +65,11 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .classical import _cos_sin
-from .errors import DomainError, NumericToleranceError
-from .fock import DensityMatrix, deformed_lowering
+from .errors import DomainError, NumericToleranceError, _count
+from .fock import _DIM_RULE, DensityMatrix, deformed_lowering
 from .hermite import hermite_functions
 from .nonlinearity import NonlinearitySpec, require_positive
+from .tomography import _check_axis
 
 WIGNER_VARIANTS = ("usual_parity", "deformed_parity")
 
@@ -333,8 +335,8 @@ def _axis_table(axis: np.ndarray, top: int) -> np.ndarray:
 def wigner_from_density(rho: DensityMatrix, q_axis, p_axis) -> WignerGrid:
     """W on the cartesian grid q_axis x p_axis; one Hermite table serves
     both axes when they are equal."""
-    q_axis = _finite("q", q_axis)
-    p_axis = _finite("p", p_axis)
+    q_axis = _check_axis(_finite("q", q_axis), "q")
+    p_axis = _check_axis(_finite("p", p_axis), "p")
     _warn_if_grid_small(rho, q_axis, p_axis)
     c = _hermite_gauss_coefficients(rho.matrix)
     top = c.shape[0] - 1
@@ -345,6 +347,7 @@ def wigner_from_density(rho: DensityMatrix, q_axis, p_axis) -> WignerGrid:
 
 def deformed_parity_operator(spec: NonlinearitySpec, dim: int) -> np.ndarray:
     """diag(exp(i pi n f(n)^2)); reduces to (-1)^n for the identity profile."""
+    dim = _count(dim, 2, _DIM_RULE)
     fvals = require_positive(spec, dim - 1)
     n = np.arange(dim, dtype=float)
     return np.exp(1j * math.pi * n * fvals * fvals)
@@ -400,8 +403,7 @@ def deformed_wigner_values(
     """
     if variant not in WIGNER_VARIANTS:
         raise DomainError(f"unknown wigner variant {variant!r}")
-    if pad < 0:
-        raise DomainError("pad must be >= 0")
+    pad = _count(pad, 0, "pad must be >= 0")
     qa, pa = np.broadcast_arrays(_finite("q", q), _finite("p", p))
     dim = rho.dim
     upper = deformed_lowering(spec, dim + pad).real
@@ -450,8 +452,8 @@ def deformed_wigner(
     ``workers`` does nothing: the evaluation starts no threads.  It is still
     accepted only because the benchmark harness (``foscbench``) passes it.
     """
-    q_axis = np.asarray(q_axis, dtype=float)
-    p_axis = np.asarray(p_axis, dtype=float)
+    q_axis = _check_axis(_finite("q", q_axis), "q")
+    p_axis = _check_axis(_finite("p", p_axis), "p")
     qq, pp = np.meshgrid(q_axis, p_axis, indexing="ij")
     vals = deformed_wigner_values(rho, spec, qq, pp, variant, pad)
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=vals)

@@ -1,6 +1,9 @@
 """Classical deformed flow: amplitudes, invariants, distribution transport."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import foscillator
 from foscillator import (
     DomainError,
     PhasePoint,
@@ -183,6 +187,28 @@ def test_support_radius_keeps_the_energy_in_the_float_range():
     with pytest.raises(DomainError, match=r"support radius 9\.48\d*e\+153"):
         PhaseSpaceDistribution(lambda q, p: 0.0 * q, edge * (1.0 + 1e-12))
     PhaseSpaceDistribution(lambda q, p: 0.0 * q, edge * (1.0 - 1e-12))
+
+
+def test_point_values_far_out_read_0_or_are_refused_without_warnings():
+    # past |q| ~ 1.3e154 the energy and the Gaussian exponent overflow: the
+    # blob and its identity flow read 0 there, a deformed flow refuses E = inf,
+    # and numpy printed overflow warnings before each
+    src = os.path.dirname(os.path.dirname(os.path.abspath(foscillator.__file__)))
+    probe = "\n".join([
+        "from foscillator import *",
+        "blob = gaussian_distribution()",
+        "print(blob.density(1e200, 0.0))",
+        "print(propagate_distribution(blob, identity(), 1.0).density(1e200, 0.0))",
+        "try:",
+        "    propagate_distribution(blob, kerr(0.1), 1.0).density(1e200, 0.0)",
+        "except DomainError as exc:",
+        "    print(exc)",
+    ])
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", probe],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.splitlines() == ["0.0", "0.0",
+                                       "profile evaluated to a non-finite value at n = inf"]
 
 
 def test_stationary_isotropic_gaussian():

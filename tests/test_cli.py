@@ -33,7 +33,7 @@ from foscillator import (
     two_mode_eigen_residuals,
     wigner_from_density,
 )
-from foscillator.cli import _COMMAND_TABLE, build_parser, main
+from foscillator.cli import _COMMAND_TABLE, _apply_config, build_parser, main
 
 
 def _refuse_constant(name):
@@ -560,21 +560,87 @@ _NEGATIVE_TEXT = st.builds(lambda x, form: form.format(-x), st.floats(0.0, 1e300
                            st.sampled_from(["{!r}", "{:e}", "{:E}", "{:.3g}", "{:.0e}", "{:.1f}"]))
 
 
-@given(text=_NEGATIVE_TEXT)
-def test_negative_float_text_reads_as_in_a_config(text):
-    # a value the config form accepts parses on the command line too
-    parser = build_parser()
-    flag = next(f for f in _COMMAND_TABLE["tomogram"].options if f.name == "--x-min")
-    args = parser.parse_args(["tomogram", "--x-min", text])
-    assert args.x_min == flag.from_config("x_min", text) == float(text)
+# Every flag whose value argparse types or checks, with its command.
+_TYPED_FLAGS = [(cmd.name, flag) for cmd in _COMMAND_TABLE.values() for flag in cmd.options
+                if flag.kwargs.get("type", str) is not str or "choices" in flag.kwargs]
+_FLOAT_FLAGS = [(name, flag) for name, flag in _TYPED_FLAGS
+                if flag.kwargs.get("type") not in (None, str, int)]
+
+
+def _flag_text(flag):
+    """Text for ``flag``: negative and exponent forms, nan and inf, integers,
+    its choices, and text outside them."""
+    texts = [_NEGATIVE_TEXT, st.floats().map(repr), st.integers(-10 ** 20, 10 ** 20).map(str),
+             st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e-3",
+                              "2.0", "0x10", "1_000", " 7 ", "", "true"]),
+             st.text(st.characters(exclude_categories=("Cs",)), max_size=6)]
+    if "choices" in flag.kwargs:
+        texts.append(st.sampled_from(flag.kwargs["choices"]))
+    return st.one_of(texts)
+
+
+def _config_value(flag):
+    """A config entry for ``flag``: its text, and for a number flag any JSON
+    value too, which goes to the flag as its JSON text."""
+    if flag.kwargs.get("type", str) is str:
+        return _flag_text(flag)
+    return st.one_of(_flag_text(flag), st.floats(), st.integers(-10 ** 20, 10 ** 20),
+                     st.booleans(), st.none(), st.lists(st.integers(), max_size=2))
+
+
+def _readings(command, flag, value):
+    """What ``fosc command --flag=TEXT`` and a config holding {dest: value}
+    parse to, TEXT being ``value`` or its JSON text: ("value", v), or
+    ("error", the message after its prefix, ``fosc command: `` or
+    ``config field 'dest': ``)."""
+    text = value if isinstance(value, str) else json.dumps(value)
+
+    def read(parse, prefix):
+        try:
+            return "value", getattr(parse(), flag.dest)
+        except DomainError as exc:
+            assert str(exc).startswith(prefix)
+            return "error", str(exc)[len(prefix):]
+
+    argv = read(lambda: build_parser().parse_args([command, f"{flag.name}={text}"]),
+                f"fosc {command}: ")
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({flag.dest: value}, fh)
+
+        def from_config():
+            args = build_parser().parse_args([command, "--config", path])
+            _apply_config(args, _COMMAND_TABLE[command])
+            return args
+
+        config = read(from_config, f"config field {flag.dest!r}: ")
+    return argv, config
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_a_config_entry_reads_as_its_flag_on_the_command_line(data):
+    # one reading of a value, by the command's own flags: the config once
+    # had its own copy of their types, finiteness and choices
+    command, flag = data.draw(st.sampled_from(_TYPED_FLAGS), label="flag")
+    argv, config = _readings(command, flag, data.draw(_config_value(flag), label="value"))
+    assert config == argv
+
+
+@given(text=_NEGATIVE_TEXT, command_flag=st.sampled_from(_FLOAT_FLAGS))
+def test_negative_float_text_reads_as_in_a_config(text, command_flag):
+    # argparse took only -1 and -1.5 forms as negative numbers
+    assert _readings(*command_flag, text) == (("value", float(text)),) * 2
 
 
 def test_every_float_flag_refuses_non_finite_values():
-    for cmd in _COMMAND_TABLE.values():
-        for flag in cmd.options:
-            if flag.kwargs.get("type") not in (None, str, int):
-                with pytest.raises(DomainError, match="not a finite number"):
-                    flag.from_config(flag.dest, math.nan)
+    for command, flag in _FLOAT_FLAGS:
+        for value in (math.nan, math.inf, -math.inf, "nan", "-inf"):
+            argv, config = _readings(command, flag, value)
+            text = value if isinstance(value, str) else json.dumps(value)
+            message = f"argument {flag.name}: {text!r} is not a finite number"
+            assert argv == config == ("error", message)
 
 
 def test_csv_rows_follow_the_library_grid(tmp_path):

@@ -75,8 +75,11 @@ def test_density_from_dict_refuses_malformed_input(data, message):
     ("dim", True, "density field 'dim' must be an integer"),
     ("re", [[True, False], [False, False]], "density field 're' must be an array of numbers"),
     ("im", [[0.0, 0.0], [0.0, False]], "density field 'im' must be an array of numbers"),
+    # read as 2 by int(): a size is an integer by one rule
+    ("dim", 2.0, "density field 'dim' must be an integer"),
+    ("dim", "2", "density field 'dim' must be an integer"),
 ], ids=["dim-string", "dim-null", "dim-inf", "dim-fraction", "re-string", "im-ragged",
-        "dim-bool", "re-bool", "im-bool"])
+        "dim-bool", "re-bool", "im-bool", "dim-float", "dim-integer-text"])
 def test_density_from_dict_names_a_field_it_cannot_convert(field, value, message):
     data = {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]], field: value}
     with pytest.raises(DomainError, match=re.escape(message)):

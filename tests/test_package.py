@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import foscillator
-from foscillator import custom, errors, identity, kerr, q_oscillator
+from foscillator import DomainError, custom, errors, identity, kerr, nonlinearity, q_oscillator
 
 
 def test_exported_names_are_unique_and_star_importable():
@@ -73,6 +73,64 @@ def test_modules_raise_only_the_package_errors():
             if name not in typed:
                 found.add((path.stem, function, name))
     assert found == _OTHER_RAISES
+
+
+# Every size argument of a public function or of require_positive (a
+# parameter named dim, dims, n, n_max or pad): a call that takes the size, a
+# valid value, and the least value accepted.  A pair of dims is tried one
+# entry at a time.
+_SIZE_NAMES = {"dim", "dims", "n", "n_max", "pad"}
+_SIZE_CALLS = {
+    ("coherent_density", "dim"): (lambda d: foscillator.coherent_density(0.3, d), 20, 2),
+    ("commutator_defect", "dim"): (foscillator.commutator_defect, 4, 2),
+    ("deformed_lowering", "dim"): (lambda d: foscillator.deformed_lowering(kerr(0.1), d), 4, 2),
+    ("deformed_parity_operator", "dim"):
+        (lambda d: foscillator.deformed_parity_operator(kerr(0.1), d), 4, 2),
+    ("deformed_wigner", "pad"): (lambda pad: foscillator.deformed_wigner(
+        foscillator.vacuum_density(4), kerr(0.1), [0.0], [0.0], pad=pad), 3, 0),
+    ("deformed_wigner_values", "pad"): (lambda pad: foscillator.deformed_wigner_values(
+        foscillator.vacuum_density(4), kerr(0.1), 0.0, 0.0, pad=pad), 3, 0),
+    ("f_factorial", "n"): (lambda n: foscillator.f_factorial(kerr(0.1), n), 4, 0),
+    # dim 1 passes the level's range and is refused as a density matrix
+    ("fock_density", "dim"): (lambda d: foscillator.fock_density(0, d), 8, 2),
+    ("fock_density", "n"): (lambda n: foscillator.fock_density(n, 8), 3, 0),
+    ("fock_tomogram_closed", "n"):
+        (lambda n: foscillator.fock_tomogram_closed(n, 1.0, 0.0, np.zeros(3)), 3, 0),
+    ("hamiltonian_diagonal", "dim"):
+        (lambda d: foscillator.hamiltonian_diagonal(kerr(0.1), d), 4, 2),
+    ("heisenberg_invariant", "dim"):
+        (lambda d: foscillator.heisenberg_invariant(kerr(0.1), d, 1.0), 4, 2),
+    ("hermite_functions", "n_max"): (lambda n: foscillator.hermite_functions(n, np.zeros(3)), 4, 0),
+    ("log_f_factorial", "n_max"): (lambda n: foscillator.log_f_factorial(kerr(0.1), n), 4, 0),
+    ("lowering_operator", "dim"): (foscillator.lowering_operator, 4, 2),
+    ("nonlinear_coherent_state", "dim"):
+        (lambda d: foscillator.nonlinear_coherent_state(0.3, kerr(0.1), d), 20, 2),
+    ("require_positive", "n_max"): (lambda n: nonlinearity.require_positive(kerr(0.1), n), 4, 0),
+    ("two_mode_coherent_state", "dims"):
+        (lambda d: foscillator.two_mode_coherent_state(0.2, 0.2, identity(), (d, 20)), 20, 2),
+    ("vacuum_density", "dim"): (foscillator.vacuum_density, 4, 2),
+    # a level or an energy on a continuous axis, not a count: eval_f takes 2.5
+    ("eval_f", "n"): None,
+}
+
+
+def test_every_size_argument_has_a_valid_call():
+    functions = {name: getattr(foscillator, name) for name in foscillator.__all__}
+    functions["require_positive"] = nonlinearity.require_positive
+    found = {(name, param) for name, function in functions.items() if inspect.isfunction(function)
+             for param in inspect.signature(function).parameters if param in _SIZE_NAMES}
+    assert found == set(_SIZE_CALLS)
+
+
+@pytest.mark.parametrize("name, param", sorted(key for key, call in _SIZE_CALLS.items() if call))
+def test_sizes_are_integers_by_one_rule(name, param):
+    # 2.5 and True were truncated or passed to numpy, which raised its own
+    # TypeError or ValueError or ran on
+    call, valid, minimum = _SIZE_CALLS[name, param]
+    call(np.int64(valid))
+    for bad in (2.5, float(valid), True, np.True_, minimum - 1):
+        with pytest.raises(DomainError):
+            call(bad)
 
 
 # Each process-wide cache of the package, with arguments to call it on.  A

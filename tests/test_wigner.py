@@ -735,6 +735,22 @@ def test_non_finite_coordinates_are_refused(entry, coordinate, value):
         call()
 
 
+@pytest.mark.parametrize("coordinate", ["q", "p"])
+@pytest.mark.parametrize("entry", ["wigner_from_density", "deformed_wigner"])
+def test_grid_axes_must_be_1d(entry, coordinate):
+    # a (2, 3) axis gave a 6 x 6 grid holding it, whose normalization() then
+    # raised numpy's broadcast ValueError; tomograms refused it already
+    axis = np.linspace(-2.0, 2.0, 6).reshape(2, 3)
+    q, p = (axis, _FINITE_AXIS) if coordinate == "q" else (_FINITE_AXIS, axis)
+    rho = vacuum_density(8)
+    message = rf"^the {coordinate} axis must be 1-D, got shape \(2, 3\)$"
+    with pytest.raises(DomainError, match=message):
+        if entry == "wigner_from_density":
+            wigner_from_density(rho, q, p)
+        else:
+            deformed_wigner(rho, kerr(0.1), q, p)
+
+
 @pytest.mark.parametrize("q, p", [([], []), ([], _FINITE_AXIS), (_FINITE_AXIS, [])],
                          ids=["both", "q", "p"])
 @pytest.mark.parametrize("entry", ["wigner_values", "wigner_from_density",

@@ -101,7 +101,11 @@ def two_mode_coherent_state(
     identity profile factorizes into a product of two ordinary coherent
     states.
     """
-    if np.shape(dims) != (2,):
+    try:
+        pair = np.shape(dims) == (2,)
+    except ValueError:  # ragged, such as ([1, 2], 3)
+        pair = False
+    if not pair:
         raise DomainError("two-mode state needs a pair of dims")
     d1, d2 = (_count(v, 2, "two-mode state needs dims >= 2") for v in dims)
     logf = log_f_factorial(spec, d1 + d2 - 2)

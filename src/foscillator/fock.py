@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +31,13 @@ _EIG_TOL = 1e-10
 _TAIL_TOL = 1e-8
 _TAIL_FRACTION = 0.9
 _DIM_RULE = "operator truncation needs dim >= 2"
+_NON_FINITE = "density matrix has non-finite entries (NaN or inf)"
+# What one rounded complex product per entry can add to a hermiticity
+# residual r, as r -> (1 + _HERM_STEP) r + _HERM_STEP: a product rounds by at
+# most sqrt(5) eps/2 relative, a phase exp(-i H t) has modulus 1 within 2 eps,
+# and |rho_mn| <= 1 + dim _EIG_TOL in a valid state; 16 eps leaves room for
+# the rounding of the residual's own evaluation.
+_HERM_STEP = 16.0 * np.finfo(float).eps
 
 
 def lowering_operator(dim: int) -> np.ndarray:
@@ -120,14 +127,33 @@ def heisenberg_invariant(
     values in any evolving state stay frozen at their t = 0 value.  Only the
     superdiagonal is built, from one evaluation of the profile.
     """
+    t = _time(t)
     fvals, h = _level_energies(spec, dim, form)
     if fvals is None:  # the kerr form's H reads no profile, but Q does
         fvals = require_positive(spec, dim - 1)
     idx = np.arange(dim - 1)
     out = np.zeros((dim, dim), dtype=complex)
     out[idx, idx + 1] = (np.sqrt(np.arange(1.0, dim)) * fvals[1:dim]
-                         * np.exp(1j * (h[1:] - h[:-1]) * float(t)))
+                         * np.exp(1j * _angles(h[1:] - h[:-1], t)))
     return out
+
+
+def _time(t) -> float:
+    """``t`` as a float; DomainError naming it when it is nan or inf."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"time t must be finite, got {t!r}")
+    return t
+
+
+def _angles(energies: np.ndarray, t: float) -> np.ndarray:
+    """The phase angles ``energies * t``; DomainError naming t when one of
+    them is not finite, so that no phase exp(i angle) is NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = energies * t
+    if not np.isfinite(angles).all():
+        raise DomainError(f"phase angles H t are not finite at t = {t!r}")
+    return angles
 
 
 def _tail_mass(m: np.ndarray) -> float:
@@ -151,8 +177,34 @@ def _hermiticity_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(t)))
 
 
-def _validated(m: np.ndarray, check_spectrum: bool) -> np.ndarray:
-    """``m``, a complex array the caller owns, made read-only after the
+def _check_hermitian(m: np.ndarray) -> float:
+    """The hermiticity residual of ``m``; DomainError above ``_HERM_TOL``,
+    naming non-finite entries when there are any."""
+    herm = _hermiticity_residual(m)
+    if not herm <= _HERM_TOL:
+        # NaN fails every comparison, so the test is written to fail on it
+        if not np.isfinite(m).all():
+            raise DomainError(_NON_FINITE)
+        raise DomainError(f"not hermitian: max deviation {herm:.3e}")
+    return herm
+
+
+def _check_trace(m: np.ndarray) -> None:
+    tr = np.trace(m).real
+    if abs(tr - 1.0) > _TRACE_TOL:
+        raise DomainError(f"trace {tr!r} is not 1")
+
+
+def _check_tail(m: np.ndarray) -> None:
+    tail = _tail_mass(m)
+    if tail >= _TAIL_TOL:
+        raise TruncationError(
+            f"population {tail:.3e} in the top levels; increase dim"
+        )
+
+
+def _validated(m: np.ndarray) -> float:
+    """The hermiticity residual of ``m``, a complex array, after all five
     density-matrix checks.
 
     The order is fixed: shape, finiteness and hermiticity (one pass),
@@ -162,26 +214,13 @@ def _validated(m: np.ndarray, check_spectrum: bool) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("density matrix must be square")
     _count(m.shape[0], 2, "density matrix needs dim >= 2")
-    herm = _hermiticity_residual(m)
-    if not herm <= _HERM_TOL:
-        # NaN fails every comparison, so the test is written to fail on it
-        if not np.all(np.isfinite(m)):
-            raise DomainError("density matrix has non-finite entries (NaN or inf)")
-        raise DomainError(f"not hermitian: max deviation {herm:.3e}")
-    tr = np.trace(m).real
-    if abs(tr - 1.0) > _TRACE_TOL:
-        raise DomainError(f"trace {tr!r} is not 1")
-    if check_spectrum:
-        w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        if w.min() < -_EIG_TOL:
-            raise DomainError(f"negative eigenvalue {w.min():.3e}")
-    tail = _tail_mass(m)
-    if tail >= _TAIL_TOL:
-        raise TruncationError(
-            f"population {tail:.3e} in the top levels; increase dim"
-        )
-    m.flags.writeable = False
-    return m
+    herm = _check_hermitian(m)
+    _check_trace(m)
+    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    if w.min() < -_EIG_TOL:
+        raise DomainError(f"negative eigenvalue {w.min():.3e}")
+    _check_tail(m)
+    return herm
 
 
 def _field(data: dict, name: str, convert, what: str):
@@ -199,38 +238,42 @@ def _field(data: dict, name: str, convert, what: str):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated truncated density matrix.
+    """Validated truncated density matrix, read-only.
 
     Construction checks hermiticity, unit trace, positivity (up to roundoff)
     and that almost no population sits in the top tenth of the basis, where
     truncation artifacts live.  Every matrix from outside the package
     (``DensityMatrix(...)``, ``from_dict``, the CLI's ``file:`` states) gets
-    all four checks.  The package's own builders of states that are positive
-    by construction skip only the positivity check, a dense
-    eigendecomposition: ``density_from_amplitudes`` and the states built on
-    it (rank-one projectors), and ``evolve_density`` (a congruence by a
-    diagonal unitary, which keeps the spectrum to a few eps at any time).
+    all of these checks, the hermiticity one a dense O(dim^2) pass and the
+    positivity one a dense eigendecomposition.  The package's own builders
+    keep both by construction and check in O(dim) only what their inputs
+    can break:
+
+    * ``density_from_amplitudes`` and the states built on it (rank-one
+      projectors): finite amplitudes, dim, trace and tail.  Hermitian to
+      within one rounding of a complex product per entry, spectrum
+      {1, 0, ...} to within a few eps.
+    * ``evolve_density`` (a congruence by a diagonal unitary): finite phases.
+      Populations, trace and tail are the input's bit for bit; the
+      hermiticity residual grows by a bound carried from state to state, and
+      the spectrum moves by at most a few eps ||rho||_F.
     """
 
     matrix: np.ndarray
+    # an upper bound on the hermiticity residual, which evolve_density carries
+    _herm_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix",
-                           _validated(np.array(self.matrix, dtype=complex), check_spectrum=True))
+        m = np.array(self.matrix, dtype=complex)
+        _own(self, m, _validated(m))
 
     @classmethod
-    def _trusted(cls, matrix) -> "DensityMatrix":
-        """A state positive semidefinite by construction (a rank-one
-        projector, or a valid state turned by a diagonal unitary), up to
-        roundoff far below the eigenvalue tolerance: every check but the
-        spectrum runs.
-
-        The state takes ownership of ``matrix``, a complex array its caller
-        has just built and does not keep: no copy is made, and the array is
-        made read-only."""
+    def _adopt(cls, matrix: np.ndarray, herm_bound: float) -> "DensityMatrix":
+        """A state its builder has checked: no check runs and no copy is
+        made.  ``matrix`` is a complex array the builder does not keep, and
+        ``herm_bound`` bounds its hermiticity residual."""
         rho = object.__new__(cls)
-        object.__setattr__(rho, "matrix", _validated(np.asarray(matrix, dtype=complex),
-                                                     check_spectrum=False))
+        _own(rho, matrix, herm_bound)
         return rho
 
     @property
@@ -259,15 +302,42 @@ class DensityMatrix:
         return cls(re + 1j * im)
 
 
+def _own(rho: DensityMatrix, m: np.ndarray, herm_bound: float) -> None:
+    m.flags.writeable = False
+    object.__setattr__(rho, "matrix", m)
+    object.__setattr__(rho, "_herm_bound", herm_bound)
+
+
 def density_from_amplitudes(amplitudes) -> DensityMatrix:
-    """Pure-state projector |c><c| from a normalized amplitude vector."""
+    """Pure-state projector |c><c| from an amplitude vector, normalized here.
+
+    A vector whose sum of squares overflows is first divided by its largest
+    real or imaginary part.  The projector is hermitian and positive by
+    construction, so the checks run in O(dim) on what the vector can break,
+    in the order and with the messages of ``DensityMatrix``: dim >= 2,
+    finite amplitudes, unit trace and the tail mass, the last two on the
+    diagonal |c_n|^2.  Entry c_m conj(c_n) is the conjugate of
+    c_n conj(c_m) to within the rounding of the two products, so the
+    hermiticity residual is at most sqrt(5) eps max |c_n|^2 <= _HERM_STEP,
+    and the eigenvalues are 1 and zeros to within a few eps.
+    """
     c = np.asarray(amplitudes, dtype=complex).ravel()
-    norm = np.linalg.norm(c)
+    finite = np.isfinite(c).all()
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(c)
+    if finite and norm == math.inf:
+        c = c / max(np.abs(c.real).max(), np.abs(c.imag).max())
+        norm = np.linalg.norm(c)
     if norm == 0.0:
         raise DomainError("amplitude vector is zero")
+    _count(c.size, 2, "density matrix needs dim >= 2")
+    if not finite:
+        raise DomainError(_NON_FINITE)
     c = c / norm
-    # rank one: its eigenvalues are 1 and zeros, up to ~2 eps
-    return DensityMatrix._trusted(np.outer(c, c.conj()))
+    m = np.outer(c, c.conj())
+    _check_trace(m)
+    _check_tail(m)
+    return DensityMatrix._adopt(m, _HERM_STEP)
 
 
 def vacuum_density(dim: int) -> DensityMatrix:
@@ -322,18 +392,33 @@ def evolve_density(
 
     rho(t) = U rho U+ with U = diag(exp(-i H_m t)): one exponential per
     level, then rho_mn(t) = rho_mn e_m conj(e_n), which is
-    rho_mn exp(-i (H_m - H_n) t).  The phase matrix has its diagonal set to
-    exactly 1, so populations, trace and tail mass never move.  A congruence
-    by a diagonal unitary rounded to working precision moves the spectrum by
-    at most a few eps ||rho||_F at any t (Weyl's inequality), so the result
-    is rechecked for hermiticity, trace and tail but not re-diagonalised.
+    rho_mn exp(-i (H_m - H_n) t).  DomainError names t when it, or a phase
+    angle H_m t, is not finite.
+
+    The result keeps what ``rho`` was checked for, by construction:
+
+    * The phase matrix has its diagonal set to exactly 1, so populations,
+      trace and tail mass are rho's own, bit for bit.
+    * e_m conj(e_n) is the conjugate of e_n conj(e_m) to within one rounding,
+      so the hermiticity residual r of rho becomes at most
+      (1 + _HERM_STEP) r + _HERM_STEP, _HERM_STEP = 16 eps.  The result
+      carries that bound; only when it passes ``_HERM_TOL``, after hundreds of
+      chained evolutions or from a state within a few eps of the tolerance,
+      is the residual measured, and the state refused above the tolerance.
+    * A congruence by a diagonal unitary rounded to working precision moves
+      the spectrum by at most a few eps ||rho||_F at any t (Weyl's
+      inequality), so the result is not re-diagonalised.
     """
+    t = _time(t)
     h = _level_energies(spec, rho.dim, form)[1]
-    e = np.exp(-1j * (h * float(t)))
+    e = np.exp(-1j * _angles(h, t))
     phase = np.outer(e, e.conj())
     np.fill_diagonal(phase, 1.0)
     np.multiply(rho.matrix, phase, out=phase)
-    return DensityMatrix._trusted(phase)
+    herm = (1.0 + _HERM_STEP) * rho._herm_bound + _HERM_STEP
+    if herm > _HERM_TOL:
+        herm = _check_hermitian(phase)
+    return DensityMatrix._adopt(phase, herm)
 
 
 def expectation(rho: DensityMatrix, op: np.ndarray) -> complex:

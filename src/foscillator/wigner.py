@@ -139,6 +139,16 @@ def _finite(name: str, values) -> np.ndarray:
     return out
 
 
+def _points(q, p) -> tuple:
+    """q and p as finite float arrays broadcast together; DomainError naming
+    both shapes when they do not broadcast."""
+    qa, pa = _finite("q", q), _finite("p", p)
+    try:
+        return np.broadcast_arrays(qa, pa)
+    except ValueError:
+        raise DomainError(f"q and p do not broadcast: shapes {qa.shape} and {pa.shape}") from None
+
+
 def _expi(theta: np.ndarray) -> np.ndarray:
     """exp(i theta), its cosine and sine from ``_cos_sin``."""
     c, s = _cos_sin(theta)
@@ -273,7 +283,7 @@ def wigner_values(rho: DensityMatrix, q, p) -> np.ndarray:
     No hermiticity of rho is assumed in the sum, so the imaginary part is a
     faithful diagnostic of the input rather than zero by construction.
     """
-    qa, pa = np.broadcast_arrays(_finite("q", q), _finite("p", p))
+    qa, pa = _points(q, p)
     c = _hermite_gauss_coefficients(rho.matrix)
     top = c.shape[0] - 1
 
@@ -404,7 +414,7 @@ def deformed_wigner_values(
     if variant not in WIGNER_VARIANTS:
         raise DomainError(f"unknown wigner variant {variant!r}")
     pad = _count(pad, 0, "pad must be >= 0")
-    qa, pa = np.broadcast_arrays(_finite("q", q), _finite("p", p))
+    qa, pa = _points(q, p)
     dim = rho.dim
     upper = deformed_lowering(spec, dim + pad).real
     if variant == "usual_parity":

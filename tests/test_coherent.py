@@ -205,6 +205,8 @@ def test_two_mode_truncation_guard():
     ((8, 0), "two-mode state needs dims >= 2"),
     (8, "two-mode state needs a pair of dims"),
     ((8, 8, 8), "two-mode state needs a pair of dims"),
+    # ragged: numpy's untyped ValueError came first
+    (([1, 2], 3), "two-mode state needs a pair of dims"),
 ])
 def test_two_mode_refuses_bad_dims(dims, message):
     with pytest.raises(DomainError, match=message):

@@ -33,7 +33,7 @@ from foscillator import (
     vacuum_density,
 )
 from foscillator import fock
-from foscillator.fock import _coherent_amplitudes, _hermiticity_residual, _log_factorials
+from foscillator.fock import HAMILTONIAN_FORMS, _coherent_amplitudes, _hermiticity_residual, _log_factorials
 from foscillator.nonlinearity import require_positive
 
 
@@ -327,8 +327,32 @@ def test_non_finite_entries_are_refused_by_name():
     for m in (np.diag([nan, nan]), pair, inf_entry, np.diag([inf, 0.0]), imag_pair):
         with pytest.raises(DomainError, match="non-finite"):
             DensityMatrix(m)
-        with pytest.raises(DomainError, match="non-finite"):
-            DensityMatrix._trusted(np.array(m, dtype=complex))
+    # the same entries from the package's own builder: amplitudes that put a
+    # NaN or an inf on the diagonal, in a row and its column, or in an
+    # imaginary part, refused before any division can warn
+    for c in ([nan, nan], [1.0, nan], [1.0, inf, 0.0], [inf, 0.0], [1.0, complex(0.0, inf), 0.0]):
+        with pytest.raises(DomainError, match=r"^density matrix has non-finite entries \(NaN or inf\)$"):
+            density_from_amplitudes(c)
+    # a single amplitude is refused for its dim first, as the matrix would be
+    with pytest.raises(DomainError, match="^density matrix needs dim >= 2$"):
+        density_from_amplitudes([nan])
+
+
+@pytest.mark.parametrize("t, message", [
+    (math.nan, "time t must be finite, got nan"),
+    (math.inf, "time t must be finite, got inf"),
+    (-math.inf, "time t must be finite, got -inf"),
+    (1e308, "phase angles H t are not finite at t = 1e+308"),
+    (-1e308, "phase angles H t are not finite at t = -1e+308"),
+], ids=str)
+def test_non_finite_time_is_refused_by_name(t, message):
+    # the invariant returned a NaN superdiagonal without a word, and the
+    # evolution warned before blaming non-finite entries
+    rho = coherent_density(0.5, 20)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        heisenberg_invariant(kerr(0.1), 20, t)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        evolve_density(rho, kerr(0.1), t)
 
 
 def test_overflowing_asymmetry_is_reported_as_not_hermitian():
@@ -353,14 +377,22 @@ def test_density_matrix_never_aliases_its_input():
     assert not np.shares_memory(rho.matrix, a)
 
 
-def test_trusted_states_own_their_matrix_read_only():
-    raw = _pure(np.eye(6)[2])
-    rho = DensityMatrix._trusted(raw)
-    assert rho.matrix is raw  # ownership passes, no copy
+def test_trusted_states_own_their_matrix_read_only(monkeypatch):
+    built = []
+    outer = np.outer
+
+    def recording(a, b):
+        built.append(outer(a, b))
+        return built[-1]
+
+    monkeypatch.setattr(np, "outer", recording)
+    rho = density_from_amplitudes(np.eye(6)[2])
+    assert rho.matrix is built[-1]  # ownership passes, no copy
     assert not rho.matrix.flags.writeable
-    real = DensityMatrix._trusted(np.diag([0.25, 0.75, 0.0, 0.0, 0.0, 0.0]))
+    real = density_from_amplitudes([0.5, math.sqrt(0.75), 0.0, 0.0, 0.0, 0.0])
     assert real.matrix.dtype == complex and not real.matrix.flags.writeable
     rho0 = coherent_density(0.8 - 0.2j, 20)
+    assert evolve_density(rho0, kerr(0.1), 1.7).matrix is built[-1]
     for out in (evolve_density(rho0, kerr(0.1), 1.7), evolve_density(rho0, identity(), 0.0),
                 vacuum_density(5), nonlinear_coherent_state(0.5, kerr(0.1), 20).density()):
         assert not out.matrix.flags.writeable
@@ -419,6 +451,19 @@ def test_coherent_density_matches_gammaln_reference(alpha, dim):
     np.testing.assert_allclose(rho.matrix, np.outer(c, c.conj()), rtol=0.0, atol=1e-13)
 
 
+def test_density_from_amplitudes_scales_a_vector_whose_norm_overflows():
+    # the sum of squares overflowed (a warning) and the state was refused as
+    # "trace 0.0 is not 1"; finite norms keep their own path
+    zeros = [0.0] * 10
+    for big, unit in (([1e200, 1e200], [1.0, 1.0]),
+                      ([complex(1.5e308, -1.5e308), 0.0], [complex(1.0, -1.0), 0.0]),
+                      ([3.0 * 2.0 ** 1020, 4.0 * 2.0 ** 1020], [0.75, 1.0])):
+        np.testing.assert_array_equal(density_from_amplitudes(big + zeros).matrix,
+                                      density_from_amplitudes(unit + zeros).matrix)
+    finite = [1e150, 1e150] + zeros
+    assert density_from_amplitudes(finite).matrix.tobytes() == _pure(finite).tobytes()
+
+
 def test_density_from_amplitudes_normalizes():
     c = np.zeros(12)
     c[0], c[1] = 3.0, 4.0
@@ -456,11 +501,34 @@ def _trusted_builds():
                       lambda spec=spec: nonlinear_coherent_state(1.2 - 0.3j, spec, 40).density(),
                       _pure(amps)))
     rho = DensityMatrix(0.6 * coherent_density(0.9 - 0.4j, 30).matrix + 0.4 * fock_density(3, 30).matrix)
-    e = np.exp(-1j * (hamiltonian_diagonal(kerr(0.2), rho.dim) * 2.7))
+    cases.append(("evolve-mixed", lambda: evolve_density(rho, kerr(0.2), 2.7),
+                  _congruence(rho, kerr(0.2), 2.7, "symmetric")))
+    return cases
+
+
+def _congruence(rho, spec, t, form):
+    """evolve_density's matrix, built without its checks."""
+    e = np.exp(-1j * (hamiltonian_diagonal(spec, rho.dim, form) * t))
     phase = np.outer(e, e.conj())
     np.fill_diagonal(phase, 1.0)
-    cases.append(("evolve-mixed", lambda: evolve_density(rho, kerr(0.2), 2.7), rho.matrix * phase))
-    return cases
+    return rho.matrix * phase
+
+
+def _outcome(build):
+    """The matrix ``build()`` returns, or the type of the error it raises."""
+    try:
+        return build().matrix
+    except (DomainError, TruncationError) as exc:
+        return type(exc)
+
+
+def _assert_same_outcome(got, want):
+    """Both the same error type, or both matrices equal bit for bit."""
+    if isinstance(got, type) or isinstance(want, type):
+        assert got is want
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture
@@ -476,6 +544,19 @@ def eigvalsh_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def residual_calls(monkeypatch):
+    calls = []
+    real = fock._hermiticity_residual
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(fock, "_hermiticity_residual", counting)
+    return calls
+
+
 def test_trusted_builders_match_full_validation():
     for name, build, raw in _trusted_builds():
         trusted = build()
@@ -485,19 +566,24 @@ def test_trusted_builders_match_full_validation():
         assert np.linalg.eigvalsh(trusted.matrix).min() > -1e-14, name
 
 
-def test_trusted_builders_skip_only_the_eigendecomposition(eigvalsh_calls):
+def test_trusted_builders_skip_the_dense_checks(eigvalsh_calls, residual_calls):
+    # no eigendecomposition and no O(dim^2) hermiticity pass: the builders
+    # check in O(dim) what their inputs can break
     cases = _trusted_builds()
     for name, build, _ in cases:
         eigvalsh_calls.clear()
+        residual_calls.clear()
         build()
-        assert len(eigvalsh_calls) == 0, name
+        assert (len(eigvalsh_calls), len(residual_calls)) == (0, 0), name
     for name, _, raw in cases:
         eigvalsh_calls.clear()
+        residual_calls.clear()
         rho = DensityMatrix(raw)
-        assert len(eigvalsh_calls) == 1, name
+        assert (len(eigvalsh_calls), len(residual_calls)) == (1, 1), name
         eigvalsh_calls.clear()
+        residual_calls.clear()
         DensityMatrix.from_dict(rho.to_dict())
-        assert len(eigvalsh_calls) == 1, name
+        assert (len(eigvalsh_calls), len(residual_calls)) == (1, 1), name
 
 
 def test_trusted_builders_keep_the_tail_check():
@@ -518,6 +604,32 @@ def test_evolve_past_phase_precision_stays_valid(eigvalsh_calls):
     np.testing.assert_array_equal(DensityMatrix(out.matrix).matrix, out.matrix)
     np.testing.assert_allclose(np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(rho.matrix),
                                rtol=0.0, atol=1e-13)
+
+
+def test_evolving_a_state_at_the_hermiticity_tolerance_refuses_as_full_validation():
+    # a residual of exactly _HERM_TOL passes, and the rounding of an evolution
+    # pushes it past the tolerance at some times: there the carried bound
+    # sends the result to the residual check, which refuses it as
+    # DensityMatrix would
+    m = np.diag([0.5, 0.5, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+    m[0, 1] = fock._HERM_TOL
+    rho = DensityMatrix(m)
+    refused = 0
+    for t in np.linspace(0.1, 50.0, 200):
+        got = _outcome(lambda: evolve_density(rho, kerr(0.1), t))
+        _assert_same_outcome(got, _outcome(lambda: DensityMatrix(_congruence(rho, kerr(0.1), t, "symmetric"))))
+        refused += got is DomainError
+    assert 0 < refused < 200
+
+
+def test_chained_evolutions_measure_the_residual_when_the_bound_passes_the_tolerance(residual_calls):
+    # the carried bound grows by about 16 eps a step and passes 1e-12 after
+    # 282 steps; the measured residual then replaces it
+    rho = coherent_density(0.5, 10)
+    for _ in range(300):
+        rho = evolve_density(rho, kerr(0.1), 0.7)
+    assert len(residual_calls) == 1
+    np.testing.assert_array_equal(DensityMatrix(rho.matrix).matrix, rho.matrix)
 
 
 def test_full_validation_check_order():
@@ -582,3 +694,34 @@ def test_long_time_evolution_is_a_congruence(dim, t, sign, spec, form, weights):
     ht = np.abs(h * t)
     bound = np.finfo(float).eps * np.abs(rho.matrix) * (ht[:, None] + ht[None, :] + np.abs(angle) + 8.0)
     assert np.all(np.abs(out - exact) <= bound)
+
+
+@settings(max_examples=60)
+@given(
+    dim=st.integers(2, 250),
+    seed=st.integers(0, 2**32 - 1),
+    log_tail=st.floats(-10.0, -6.0),
+    log_scale=st.floats(-100.0, 100.0),
+    spec=_PROFILES,
+    form=st.sampled_from(HAMILTONIAN_FORMS),
+    t=st.floats(-1e7, 1e7),
+)
+def test_builders_answer_and_refuse_as_full_validation(dim, seed, log_tail, log_scale, spec, form, t):
+    # complex amplitudes whose top tenth holds a share 10^log_tail of the
+    # weight, about the 1e-8 the tail check allows: the builder's matrix is
+    # DensityMatrix(raw) bit for bit, or both refuse with one error type; so
+    # is the evolution of the builder's state and of a mixed state
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    top = np.arange(dim) > 0.9 * (dim - 1)
+    c[top] *= math.sqrt(10.0 ** log_tail * np.sum(np.abs(c[~top]) ** 2) / np.sum(np.abs(c[top]) ** 2))
+    c *= 10.0 ** log_scale
+    built = _outcome(lambda: density_from_amplitudes(c))
+    _assert_same_outcome(built, _outcome(lambda: DensityMatrix(_pure(c))))
+    if isinstance(built, type):
+        return
+    pure = density_from_amplitudes(c)
+    mixed = DensityMatrix(0.5 * pure.matrix + 0.5 * vacuum_density(dim).matrix)
+    for rho in (pure, mixed):
+        _assert_same_outcome(_outcome(lambda: evolve_density(rho, spec, t, form)),
+                             _outcome(lambda: DensityMatrix(_congruence(rho, spec, t, form))))

@@ -735,6 +735,18 @@ def test_non_finite_coordinates_are_refused(entry, coordinate, value):
         call()
 
 
+@pytest.mark.parametrize("entry", ["wigner_values", "deformed_wigner_values"])
+def test_points_that_do_not_broadcast_are_refused_by_name(entry):
+    # numpy's untyped "shape mismatch" ValueError came first
+    rho, q, p = vacuum_density(4), np.zeros((2, 3)), np.zeros(4)
+    message = r"^q and p do not broadcast: shapes \(2, 3\) and \(4,\)$"
+    with pytest.raises(DomainError, match=message):
+        if entry == "wigner_values":
+            wigner_values(rho, q, p)
+        else:
+            deformed_wigner_values(rho, kerr(0.1), q, p)
+
+
 @pytest.mark.parametrize("coordinate", ["q", "p"])
 @pytest.mark.parametrize("entry", ["wigner_from_density", "deformed_wigner"])
 def test_grid_axes_must_be_1d(entry, coordinate):

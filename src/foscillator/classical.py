@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericToleranceError
+from .errors import DomainError, NumericToleranceError, _complex, _real
 from .nonlinearity import NonlinearitySpec, frequency
 
 # Nested quadrature of densities: rules of a start level, twice that, ...
@@ -67,14 +67,16 @@ class PhaseSpaceDistribution:
 
     ``density`` must accept broadcastable q, p arrays and return values of
     the broadcast shape; normalization uses the plain dq dp measure.  A radius
-    R for which E = (q^2 + p^2)/2 overflows at |q| = |p| = R is refused.
+    R <= 0, or one where E = (q^2 + p^2)/2 overflows at |q| = |p| = R, is refused.
     """
 
     density: Callable
     support_radius: float
 
     def __post_init__(self):
-        r = float(self.support_radius)
+        r = _real(self.support_radius, "support radius")
+        if not r > 0.0:
+            raise DomainError(f"support radius must be > 0, got {r!r}")
         if not math.isfinite(r * r + r * r):
             raise DomainError(f"support radius {r:.6g}: (q^2 + p^2)/2 leaves the float range")
 
@@ -114,15 +116,16 @@ def evolve_amplitude(
     spec: NonlinearitySpec, alpha0: complex, t: float, law: str = "amplitude"
 ) -> complex:
     """alpha(t) = alpha0 * exp(-i omega(|alpha0|^2) t)."""
-    return complex(amplitude_trajectory(spec, alpha0, float(t), law))
+    return complex(amplitude_trajectory(spec, alpha0, _real(t, "time t"), law))
 
 
 def amplitude_trajectory(
     spec: NonlinearitySpec, alpha0: complex, times, law: str = "amplitude"
 ) -> np.ndarray:
     """Sample the flow at an array of times; single frequency evaluation."""
+    alpha0 = _complex(alpha0, "alpha0")
     q, p = _rotate(spec, _SQRT2 * alpha0.real, _SQRT2 * alpha0.imag,
-                   -np.asarray(times, dtype=float), law)
+                   -np.asarray(_real(times, "times", array=True)), law)
     return (q + 1j * p) / _SQRT2
 
 
@@ -135,7 +138,8 @@ def classical_invariants(
     flow, evaluating omega at the current point equals evaluating it at the
     initial one.  Array fields of ``point`` broadcast against t.
     """
-    return PhasePoint(*_rotate(spec, point.q, point.p, t, law))
+    q, p = (_real(v, f"point {name}", array=True) for v, name in ((point.q, "q"), (point.p, "p")))
+    return PhasePoint(*_rotate(spec, q, p, _real(t, "time t", array=True), law))
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,7 @@ def propagate_distribution(
     ring, while its line integrals and point values go through the
     transported density point by point.
     """
-    t = float(t)
+    t = _real(t, "time t")
 
     def moved(q, p):
         return dist.density(*_rotate(spec, np.asarray(q, float), np.asarray(p, float), t, law))
@@ -184,16 +188,18 @@ def gaussian_distribution(
     support_radius: float = None,
 ) -> PhaseSpaceDistribution:
     """Isotropic normalized Gaussian blob, unit total mass."""
-    if not 0.0 < sigma < math.inf:
-        raise DomainError("sigma must be > 0 and finite")
+    center_q, center_p, sigma = (_real(v, name) for v, name in
+                                 ((center_q, "center_q"), (center_p, "center_p"), (sigma, "sigma")))
+    if not sigma > 0.0:
+        raise DomainError(f"sigma must be > 0, got {sigma!r}")
     scale = 2.0 * math.pi * sigma * sigma
     norm = 1.0 / scale if scale > 0.0 else math.inf
     if norm == math.inf:
         raise DomainError(f"sigma = {sigma!r} is too small: 1/(2 pi sigma^2) overflows")
     if support_radius is None:
         support_radius = math.hypot(center_q, center_p) + 8.5 * sigma
-    # the exponent below at its largest on the support disk, |dq|, |dp| <= R + |centre|;
-    # a centre that is not finite leaves the float range here too
+    support_radius = _real(support_radius, "support radius")
+    # the exponent below at its largest on the support disk, |dq|, |dp| <= R + |centre|
     span = support_radius + math.hypot(center_q, center_p)
     if not math.isfinite((span * span + span * span) / (2.0 * sigma * sigma)):
         raise DomainError(f"the blob at ({center_q:.6g}, {center_p:.6g}) of sigma {sigma:.6g} on "
@@ -206,7 +212,7 @@ def gaussian_distribution(
         dp = np.asarray(p, float) - center_p
         return norm * np.exp(-(dq * dq + dp * dp) / (2.0 * sigma * sigma))
 
-    return PhaseSpaceDistribution(density=density, support_radius=float(support_radius))
+    return PhaseSpaceDistribution(density=density, support_radius=support_radius)
 
 
 @cache

@@ -201,7 +201,11 @@ def _build_spec(args):
         field, attr = _PARAMETERS.get(args.kind, (None, None))
         if attr is not None and getattr(args, attr) is None:
             raise DomainError(f"the {args.kind} profile needs --{field}")
-        table = args.table.split(",") if isinstance(args.table, str) else args.table
+        table = args.table
+        try:  # comma text as float reads each entry; the profile holds the rule for numbers
+            table = [float(v) for v in table.split(",")] if isinstance(table, str) else table
+        except ValueError:
+            raise DomainError(f"--table must be comma-separated numbers, got {table!r}") from None
         spec = NonlinearitySpec(args.kind, lam=args.lam, chi=args.chi, table=table)
     for dest in _PROFILE_DESTS:
         delattr(args, dest)

@@ -18,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, _count
+from .errors import DomainError, TruncationError, _complex, _count, _real
 from .fock import (DensityMatrix, _coherent_amplitudes, _log_factorials, _log_powers,
                    _normalized, density_from_amplitudes)
 from .hermite import hermite_functions
@@ -84,7 +84,7 @@ def nonlinear_coherent_state(
 
 def position_wavefunction(state: CoherentStateVector, x) -> np.ndarray:
     """psi(x) = sum_n c_n phi_n(x) in the oscillator eigenbasis."""
-    phi = hermite_functions(state.dim - 1, np.asarray(x, dtype=float))
+    phi = hermite_functions(state.dim - 1, _real(x, "x", array=True))
     vals = np.tensordot(state.amplitudes, phi, axes=(0, 0))
     return complex(vals) if np.ndim(x) == 0 else vals
 
@@ -101,6 +101,7 @@ def two_mode_coherent_state(
     identity profile factorizes into a product of two ordinary coherent
     states.
     """
+    alpha1, alpha2 = _complex(alpha1, "alpha1"), _complex(alpha2, "alpha2")
     try:
         pair = np.shape(dims) == (2,)
     except ValueError:  # ragged, such as ([1, 2], 3)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, _count
+from .errors import DomainError, TruncationError, _complex, _count, _real
 from .nonlinearity import NonlinearitySpec, identity, log_f_factorial, require_positive
 
 HAMILTONIAN_FORMS = ("symmetric", "normal", "normal_half", "kerr")
@@ -38,6 +38,7 @@ _NON_FINITE = "density matrix has non-finite entries (NaN or inf)"
 # and |rho_mn| <= 1 + dim _EIG_TOL in a valid state; 16 eps leaves room for
 # the rounding of the residual's own evaluation.
 _HERM_STEP = 16.0 * np.finfo(float).eps
+_NORM_MIN = math.sqrt(np.finfo(float).tiny)  # below it |c|^2 leaves the normal range
 
 
 def lowering_operator(dim: int) -> np.ndarray:
@@ -127,7 +128,7 @@ def heisenberg_invariant(
     values in any evolving state stay frozen at their t = 0 value.  Only the
     superdiagonal is built, from one evaluation of the profile.
     """
-    t = _time(t)
+    t = _real(t, "time t")
     fvals, h = _level_energies(spec, dim, form)
     if fvals is None:  # the kerr form's H reads no profile, but Q does
         fvals = require_positive(spec, dim - 1)
@@ -136,14 +137,6 @@ def heisenberg_invariant(
     out[idx, idx + 1] = (np.sqrt(np.arange(1.0, dim)) * fvals[1:dim]
                          * np.exp(1j * _angles(h[1:] - h[:-1], t)))
     return out
-
-
-def _time(t) -> float:
-    """``t`` as a float; DomainError naming it when it is nan or inf."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"time t must be finite, got {t!r}")
-    return t
 
 
 def _angles(energies: np.ndarray, t: float) -> np.ndarray:
@@ -192,7 +185,7 @@ def _check_hermitian(m: np.ndarray) -> float:
 def _check_trace(m: np.ndarray) -> None:
     tr = np.trace(m).real
     if abs(tr - 1.0) > _TRACE_TOL:
-        raise DomainError(f"trace {tr!r} is not 1")
+        raise DomainError(f"trace {float(tr)} is not 1")
 
 
 def _check_tail(m: np.ndarray) -> None:
@@ -221,19 +214,6 @@ def _validated(m: np.ndarray) -> float:
         raise DomainError(f"negative eigenvalue {w.min():.3e}")
     _check_tail(m)
     return herm
-
-
-def _field(data: dict, name: str, convert, what: str):
-    """``convert(data[name])``; DomainError naming the field if it fails or
-    meets a boolean anywhere, which float() reads as 0 or 1."""
-    try:
-        items = np.asarray(data[name], dtype=object).flat
-        out = None if any(isinstance(v, (bool, np.bool_)) for v in items) else convert(data[name])
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None:
-        raise DomainError(f"density field {name!r} must be {what}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -294,10 +274,9 @@ class DensityMatrix:
     def from_dict(cls, data: dict) -> "DensityMatrix":
         if not isinstance(data, dict) or not {"dim", "re", "im"} <= set(data):
             raise DomainError("density description needs dim, re, im fields")
-        dim = _field(data, "dim", lambda v: _count(v, 0, "dim"), "an integer")
-        re, im = (_field(data, name, lambda v: np.asarray(v, dtype=float), "an array of numbers")
-                  for name in ("re", "im"))
-        if re.shape != (dim, dim) or im.shape != (dim, dim):
+        dim = _count(data["dim"], 0, "density field 'dim' must be an integer >= 0")
+        re, im = (_real(data[name], f"density field {name!r}", array=True) for name in ("re", "im"))
+        if np.shape(re) != (dim, dim) or np.shape(im) != (dim, dim):
             raise DomainError("re/im blocks must be dim x dim")
         return cls(re + 1j * im)
 
@@ -311,23 +290,26 @@ def _own(rho: DensityMatrix, m: np.ndarray, herm_bound: float) -> None:
 def density_from_amplitudes(amplitudes) -> DensityMatrix:
     """Pure-state projector |c><c| from an amplitude vector, normalized here.
 
-    A vector whose sum of squares overflows is first divided by its largest
-    real or imaginary part.  The projector is hermitian and positive by
-    construction, so the checks run in O(dim) on what the vector can break,
-    in the order and with the messages of ``DensityMatrix``: dim >= 2,
-    finite amplitudes, unit trace and the tail mass, the last two on the
-    diagonal |c_n|^2.  Entry c_m conj(c_n) is the conjugate of
-    c_n conj(c_m) to within the rounding of the two products, so the
-    hermiticity residual is at most sqrt(5) eps max |c_n|^2 <= _HERM_STEP,
-    and the eigenvalues are 1 and zeros to within a few eps.
+    A vector whose sum of squares overflows, or falls below the normal
+    range, is first divided by its largest real or imaginary part.  The
+    projector is hermitian and positive by construction, so the checks run
+    in O(dim) on what the vector can break, in the order and with the
+    messages of ``DensityMatrix``: dim >= 2, finite amplitudes, unit trace
+    and the tail mass, the last two on the diagonal |c_n|^2.  Entry
+    c_m conj(c_n) is the conjugate of c_n conj(c_m) to within the rounding
+    of the two products, so the hermiticity residual is at most
+    sqrt(5) eps max |c_n|^2 <= _HERM_STEP, and the eigenvalues are 1 and
+    zeros to within a few eps.
     """
     c = np.asarray(amplitudes, dtype=complex).ravel()
     finite = np.isfinite(c).all()
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(c)
-    if finite and norm == math.inf:
-        c = c / max(np.abs(c.real).max(), np.abs(c.imag).max())
-        norm = np.linalg.norm(c)
+    if finite and not _NORM_MIN <= norm < math.inf:
+        scale = np.max(np.abs(c.view(float)), initial=0.0)
+        if scale > 0.0:
+            c = c / scale
+            norm = np.linalg.norm(c)
     if norm == 0.0:
         raise DomainError("amplitude vector is zero")
     _count(c.size, 2, "density matrix needs dim >= 2")
@@ -373,6 +355,7 @@ def _normalized(logmag: np.ndarray, phase: np.ndarray) -> np.ndarray:
 def _coherent_amplitudes(alpha: complex, spec: NonlinearitySpec, dim: int) -> np.ndarray:
     """Unit-norm weights alpha^n / (F(n) sqrt(n!)), n < dim, F(n) = f(0) ... f(n), assembled
     in log space (log F = 0 for the harmonic state); each state applies its own truncation rule."""
+    alpha = _complex(alpha, "alpha")
     dim = _count(dim, 2, "coherent state needs dim >= 2")
     logf = log_f_factorial(spec, dim - 1)
     r, phase0 = cmath.polar(alpha)
@@ -392,8 +375,8 @@ def evolve_density(
 
     rho(t) = U rho U+ with U = diag(exp(-i H_m t)): one exponential per
     level, then rho_mn(t) = rho_mn e_m conj(e_n), which is
-    rho_mn exp(-i (H_m - H_n) t).  DomainError names t when it, or a phase
-    angle H_m t, is not finite.
+    rho_mn exp(-i (H_m - H_n) t).  DomainError names t when a phase angle
+    H_m t is not finite.
 
     The result keeps what ``rho`` was checked for, by construction:
 
@@ -409,7 +392,7 @@ def evolve_density(
       the spectrum by at most a few eps ||rho||_F at any t (Weyl's
       inequality), so the result is not re-diagonalised.
     """
-    t = _time(t)
+    t = _real(t, "time t")
     h = _level_energies(spec, rho.dim, form)[1]
     e = np.exp(-1j * _angles(h, t))
     phase = np.outer(e, e.conj())

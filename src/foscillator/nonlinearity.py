@@ -16,13 +16,12 @@ frequencies are in units of the undeformed oscillator frequency.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDeformationError, DomainError, _count
+from .errors import DegenerateDeformationError, DomainError, _count, _real
 
 KINDS = ("identity", "q", "kerr", "custom")
 
@@ -50,36 +49,18 @@ class NonlinearitySpec:
                 raise DomainError(f"the {self.kind} profile takes no {field!r} field")
         if own is not None:
             field, attr = own
-            if getattr(self, attr) is None:
+            value = getattr(self, attr)
+            if value is None:
                 raise DomainError(f"{self.kind} profile needs a {field!r} field")
-            object.__setattr__(self, attr, _read_field(self.kind, field, getattr(self, attr)))
-        if self.kind == "q" and not (self.lam > 0.0 and math.isfinite(self.lam)):
+            name = f"{self.kind} profile field {field!r}"
+            number = _real(value, name, array=field == "table")
+            if field == "table" and np.ndim(number) != 1:
+                raise DomainError(f"{name} must be a list of numbers, got {value!r}")
+            object.__setattr__(self, attr, tuple(number.tolist()) if field == "table" else number)
+        if self.kind == "q" and not self.lam > 0.0:
             raise DomainError("q profile needs lam > 0")
-        if self.kind == "kerr" and not math.isfinite(self.chi):
-            raise DomainError("kerr profile needs finite chi")
         if self.kind == "custom" and len(self.table) < 2:
             raise DomainError("custom table needs at least two samples")
-        if self.kind == "custom" and not all(math.isfinite(v) for v in self.table):
-            raise DomainError("custom table entries must be finite")
-
-
-def _read_field(kind: str, field: str, value):
-    """A kind's parameter as the spec holds it: a float, or for a table a
-    tuple of floats.  ``float`` would read a bool as 0 or 1 and a string
-    table as its characters; both are refused with what it cannot read, by
-    a ``DomainError`` that names the field."""
-    table = field == "table"
-    items = None
-    if not (table and isinstance(value, (str, bytes))):
-        try:
-            items = tuple(value) if table else (value,)
-            out = tuple(float(v) for v in items)
-        except (TypeError, ValueError, OverflowError):
-            items = None
-    if items is None or any(isinstance(v, (bool, np.bool_)) for v in items):
-        what = "a list of numbers" if table else "a number"
-        raise DomainError(f"{kind} profile field {field!r} must be {what}, got {value!r}")
-    return out if table else out[0]
 
 
 def identity() -> NonlinearitySpec:

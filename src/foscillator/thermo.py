@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SeriesDivergenceError
+from .errors import DomainError, SeriesDivergenceError, _real
 
 _BLOCK = 4096
 _MAX_TERMS = 10_000_000
@@ -59,16 +59,12 @@ class DeformedThermoReport:
     free_energy: float
 
 
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError("beta must be finite and > 0")
-    return beta
-
-
-def _check_range(beta: float, what: str, beta_min: float, beta_max: float = math.inf) -> float:
-    """``beta``; DomainError naming it outside [beta_min, beta_max]."""
-    beta = _check_beta(beta)
+def _check_beta(beta: float, what: str = "", beta_min: float = 0.0, beta_max: float = math.inf):
+    """``beta`` as a float; DomainError naming it at or below 0, or where
+    ``what`` leaves the float range, outside [beta_min, beta_max]."""
+    beta = _real(beta, "beta")
+    if not beta > 0.0:
+        raise DomainError(f"beta must be > 0, got {beta!r}")
     if not beta_min <= beta <= beta_max:
         bound = f">= {beta_min:.6g}" if beta < beta_min else f"<= {beta_max:.6g}"
         raise DomainError(f"at beta = {beta!r}, {what} leaves the float range: beta must be {bound}")
@@ -85,32 +81,32 @@ def _finite(report):
 
 def partition_closed(beta: float) -> float:
     """Z = 1 / (2 sinh(beta/2)); it overflows below _BETA_MIN[1], underflows past _BETA_MAX."""
-    beta = _check_range(beta, "Z = 1/(2 sinh(beta/2))", _BETA_MIN[1], _BETA_MAX)
+    beta = _check_beta(beta, "Z = 1/(2 sinh(beta/2))", _BETA_MIN[1], _BETA_MAX)
     return 1.0 / (2.0 * math.sinh(0.5 * beta))
 
 
 def mean_energy(beta: float) -> float:
     """E = (1/2) coth(beta/2)."""
-    beta = _check_range(beta, "E = (1/2) coth(beta/2)", _BETA_MIN[1])
+    beta = _check_beta(beta, "E = (1/2) coth(beta/2)", _BETA_MIN[1])
     return 0.5 / math.tanh(0.5 * beta)
 
 
 def occupation(beta: float) -> float:
     """<n> = 1 / (e^beta - 1), as x / (1 - x) with x = e^(-beta)."""
-    beta = _check_range(beta, "<n> = 1/(e^beta - 1)", _BETA_MIN[1])
+    beta = _check_beta(beta, "<n> = 1/(e^beta - 1)", _BETA_MIN[1])
     return math.exp(-beta) / -math.expm1(-beta)
 
 
 def occupation_second_moment(beta: float) -> float:
     """<n^2> = x (1 + x) / (1 - x)^2 with x = e^(-beta), 1 - x = -expm1(-beta)."""
-    beta = _check_range(beta, "<n^2> = x (1 + x)/(1 - x)^2", _BETA_MIN[2])
+    beta = _check_beta(beta, "<n^2> = x (1 + x)/(1 - x)^2", _BETA_MIN[2])
     x = math.exp(-beta)
     return x * (1.0 + x) / math.expm1(-beta) ** 2
 
 
 def _occupation_third_moment(beta: float) -> float:
     """<n^3> = x (1 + 4x + x^2) / (1 - x)^3 with x = e^(-beta)."""
-    beta = _check_range(beta, "<n^3> = x (1 + 4x + x^2)/(1 - x)^3", _BETA_MIN[3])
+    beta = _check_beta(beta, "<n^3> = x (1 + 4x + x^2)/(1 - x)^3", _BETA_MIN[3])
     x = math.exp(-beta)
     return x * (1.0 + 4.0 * x + x * x) / (-math.expm1(-beta)) ** 3
 
@@ -118,13 +114,6 @@ def _occupation_third_moment(beta: float) -> float:
 def _entropy_free_energy(beta: float, energy: float, log_z: float):
     """S = beta E + log Z and F = -log Z / beta."""
     return beta * energy + log_z, -log_z / beta
-
-
-def _check_coupling(g: float) -> float:
-    g = float(g)
-    if not math.isfinite(g):
-        raise DomainError("coupling g must be finite")
-    return g
 
 
 def _level_terms(beta: float, g: float, levels: np.ndarray) -> np.ndarray:
@@ -219,7 +208,7 @@ def deformed_partition(beta: float, g: float) -> DeformedThermoReport:
     the float range.
     """
     beta = _check_beta(beta)
-    g = _check_coupling(g)
+    g = _real(g, "coupling g")
     n3 = _occupation_third_moment(beta)
     base = linear_thermo(beta)
     chi_mean = occupation_second_moment(beta)
@@ -243,6 +232,6 @@ def exact_deformed_report(beta: float, g: float) -> ThermoReport:
     or the sum would need more than 10^7 levels.
     """
     beta = _check_beta(beta)
-    z, log_z, e, _ = _gibbs_sum(beta, _check_coupling(g))
+    z, log_z, e, _ = _gibbs_sum(beta, _real(g, "coupling g"))
     s, f = _entropy_free_energy(beta, e, log_z)
     return ThermoReport(beta=beta, z=z, energy=e, entropy=s, free_energy=f)

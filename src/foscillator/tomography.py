@@ -52,7 +52,7 @@ from .classical import (
     _row_integrals,
     propagate_distribution,
 )
-from .errors import DegenerateRayError, DomainError, _count
+from .errors import DegenerateRayError, DomainError, _count, _real
 from .fock import DensityMatrix, evolve_density
 from .hermite import hermite_functions
 from .nonlinearity import NonlinearitySpec, identity
@@ -87,20 +87,20 @@ class TomogramSlice:
 
 
 def _check_ray(mu: float, nu: float) -> float:
-    r = math.hypot(mu, nu)
+    """r = |(mu, nu)|; a non-finite or zero ray defines no line family (DegenerateRayError)."""
+    r = math.hypot(*(_real(v, "ray coefficients", error=DegenerateRayError) for v in (mu, nu)))
     if r == 0.0:
         raise DegenerateRayError("mu = nu = 0 does not define a line family")
-    if not (math.isfinite(mu) and math.isfinite(nu)):
-        raise DegenerateRayError("ray coefficients must be finite")
     return r
 
 
 def ray_from_scale_angle(s: float, theta: float):
-    """(mu, nu) = (s cos theta, sin theta / s); scaling then rotation."""
-    if s == 0.0 or not math.isfinite(s):
-        raise DegenerateRayError("scale must be nonzero and finite")
-    if not math.isfinite(theta):
-        raise DegenerateRayError("angle must be finite")
+    """(mu, nu) = (s cos theta, sin theta / s); scaling then rotation.  Like
+    mu and nu, a non-finite or zero s, or a non-finite theta, is degenerate."""
+    s = _real(s, "scale", error=DegenerateRayError)
+    theta = _real(theta, "angle", error=DegenerateRayError)
+    if s == 0.0:
+        raise DegenerateRayError("scale must be nonzero")
     return s * math.cos(theta), math.sin(theta) / s
 
 
@@ -139,13 +139,10 @@ def _radon_lines(dist: PhaseSpaceDistribution, mu: float, nu: float, x: np.ndarr
 
 
 def _check_axis(axis, name: str = "X") -> np.ndarray:
-    """``axis`` as a 1-D float array; DomainError naming it for any other
-    shape or a non-finite point.  Wigner grids take their axes by this rule."""
-    x = np.asarray(axis, dtype=float)
-    if x.ndim != 1:
-        raise DomainError(f"the {name} axis must be 1-D, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise DomainError(f"the {name} axis must be finite")
+    """``axis`` as a 1-D float array, also for Wigner grids; DomainError naming it otherwise."""
+    x = _real(axis, f"the {name} axis", array=True)
+    if np.ndim(x) != 1:
+        raise DomainError(f"the {name} axis must be 1-D, got shape {np.shape(x)}")
     return x
 
 
@@ -158,7 +155,7 @@ def radon_classical(dist: PhaseSpaceDistribution, mu: float, nu: float, x_axis) 
     by Fubini equals the slice integrated over X.  ``quadrature_error``
     carries the larger estimate.  A density too filamented for 4096
     intervals per line raises ``NumericToleranceError`` instead of returning
-    a wrong slice.  ``x_axis`` must be 1-D and finite (``DomainError``).
+    a wrong slice.  ``x_axis`` must be 1-D (``DomainError``).
     """
     _check_ray(mu, nu)
     x_axis = _check_axis(x_axis)
@@ -205,7 +202,7 @@ def quantum_tomogram(
     The q marginal of rho turned by theta = atan2(nu, mu) under H = n, read
     at X / r and divided by r, so a coherent state's slice is centred at
     sqrt2 (mu Re alpha + nu Im alpha).  The norm is Re Tr rho.  ``x_axis``
-    must be 1-D and finite (``DomainError``).
+    must be 1-D (``DomainError``).
     """
     _check_ray(mu, nu)
     x_axis = _check_axis(x_axis)
@@ -224,6 +221,6 @@ def fock_tomogram_closed(n: int, mu: float, nu: float, x) -> np.ndarray:
     n = _count(n, 0, "level index must be >= 0")
     r = _check_ray(mu, nu)
     with np.errstate(over="ignore"):  # as in _quantum_eval
-        y = np.asarray(x, dtype=float) / r
+        y = _real(x, "X", array=True) / r
     vals = hermite_functions(n, y)[n] ** 2 / r
     return float(vals) if np.ndim(x) == 0 else vals

@@ -51,8 +51,7 @@ square 21 x 21 grid centred on the origin have 106 distinct radii.
 
 At scattered points both maps are batched numpy contractions over blocks
 of ``_BLOCK`` points, which bounds their working memory whatever the number
-of points; neither starts threads.  Coordinates must be finite, and grid
-axes 1-D.
+of points; neither starts threads.  Grid axes must be 1-D.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .classical import _cos_sin
-from .errors import DomainError, NumericToleranceError, _count
+from .errors import DomainError, NumericToleranceError, _count, _real
 from .fock import _DIM_RULE, DensityMatrix, deformed_lowering
 from .hermite import hermite_functions
 from .nonlinearity import NonlinearitySpec, require_positive
@@ -131,22 +130,15 @@ def _in_blocks(evaluate, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite(name: str, values) -> np.ndarray:
-    """``values`` as a float array; DomainError naming the coordinate if any is nan or inf."""
-    out = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"coordinate {name} must be finite; got {out[~np.isfinite(out)].flat[0]}")
-    return out
-
-
 def _points(q, p) -> tuple:
-    """q and p as finite float arrays broadcast together; DomainError naming
-    both shapes when they do not broadcast."""
-    qa, pa = _finite("q", q), _finite("p", p)
+    """q and p, real by ``errors._real``, as float arrays broadcast together;
+    DomainError naming both shapes when they do not broadcast."""
+    qa, pa = _real(q, "coordinate q", array=True), _real(p, "coordinate p", array=True)
     try:
         return np.broadcast_arrays(qa, pa)
     except ValueError:
-        raise DomainError(f"q and p do not broadcast: shapes {qa.shape} and {pa.shape}") from None
+        shapes = f"{np.shape(qa)} and {np.shape(pa)}"
+        raise DomainError(f"q and p do not broadcast: shapes {shapes}") from None
 
 
 def _expi(theta: np.ndarray) -> np.ndarray:
@@ -345,8 +337,7 @@ def _axis_table(axis: np.ndarray, top: int) -> np.ndarray:
 def wigner_from_density(rho: DensityMatrix, q_axis, p_axis) -> WignerGrid:
     """W on the cartesian grid q_axis x p_axis; one Hermite table serves
     both axes when they are equal."""
-    q_axis = _check_axis(_finite("q", q_axis), "q")
-    p_axis = _check_axis(_finite("p", p_axis), "p")
+    q_axis, p_axis = _check_axis(q_axis, "q"), _check_axis(p_axis, "p")
     _warn_if_grid_small(rho, q_axis, p_axis)
     c = _hermite_gauss_coefficients(rho.matrix)
     top = c.shape[0] - 1
@@ -407,9 +398,8 @@ def deformed_wigner_values(
     P_m rho_mj V_mk V_jk.  Q is formed once per distinct radius of a block;
     z^d by repeated multiplication (error at most 3 |d| eps), z^-d as its
     conjugate.  Levels past the last with an entry |rho_mj| >= 1e-16 are
-    left out, as in the standard map.  Raises DomainError for a non-finite
-    q or p, and NumericToleranceError when the phases 2 r lambda are too
-    large to be carried at double precision.
+    left out, as in the standard map.  Raises NumericToleranceError when
+    the phases 2 r lambda are too large to be carried at double precision.
     """
     if variant not in WIGNER_VARIANTS:
         raise DomainError(f"unknown wigner variant {variant!r}")
@@ -462,8 +452,7 @@ def deformed_wigner(
     ``workers`` does nothing: the evaluation starts no threads.  It is still
     accepted only because the benchmark harness (``foscbench``) passes it.
     """
-    q_axis = _check_axis(_finite("q", q_axis), "q")
-    p_axis = _check_axis(_finite("p", p_axis), "p")
+    q_axis, p_axis = _check_axis(q_axis, "q"), _check_axis(p_axis, "p")
     qq, pp = np.meshgrid(q_axis, p_axis, indexing="ij")
     vals = deformed_wigner_values(rho, spec, qq, pp, variant, pad)
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=vals)

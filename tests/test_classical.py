@@ -189,6 +189,15 @@ def test_support_radius_keeps_the_energy_in_the_float_range():
     PhaseSpaceDistribution(lambda q, p: 0.0 * q, edge * (1.0 - 1e-12))
 
 
+@pytest.mark.parametrize("radius", [-1.0, 0.0, -0.0])
+def test_support_radius_must_be_positive(radius):
+    # a radius of -1 integrated to 0.3935 and one of 0 to 0.0, with no error
+    with pytest.raises(DomainError, match=rf"^support radius must be > 0, got {radius!r}$"):
+        gaussian_distribution(0.0, 0.0, 1.0, support_radius=radius)
+    with pytest.raises(DomainError, match=rf"^support radius must be > 0, got {radius!r}$"):
+        PhaseSpaceDistribution(lambda q, p: 0.0 * q, radius)
+
+
 def test_point_values_far_out_read_0_or_are_refused_without_warnings():
     # past |q| ~ 1.3e154 the energy and the Gaussian exponent overflow: the
     # blob and its identity flow read 0 there, a deformed flow refuses E = inf,

@@ -70,11 +70,11 @@ def test_density_from_dict_refuses_malformed_input(data, message):
     ("dim", None, "density field 'dim' must be an integer"),
     ("dim", math.inf, "density field 'dim' must be an integer"),
     ("dim", 2.9, "density field 'dim' must be an integer"),
-    ("re", [["x", 0.0], [0.0, 0.0]], "density field 're' must be an array of numbers"),
-    ("im", [[0.0], [0.0, 0.0]], "density field 'im' must be an array of numbers"),
+    ("re", [["x", 0.0], [0.0, 0.0]], "density field 're' must be a number, got 'x'"),
+    ("im", [[0.0], [0.0, 0.0]], "density field 'im' must be a number, got [0.0]"),
     ("dim", True, "density field 'dim' must be an integer"),
-    ("re", [[True, False], [False, False]], "density field 're' must be an array of numbers"),
-    ("im", [[0.0, 0.0], [0.0, False]], "density field 'im' must be an array of numbers"),
+    ("re", [[True, False], [False, False]], "density field 're' must be a number, got True"),
+    ("im", [[0.0, 0.0], [0.0, False]], "density field 'im' must be a number, got False"),
     # read as 2 by int(): a size is an integer by one rule
     ("dim", 2.0, "density field 'dim' must be an integer"),
     ("dim", "2", "density field 'dim' must be an integer"),
@@ -462,6 +462,28 @@ def test_density_from_amplitudes_scales_a_vector_whose_norm_overflows():
                                       density_from_amplitudes(unit + zeros).matrix)
     finite = [1e150, 1e150] + zeros
     assert density_from_amplitudes(finite).matrix.tobytes() == _pure(finite).tobytes()
+
+
+def test_density_from_amplitudes_scales_a_vector_whose_sum_of_squares_underflows():
+    # the sum of squares fell to 0 ("amplitude vector is zero") or to a
+    # subnormal ("trace 1.0000111329... is not 1"); dividing by the largest
+    # part gives the projector of [1, 1] bit for bit
+    zeros = [0.0] * 10
+    for tiny, unit in (([1e-200, 1e-200], [1.0, 1.0]), ([1e-160, 1e-160], [1.0, 1.0]),
+                       ([complex(0.0, 1e-170), 1e-170], [1j, 1.0])):
+        np.testing.assert_array_equal(density_from_amplitudes(tiny + zeros).matrix,
+                                      density_from_amplitudes(unit + zeros).matrix)
+    # a norm in the normal range keeps its path
+    normal = [1e-150, 1e-150] + zeros
+    assert density_from_amplitudes(normal).matrix.tobytes() == _pure(normal).tobytes()
+    with pytest.raises(DomainError, match="^amplitude vector is zero$"):
+        density_from_amplitudes([0.0] * 12)
+
+
+def test_trace_refusal_prints_a_plain_float():
+    # under numpy 2 it read "trace np.float64(1.0000111329) is not 1"
+    with pytest.raises(DomainError, match=r"^trace 1\.0000111329 is not 1$"):
+        DensityMatrix(np.diag([1.0000111329] + [0.0] * 11))
 
 
 def test_density_from_amplitudes_normalizes():

@@ -98,13 +98,13 @@ def test_profiles_refuse_nan_and_negative_arguments(spec, call, name, bad):
 
 @pytest.mark.parametrize("chi", [math.inf, -math.inf, math.nan])
 def test_kerr_profile_refuses_a_non_finite_chi(chi):
-    with pytest.raises(DomainError, match="kerr profile needs finite chi"):
+    with pytest.raises(DomainError, match=f"^kerr profile field 'chi' must be finite, got {chi!r}$"):
         kerr(chi)
 
 
 @pytest.mark.parametrize("entry", [math.inf, math.nan])
 def test_custom_table_refuses_a_non_finite_entry(entry):
-    with pytest.raises(DomainError, match="custom table entries must be finite"):
+    with pytest.raises(DomainError, match=f"^custom profile field 'table' must be finite, got {entry!r}$"):
         custom(table=[1.0, entry, 1.2])
 
 
@@ -370,16 +370,14 @@ def test_spec_from_dict_refuses_malformed_input(data, message):
 @pytest.mark.parametrize("data, message", [
     ({"kind": "q", "lambda": "x"}, "q profile field 'lambda' must be a number, got 'x'"),
     ({"kind": "kerr", "chi": None}, "kerr profile field 'chi' must be a number, got None"),
-    ({"kind": "custom", "table": [1.0, "x"]},
-     "custom profile field 'table' must be a list of numbers, got [1.0, 'x']"),
+    ({"kind": "custom", "table": [1.0, "x"]}, "custom profile field 'table' must be a number, got 'x'"),
     ({"kind": "custom", "table": 3}, "custom profile field 'table' must be a list of numbers, got 3"),
     ({"kind": "q", "lambda": 10**400}, "q profile field 'lambda' must be a number, got 1000"),
     ({"kind": "custom", "table": [1.0, 10**400]},
-     "custom profile field 'table' must be a list of numbers, got [1.0, 1000"),
-    ({"kind": "custom", "table": "123"}, "custom profile field 'table' must be a list of numbers, got '123'"),
+     "custom profile field 'table' must be a number, got 1000"),
+    ({"kind": "custom", "table": "123"}, "custom profile field 'table' must be a number, got '123'"),
     ({"kind": "q", "lambda": True}, "q profile field 'lambda' must be a number, got True"),
-    ({"kind": "custom", "table": [1.0, False]},
-     "custom profile field 'table' must be a list of numbers, got [1.0, False]"),
+    ({"kind": "custom", "table": [1.0, False]}, "custom profile field 'table' must be a number, got False"),
 ], ids=["q-string", "kerr-null", "table-string", "table-number", "q-huge-int", "table-huge-int",
         "table-is-a-string", "q-bool", "table-bool"])
 def test_spec_from_dict_names_a_field_it_cannot_convert(data, message):
@@ -388,7 +386,7 @@ def test_spec_from_dict_names_a_field_it_cannot_convert(data, message):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: custom(table="15"), "custom profile field 'table' must be a list of numbers, got '15'"),
+    (lambda: custom(table="15"), "custom profile field 'table' must be a number, got '15'"),
     (lambda: q_oscillator(True), "q profile field 'lambda' must be a number, got True"),
     (lambda: kerr(np.True_), "kerr profile field 'chi' must be a number, got np.True_"),
     (lambda: custom(table=3), "custom profile field 'table' must be a list of numbers, got 3"),

@@ -5,6 +5,7 @@ README's Python examples."""
 import ast
 import importlib
 import inspect
+import math
 import os
 import re
 import subprocess
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 import foscillator
-from foscillator import DomainError, custom, errors, identity, kerr, nonlinearity, q_oscillator
+from foscillator import (DegenerateRayError, DomainError, custom, errors, identity, kerr,
+                         nonlinearity, q_oscillator)
 
 
 def test_exported_names_are_unique_and_star_importable():
@@ -37,8 +39,11 @@ def test_every_public_name_is_exported():
 
 # The two raises of another class, each turned into one ``error:`` line by
 # ``cli``: argparse reports the first as a bad flag value, and ``_parse_state``
-# catches the second to name the accepted state forms.
-_OTHER_RAISES = {("cli", "_finite_float", "ArgumentTypeError"), ("cli", "_parse_state", "ValueError")}
+# catches the second to name the accepted state forms.  The real rule raises
+# the class its caller passes for a non-finite value: DomainError, or
+# DegenerateRayError for the rays of ``tomography``.
+_OTHER_RAISES = {("cli", "_finite_float", "ArgumentTypeError"),
+                 ("cli", "_parse_state", "ValueError"), ("errors", "_read_real", "error")}
 
 
 def _name(node):
@@ -131,6 +136,171 @@ def test_sizes_are_integers_by_one_rule(name, param):
     for bad in (2.5, float(valid), True, np.True_, minimum - 1):
         with pytest.raises(DomainError):
             call(bad)
+
+
+# Every real argument of a public function or of PhaseSpaceDistribution (a
+# parameter named in _REAL_NAMES or annotated float or complex, and a size
+# name that the size rule leaves to a continuous axis): the calls that put a
+# value in it, each with valid values in its other arguments.
+_REAL_NAMES = {"alpha", "alpha0", "alpha1", "alpha2", "beta", "center_p", "center_q", "chi",
+               "energy", "g", "lam", "mu", "nu", "p", "p_axis", "point", "q", "q_axis", "s",
+               "sigma", "support_radius", "t", "table", "theta", "times", "x", "x_axis"}
+_AXIS = np.linspace(-4.0, 4.0, 3)
+
+
+def _with_entry(v):
+    return [-4.0, 4.0, v]
+
+
+def _state():
+    return foscillator.nonlinear_coherent_state(0.3, kerr(0.1), 20)
+
+
+def _blob():
+    return foscillator.gaussian_distribution(0.5, 0.0, 0.5)
+
+
+_REAL_CALLS = {
+    ("amplitude_trajectory", "alpha0"):
+        [lambda v: foscillator.amplitude_trajectory(kerr(0.1), v, [1.0])],
+    ("amplitude_trajectory", "times"):
+        [lambda v: foscillator.amplitude_trajectory(kerr(0.1), 0.5, _with_entry(v))],
+    ("chi_expectation", "beta"): [foscillator.chi_expectation],
+    ("classical_invariants", "point"): [
+        lambda v: foscillator.classical_invariants(kerr(0.1), foscillator.PhasePoint(v, 0.5), 1.0),
+        lambda v: foscillator.classical_invariants(kerr(0.1), foscillator.PhasePoint(0.5, v), 1.0)],
+    ("classical_invariants", "t"):
+        [lambda v: foscillator.classical_invariants(kerr(0.1), foscillator.PhasePoint(0.5, 0.5),
+                                                    v)],
+    ("classical_tomogram_evolved", "mu"):
+        [lambda v: foscillator.classical_tomogram_evolved(_blob(), kerr(0.1), 1.0, v, 0.5, [0.0])],
+    ("classical_tomogram_evolved", "nu"):
+        [lambda v: foscillator.classical_tomogram_evolved(_blob(), kerr(0.1), 1.0, 0.5, v, [0.0])],
+    ("classical_tomogram_evolved", "t"):
+        [lambda v: foscillator.classical_tomogram_evolved(_blob(), kerr(0.1), v, 1.0, 0.5, [0.0])],
+    ("classical_tomogram_evolved", "x_axis"): [lambda v: foscillator.classical_tomogram_evolved(
+        _blob(), kerr(0.1), 1.0, 1.0, 0.5, _with_entry(v))],
+    ("coherent_density", "alpha"): [lambda v: foscillator.coherent_density(v, 20)],
+    ("custom", "table"): [lambda v: custom([1.0, v])],
+    ("deformed_partition", "beta"): [lambda v: foscillator.deformed_partition(v, 1e-3)],
+    ("deformed_partition", "g"): [lambda v: foscillator.deformed_partition(1.0, v)],
+    ("deformed_wigner", "p_axis"): [lambda v: foscillator.deformed_wigner(
+        foscillator.vacuum_density(4), kerr(0.1), _AXIS, _with_entry(v))],
+    ("deformed_wigner", "q_axis"): [lambda v: foscillator.deformed_wigner(
+        foscillator.vacuum_density(4), kerr(0.1), _with_entry(v), _AXIS)],
+    ("deformed_wigner_values", "p"): [lambda v: foscillator.deformed_wigner_values(
+        foscillator.vacuum_density(4), kerr(0.1), 0.5, v)],
+    ("deformed_wigner_values", "q"): [lambda v: foscillator.deformed_wigner_values(
+        foscillator.vacuum_density(4), kerr(0.1), v, 0.5)],
+    ("evolve_amplitude", "alpha0"): [lambda v: foscillator.evolve_amplitude(kerr(0.1), v, 1.0)],
+    ("evolve_amplitude", "t"): [lambda v: foscillator.evolve_amplitude(kerr(0.1), 0.5, v)],
+    ("evolve_density", "t"):
+        [lambda v: foscillator.evolve_density(foscillator.vacuum_density(4), kerr(0.1), v)],
+    ("exact_deformed_report", "beta"): [lambda v: foscillator.exact_deformed_report(v, 1e-3)],
+    ("exact_deformed_report", "g"): [lambda v: foscillator.exact_deformed_report(1.0, v)],
+    ("fock_tomogram_closed", "mu"): [lambda v: foscillator.fock_tomogram_closed(1, v, 0.5, 0.0)],
+    ("fock_tomogram_closed", "nu"): [lambda v: foscillator.fock_tomogram_closed(1, 0.5, v, 0.0)],
+    ("fock_tomogram_closed", "x"):
+        [lambda v: foscillator.fock_tomogram_closed(1, 1.0, 0.5, v),
+         lambda v: foscillator.fock_tomogram_closed(1, 1.0, 0.5, _with_entry(v))],
+    ("gaussian_distribution", "center_p"): [lambda v: foscillator.gaussian_distribution(0.5, v)],
+    ("gaussian_distribution", "center_q"): [lambda v: foscillator.gaussian_distribution(v, 0.5)],
+    ("gaussian_distribution", "sigma"): [lambda v: foscillator.gaussian_distribution(0.0, 0.0, v)],
+    ("gaussian_distribution", "support_radius"):
+        [lambda v: foscillator.gaussian_distribution(0.0, 0.0, 0.5, support_radius=v)],
+    ("heisenberg_invariant", "t"): [lambda v: foscillator.heisenberg_invariant(kerr(0.1), 4, v)],
+    ("kerr", "chi"): [kerr],
+    ("linear_thermo", "beta"): [foscillator.linear_thermo],
+    ("mean_energy", "beta"): [foscillator.mean_energy],
+    ("nonlinear_coherent_state", "alpha"):
+        [lambda v: foscillator.nonlinear_coherent_state(v, kerr(0.1), 20)],
+    ("occupation", "beta"): [foscillator.occupation],
+    ("occupation_second_moment", "beta"): [foscillator.occupation_second_moment],
+    ("partition_closed", "beta"): [foscillator.partition_closed],
+    ("PhaseSpaceDistribution", "support_radius"):
+        [lambda v: foscillator.PhaseSpaceDistribution(lambda q, p: 0.0 * q, v)],
+    ("position_wavefunction", "x"):
+        [lambda v: foscillator.position_wavefunction(_state(), v),
+         lambda v: foscillator.position_wavefunction(_state(), _with_entry(v))],
+    ("propagate_distribution", "t"):
+        [lambda v: foscillator.propagate_distribution(_blob(), kerr(0.1), v)],
+    ("q_oscillator", "lam"): [q_oscillator],
+    ("quantum_tomogram", "mu"):
+        [lambda v: foscillator.quantum_tomogram(foscillator.vacuum_density(4), v, 0.5, [0.0])],
+    ("quantum_tomogram", "nu"):
+        [lambda v: foscillator.quantum_tomogram(foscillator.vacuum_density(4), 0.5, v, [0.0])],
+    ("quantum_tomogram", "x_axis"): [lambda v: foscillator.quantum_tomogram(
+        foscillator.vacuum_density(4), 1.0, 0.5, _with_entry(v))],
+    ("radon_classical", "mu"): [lambda v: foscillator.radon_classical(_blob(), v, 0.5, [0.0])],
+    ("radon_classical", "nu"): [lambda v: foscillator.radon_classical(_blob(), 0.5, v, [0.0])],
+    ("radon_classical", "x_axis"):
+        [lambda v: foscillator.radon_classical(_blob(), 1.0, 0.5, _with_entry(v))],
+    ("ray_from_scale_angle", "s"): [lambda v: foscillator.ray_from_scale_angle(v, 0.5)],
+    ("ray_from_scale_angle", "theta"): [lambda v: foscillator.ray_from_scale_angle(1.0, v)],
+    ("thermal_series", "beta"): [foscillator.thermal_series],
+    ("two_mode_coherent_state", "alpha1"):
+        [lambda v: foscillator.two_mode_coherent_state(v, 0.2, kerr(0.1), (20, 20))],
+    ("two_mode_coherent_state", "alpha2"):
+        [lambda v: foscillator.two_mode_coherent_state(0.2, v, kerr(0.1), (20, 20))],
+    ("wigner_from_density", "p_axis"): [lambda v: foscillator.wigner_from_density(
+        foscillator.vacuum_density(4), _AXIS, _with_entry(v))],
+    ("wigner_from_density", "q_axis"): [lambda v: foscillator.wigner_from_density(
+        foscillator.vacuum_density(4), _with_entry(v), _AXIS)],
+    ("wigner_values", "p"):
+        [lambda v: foscillator.wigner_values(foscillator.vacuum_density(4), 0.5, v)],
+    ("wigner_values", "q"):
+        [lambda v: foscillator.wigner_values(foscillator.vacuum_density(4), v, 0.5)],
+}
+# The kernels that keep their own rule: their documented domain takes +inf
+# energies (eval_f, frequency) and clamps +-inf arguments (hermite_functions).
+_OWN_RULE = {("eval_f", "n"), ("frequency", "energy"), ("hermite_functions", "x")}
+# A ray's coefficients are numbers by the rule, but a non-finite one, which
+# defines no line family, is a DegenerateRayError.
+_RAYS = {(name, param) for name, param in _REAL_CALLS if param in ("mu", "nu", "s", "theta")}
+# Complex amplitudes: 1j is valid, and each part is read by the rule.
+_COMPLEX = {key for key in _REAL_CALLS if key[1].startswith("alpha")}
+# A profile's parameter of None is absent, and refused as missing.
+_ABSENT = {("kerr", "chi"), ("q_oscillator", "lam")}
+
+
+def _real_parameters():
+    functions = {name: getattr(foscillator, name) for name in foscillator.__all__
+                 if inspect.isfunction(getattr(foscillator, name))}
+    functions["PhaseSpaceDistribution"] = foscillator.PhaseSpaceDistribution
+    return {(name, param) for name, function in functions.items()
+            for param, spec in inspect.signature(function).parameters.items()
+            if param in _REAL_NAMES or spec.annotation in ("float", "complex")
+            or (name, param) in _SIZE_CALLS and _SIZE_CALLS[name, param] is None}
+
+
+def test_every_real_argument_has_a_call():
+    assert _real_parameters() == set(_REAL_CALLS) | _OWN_RULE
+
+
+@pytest.mark.parametrize("name, param", sorted(_REAL_CALLS))
+def test_reals_are_finite_by_one_rule(name, param):
+    # a bool, a string, None or a complex number was read as a number, ran on
+    # to NaN, or raised numpy's or Python's own TypeError, ValueError or
+    # AttributeError; nan and inf gave NaN answers or RuntimeWarnings
+    complex_ok = (name, param) in _COMPLEX
+    not_finite = DegenerateRayError if (name, param) in _RAYS else DomainError
+    none_ok = inspect.signature(getattr(foscillator, name)).parameters[param].default is None
+    for call in _REAL_CALLS[name, param]:
+        for good in ((1.0, np.float64(1.0), np.int64(1)) + ((1j,) if complex_ok else ())
+                     + ((None,) if none_ok else ())):
+            call(good)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(not_finite, match=" must be finite, got "):
+                call(bad)
+            if complex_ok:
+                with pytest.raises(DomainError, match=r"^Im \w+ must be finite, got "):
+                    call(complex(0.5, bad))
+        for bad in ((True, np.True_, "1.0") + (() if none_ok else (None,))
+                    + (() if complex_ok else (1j,))):
+            absent = bad is None and (name, param) in _ABSENT
+            message = " needs a " if absent else " must be a number, got "
+            with pytest.raises(DomainError, match=message):
+                call(bad)
 
 
 # Each process-wide cache of the package, with arguments to call it on.  A

@@ -731,7 +731,9 @@ def test_non_finite_coordinates_are_refused(entry, coordinate, value):
         "deformed_wigner_values": lambda: deformed_wigner_values(rho, kerr(0.1), q, p),
         "deformed_wigner": lambda: deformed_wigner(rho, kerr(0.1), q, p),
     }[entry]
-    with pytest.raises(DomainError, match=f"coordinate {coordinate} must be finite"):
+    # a grid names its axis, as for a shape that is not 1-D
+    name = f"coordinate {coordinate}" if entry.endswith("_values") else f"the {coordinate} axis"
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got {value!r}$"):
         call()
 
 

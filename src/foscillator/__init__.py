@@ -87,7 +87,6 @@ from .tomography import (
     fock_tomogram_closed,
     quantum_tomogram,
     radon_classical,
-    ray_from_scale_angle,
 )
 from .wigner import (
     WignerGrid,

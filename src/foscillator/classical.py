@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericToleranceError, _complex, _real
+from .errors import DomainError, NumericToleranceError, _complex, _read_real, _real
 from .nonlinearity import NonlinearitySpec, frequency
 
 # Nested quadrature of densities: rules of a start level, twice that, ...
@@ -175,7 +175,8 @@ def propagate_distribution(
     t = _real(t, "time t")
 
     def moved(q, p):
-        return dist.density(*_rotate(spec, np.asarray(q, float), np.asarray(p, float), t, law))
+        q, p = _read_real(q, "q", array=True), _read_real(p, "p", array=True)
+        return dist.density(*_rotate(spec, q, p, t, law))
 
     return _Transported(density=moved, support_radius=dist.support_radius,
                         initial=dist, spec=spec, t=t, law=law)
@@ -208,8 +209,8 @@ def gaussian_distribution(
 
     @np.errstate(over="ignore")  # far out the exponent overflows to -inf: the density reads 0
     def density(q, p):
-        dq = np.asarray(q, float) - center_q
-        dp = np.asarray(p, float) - center_p
+        dq = _read_real(q, "q", array=True) - center_q
+        dp = _read_real(p, "p", array=True) - center_p
         return norm * np.exp(-(dq * dq + dp * dp) / (2.0 * sigma * sigma))
 
     return PhaseSpaceDistribution(density=density, support_radius=support_radius)

@@ -163,13 +163,15 @@ def _lowering_residual(spec: NonlinearitySpec, c: np.ndarray, alpha: complex) ->
     return ac - alpha * c
 
 
-def schmidt_spectrum(state) -> SchmidtSpectrum:
+def schmidt_spectrum(state: TwoModeState | np.ndarray) -> SchmidtSpectrum:
     """Singular values of the coefficient matrix and the entanglement entropy.
 
-    Entropy is -sum sigma^2 log sigma^2 over nonzero singular values; a
-    second singular value below 1e-9 marks the state as separable.
+    ``state`` is a TwoModeState or a coefficient matrix, read as complex by
+    the rule.  Entropy is -sum sigma^2 log sigma^2 over nonzero singular
+    values; a second singular value below 1e-9 marks the state as separable.
     """
-    coeff = state.coefficients if isinstance(state, TwoModeState) else np.asarray(state)
+    coeff = (state.coefficients if isinstance(state, TwoModeState)
+             else _complex(state, "coefficient matrix", array=True))
     if coeff.ndim != 2:
         raise DomainError("schmidt spectrum needs a two-index coefficient matrix")
     sv = np.linalg.svd(coeff, compute_uv=False)

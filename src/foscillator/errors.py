@@ -4,8 +4,12 @@ Validation failures (bad arguments, degenerate configurations) derive from
 ValueError so callers can treat them uniformly; numeric-quality failures
 (a computation that ran but missed its accuracy contract) derive from
 RuntimeError and are kept distinct because they usually indicate a grid,
-truncation, or tolerance problem rather than a bad input.  The two input
-rules live here too: ``_count`` for integers and ``_real`` for real numbers.
+truncation, or tolerance problem rather than a bad input.  The input rules
+live here too: ``_count`` for integers; ``_real`` for real numbers and
+arrays, in two halves, the type half ``_read_real`` that the kernels
+``eval_f``, ``frequency`` and ``hermite_functions`` use alone, since their
+domains hold infinities, and the finiteness half ``_finite``; and
+``_complex`` for complex numbers and arrays, read by the same two halves.
 """
 
 import math
@@ -54,44 +58,54 @@ def _count(value, minimum: int, message: str) -> int:
 
 
 def _real(value, name: str, array: bool = False, error: type = DomainError):
-    """``value`` as a float, the one rule for every real argument: DomainError
-    "``name`` must be a number, got ..." for a bool, a string, None, a
-    complex number, an int past the float range or anything else, and
-    ``error`` (rays pass DegenerateRayError) "``name`` must be finite, got ..."
-    for nan and +-inf.  A finite Python float returns from this small frame;
-    ``_read_real`` reads the rest.  With ``array``, an array or nested list
-    of numbers is read as a float ndarray (a float64 array as itself), and a
-    message names its first bad entry."""
+    """``value`` as a float, the one rule for every real argument: ``_read_real``,
+    then ``_finite``, which raises ``error`` (rays pass DegenerateRayError).  A
+    finite Python float returns from this small frame."""
     if type(value) is float and math.isfinite(value):
         return value
-    return _read_real(value, name, array, error)
+    return _finite(_read_real(value, name, array), name, error)
 
 
-def _read_real(value, name: str, array: bool, error: type):
-    """``_real`` for any value but a finite Python float."""
-    x = None
+def _read_real(value, name: str, array: bool = False):
+    """The type half of the rule: ``value`` as a float, and with ``array`` an
+    array or nested list of numbers as a float ndarray (an ``iuf`` array as
+    itself).  DomainError "``name`` must be a number, got ..." for a bool, a
+    string, None, a complex number, an int past the float range or anything
+    else, naming the first bad entry.  NaN and +-inf pass."""
+    if array and isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value.astype(float, copy=False)
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
         try:
-            x = float(value)
+            return float(value)
         except OverflowError:
             pass
-        if x is not None and math.isfinite(x):
-            return x
-    elif array and isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
-        x = value.astype(float, copy=False)
     elif array:
         items = np.asarray(value, dtype=object)
-        x = np.array([_real(v, name, error=error) for v in items.flat]).reshape(items.shape)
-    if x is None:
-        raise DomainError(f"{name} must be a number, got {value!r}")
-    finite = np.isfinite(x)
-    if not finite.all():
-        raise error(f"{name} must be finite, got {float(np.asarray(x)[~finite][0])!r}")
-    return x
+        return np.array([_read_real(v, name) for v in items.flat], dtype=float).reshape(items.shape)
+    raise DomainError(f"{name} must be a number, got {value!r}")
 
 
-def _complex(value, name: str) -> complex:
-    """``value`` as a complex number, its parts read by ``_real`` as Re ``name`` and Im ``name``."""
+def _finite(x, name: str, error: type = DomainError):
+    """``x``, a number or a real or complex array; ``error`` "``name`` must be
+    finite, got ..." naming its first NaN or infinite entry."""
+    if math.isfinite(x) if type(x) is float else np.isfinite(x).all():
+        return x
+    bad = x if type(x) is float else x[~np.isfinite(x)][0].item()
+    raise error(f"{name} must be finite, got {bad!r}")
+
+
+def _complex(value, name: str, array: bool = False):
+    """``value`` as a complex number, its parts read by ``_real`` as Re ``name``
+    and Im ``name``; with ``array``, a complex ndarray (an ``iufc`` array as
+    itself, a nested list entry by entry), each entry a complex number or
+    read by ``_read_real``, then checked by ``_finite``."""
+    if array and isinstance(value, np.ndarray) and value.dtype.kind in "iufc":
+        return _finite(value.astype(complex, copy=False), name)
+    if array:
+        items = np.asarray(value, dtype=object)
+        entries = [v if isinstance(v, (complex, np.complexfloating)) else _read_real(v, name)
+                   for v in items.flat]
+        return _finite(np.array(entries, dtype=complex).reshape(items.shape), name)
     if isinstance(value, (complex, np.complexfloating)):
         return complex(_real(value.real, f"Re {name}"), _real(value.imag, f"Im {name}"))
     return complex(_real(value, name))

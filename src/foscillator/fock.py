@@ -31,7 +31,6 @@ _EIG_TOL = 1e-10
 _TAIL_TOL = 1e-8
 _TAIL_FRACTION = 0.9
 _DIM_RULE = "operator truncation needs dim >= 2"
-_NON_FINITE = "density matrix has non-finite entries (NaN or inf)"
 # What one rounded complex product per entry can add to a hermiticity
 # residual r, as r -> (1 + _HERM_STEP) r + _HERM_STEP: a product rounds by at
 # most sqrt(5) eps/2 relative, a phase exp(-i H t) has modulus 1 within 2 eps,
@@ -161,23 +160,18 @@ def _hermiticity_residual(m: np.ndarray) -> float:
     The conjugate transpose is written once, in row order, and the
     difference lands in it, so the subtraction reads both operands row by
     row; the value is that of np.max(np.abs(m - m.conj().T)), bit for bit.
-    A non-finite entry makes it NaN or inf (inf - inf is NaN here, not a
-    warning), so the residual also screens the entries for finiteness.
+    A difference past the float range makes it inf, unwarned.
     """
     t = np.conjugate(m.T, order="C")
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(over="ignore"):
         np.subtract(m, t, out=t)
     return float(np.max(np.abs(t)))
 
 
 def _check_hermitian(m: np.ndarray) -> float:
-    """The hermiticity residual of ``m``; DomainError above ``_HERM_TOL``,
-    naming non-finite entries when there are any."""
+    """The hermiticity residual of ``m``, a finite matrix; DomainError above ``_HERM_TOL``."""
     herm = _hermiticity_residual(m)
-    if not herm <= _HERM_TOL:
-        # NaN fails every comparison, so the test is written to fail on it
-        if not np.isfinite(m).all():
-            raise DomainError(_NON_FINITE)
+    if herm > _HERM_TOL:
         raise DomainError(f"not hermitian: max deviation {herm:.3e}")
     return herm
 
@@ -197,12 +191,11 @@ def _check_tail(m: np.ndarray) -> None:
 
 
 def _validated(m: np.ndarray) -> float:
-    """The hermiticity residual of ``m``, a complex array, after all five
+    """The hermiticity residual of ``m``, a finite complex array, after the
     density-matrix checks.
 
-    The order is fixed: shape, finiteness and hermiticity (one pass),
-    trace, spectrum, tail, so a matrix that fails several checks always
-    reports the same one.
+    The order is fixed: shape, hermiticity, trace, spectrum, tail, so a
+    matrix that fails several checks always reports the same one.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("density matrix must be square")
@@ -244,7 +237,7 @@ class DensityMatrix:
     _herm_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = np.array(_complex(self.matrix, "density matrix", array=True))
         _own(self, m, _validated(m))
 
     @classmethod
@@ -294,27 +287,26 @@ def density_from_amplitudes(amplitudes) -> DensityMatrix:
     range, is first divided by its largest real or imaginary part.  The
     projector is hermitian and positive by construction, so the checks run
     in O(dim) on what the vector can break, in the order and with the
-    messages of ``DensityMatrix``: dim >= 2, finite amplitudes, unit trace
-    and the tail mass, the last two on the diagonal |c_n|^2.  Entry
-    c_m conj(c_n) is the conjugate of c_n conj(c_m) to within the rounding
-    of the two products, so the hermiticity residual is at most
-    sqrt(5) eps max |c_n|^2 <= _HERM_STEP, and the eigenvalues are 1 and
-    zeros to within a few eps.
+    messages of ``DensityMatrix``: dim >= 2, unit trace and the tail mass,
+    the last two on the diagonal |c_n|^2, after the rule has read a 1-D
+    vector of finite numbers.  Entry c_m conj(c_n) is the conjugate of
+    c_n conj(c_m) to within the rounding of the two products, so the
+    hermiticity residual is at most sqrt(5) eps max |c_n|^2 <= _HERM_STEP,
+    and the eigenvalues are 1 and zeros to within a few eps.
     """
-    c = np.asarray(amplitudes, dtype=complex).ravel()
-    finite = np.isfinite(c).all()
+    c = _complex(amplitudes, "amplitudes", array=True)
+    if c.ndim != 1:
+        raise DomainError(f"amplitudes must be a 1-D vector, got shape {c.shape}")
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(c)
-    if finite and not _NORM_MIN <= norm < math.inf:
-        scale = np.max(np.abs(c.view(float)), initial=0.0)
+    if not _NORM_MIN <= norm < math.inf:
+        scale = np.max(np.abs([c.real, c.imag]), initial=0.0)
         if scale > 0.0:
             c = c / scale
             norm = np.linalg.norm(c)
     if norm == 0.0:
         raise DomainError("amplitude vector is zero")
     _count(c.size, 2, "density matrix needs dim >= 2")
-    if not finite:
-        raise DomainError(_NON_FINITE)
     c = c / norm
     m = np.outer(c, c.conj())
     _check_trace(m)
@@ -405,7 +397,8 @@ def evolve_density(
 
 
 def expectation(rho: DensityMatrix, op: np.ndarray) -> complex:
-    op = np.asarray(op)
+    """Tr(rho op) for a dim x dim operator, its entries read as complex by the rule."""
+    op = _complex(op, "operator", array=True)
     if op.shape != (rho.dim, rho.dim):
         raise DomainError("operator and state dimensions differ")
     return complex(np.einsum("ij,ji->", rho.matrix, op))

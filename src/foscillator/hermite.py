@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import _count
+from .errors import DomainError, _count, _read_real
 
 # e^(-x^2/2) is a normal double above this exponent.
 _GAUSS_EXPONENT_MIN = -708.0
@@ -54,9 +54,11 @@ def _scaled_columns(n_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def hermite_functions(n_max: int, x) -> np.ndarray:
-    """Stack phi_0 .. phi_n_max evaluated at x; shape (n_max+1,) + x.shape."""
+    """Stack phi_0 .. phi_n_max at x, NaN refused, +-inf clamped; shape (n_max+1,) + x.shape."""
     n_max = _count(n_max, 0, "n_max must be >= 0")
-    xa = np.asarray(x, dtype=float).clip(-_X_CLAMP, _X_CLAMP)
+    xa = np.clip(_read_real(x, "x", array=True), -_X_CLAMP, _X_CLAMP)
+    if np.isnan(xa).any():
+        raise DomainError("x must not be NaN")
     out = np.empty((n_max + 1,) + xa.shape)
     exponent = -0.5 * xa * xa
     out[0] = np.pi ** -0.25 * np.exp(exponent)

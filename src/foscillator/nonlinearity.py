@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDeformationError, DomainError, _count, _real
+from .errors import DegenerateDeformationError, DomainError, _count, _read_real, _real
 
 KINDS = ("identity", "q", "kerr", "custom")
 
@@ -79,22 +79,16 @@ def custom(table: Sequence[float]) -> NonlinearitySpec:
     return NonlinearitySpec(kind="custom", table=table)
 
 
-def _flat_argument(x, name: str):
-    """Whether ``x`` is a scalar, and ``x`` as a flat float array; NaN and
-    negative values are refused, +inf is left for the caller to name."""
-    arr = np.asarray(x, dtype=float).ravel()
-    if arr.size and not np.min(arr) >= 0.0:
-        raise DomainError(f"{name} must be >= 0")
-    return np.ndim(x) == 0, arr
-
-
 def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
     """Evaluate the profile at level/energy ``n`` (scalar or array, >= 0).
 
     Returns a float for scalar input, an ndarray of the shape of ``n``
     otherwise; an error names the first bad level in C order.
     """
-    scalar, arr = _flat_argument(n, "profile argument")
+    n = _read_real(n, "profile argument", array=True)
+    arr = np.ravel(n)
+    if arr.size and not arr.min() >= 0.0:
+        raise DomainError(f"profile argument must be >= 0, got {float(arr[np.argmin(arr >= 0.0)])!r}")
 
     if spec.kind == "identity":
         vals = np.ones_like(arr)
@@ -124,7 +118,7 @@ def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
         bad = float(arr[np.argmin(finite)])
         cause = ": f overflows the float range" if spec.kind == "q" else ""
         raise DomainError(f"profile evaluated to a non-finite value at n = {bad!r}{cause}")
-    return float(vals[0]) if scalar else vals.reshape(np.shape(n))
+    return float(vals[0]) if np.ndim(n) == 0 else vals.reshape(np.shape(n))
 
 
 def _eval_f_prime(spec: NonlinearitySpec, e: np.ndarray) -> np.ndarray:
@@ -158,7 +152,10 @@ def frequency(spec: NonlinearitySpec, energy, law: str = "amplitude"):
     """
     if law not in ("amplitude", "canonical"):
         raise DomainError(f"unknown frequency law {law!r}")
-    scalar, e = _flat_argument(energy, "energy")
+    energy = _read_real(energy, "energy", array=True)
+    e = np.ravel(energy)
+    if e.size and not e.min() >= 0.0:
+        raise DomainError(f"energy must be >= 0, got {float(e[np.argmin(e >= 0.0)])!r}")
     if spec.kind == "identity":
         out = np.ones_like(e)
     else:
@@ -175,7 +172,7 @@ def frequency(spec: NonlinearitySpec, energy, law: str = "amplitude"):
     if not np.all(finite):
         bad = float(e[np.argmin(finite)])
         raise DomainError(f"the {law} frequency overflows at E = {bad!r}")
-    return float(out[0]) if scalar else out.reshape(np.shape(energy))
+    return float(out[0]) if np.ndim(energy) == 0 else out.reshape(np.shape(energy))
 
 
 def f_factorial(spec: NonlinearitySpec, n: int) -> float:

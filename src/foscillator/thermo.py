@@ -164,7 +164,7 @@ def _gibbs_sum(beta: float, g: float):
         terms = _level_terms(beta, g, np.arange(start, start + _BLOCK, dtype=float))
         sums += terms.sum(axis=1)
         if _tail_negligible(sums, terms):
-            z0, n1, n2 = sums
+            z0, n1, n2 = sums.tolist()
             log_z = math.log(z0) - 0.5 * beta
             z = math.exp(log_z)
             if z < sys.float_info.min:

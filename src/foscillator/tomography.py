@@ -83,7 +83,8 @@ class TomogramSlice:
     quadrature_error: float = 0.0
 
     def min_value(self) -> float:
-        return float(np.min(self.values))
+        """The least value; inf on an empty X axis."""
+        return float(np.min(self.values, initial=math.inf))
 
 
 def _check_ray(mu: float, nu: float) -> float:
@@ -92,16 +93,6 @@ def _check_ray(mu: float, nu: float) -> float:
     if r == 0.0:
         raise DegenerateRayError("mu = nu = 0 does not define a line family")
     return r
-
-
-def ray_from_scale_angle(s: float, theta: float):
-    """(mu, nu) = (s cos theta, sin theta / s); scaling then rotation.  Like
-    mu and nu, a non-finite or zero s, or a non-finite theta, is degenerate."""
-    s = _real(s, "scale", error=DegenerateRayError)
-    theta = _real(theta, "angle", error=DegenerateRayError)
-    if s == 0.0:
-        raise DegenerateRayError("scale must be nonzero")
-    return s * math.cos(theta), math.sin(theta) / s
 
 
 def _floor_roundoff(vals: np.ndarray) -> np.ndarray:
@@ -183,7 +174,7 @@ def classical_tomogram_evolved(
 def _quantum_eval(rho: DensityMatrix, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
     r = math.hypot(mu, nu)
     with np.errstate(over="ignore"):  # hermite_functions clamps an X / r past the float range
-        y = np.asarray(x, dtype=float) / r
+        y = x / r
     phi = hermite_functions(rho.dim - 1, y) / math.sqrt(r)
     turned = evolve_density(rho, identity(), math.atan2(nu, mu), "normal").matrix.real
     # w(X) = sum_mn phi_m turned_mn phi_n, each phi scaled by r^(-1/2): one

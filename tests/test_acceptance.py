@@ -40,7 +40,6 @@ from foscillator import (
     q_oscillator,
     quantum_tomogram,
     radon_classical,
-    ray_from_scale_angle,
     schmidt_spectrum,
     thermal_series,
     two_mode_coherent_state,
@@ -150,7 +149,7 @@ def test_criterion_05_tomogram_axioms():
         coherent_density(1.0, 30),
         nonlinear_coherent_state(1.0, kerr(0.1), 30).density(),
     ]
-    rays = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)] + [ray_from_scale_angle(1.5, 0.9)]
+    rays = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)] + [(1.5 * math.cos(0.9), math.sin(0.9) / 1.5)]
     for rho in quantum_states:
         for mu, nu in rays[:3]:
             cases.append(("q", rho, mu, nu))

@@ -213,6 +213,12 @@ def test_two_mode_refuses_bad_dims(dims, message):
         two_mode_coherent_state(0.5, 0.5, identity(), dims)
 
 
+def test_schmidt_coefficients_are_numbers_by_the_rule():
+    # numpy's UFuncTypeError from the SVD of a matrix of strings
+    with pytest.raises(DomainError, match="^coefficient matrix must be a number, got '1'$"):
+        schmidt_spectrum([["1", "0"], ["0", "0"]])
+
+
 @pytest.mark.parametrize("coeff", [np.ones(3), np.ones((2, 2, 2))], ids=["1-D", "3-D"])
 def test_schmidt_spectrum_needs_a_matrix(coeff):
     with pytest.raises(DomainError, match="schmidt spectrum needs a two-index coefficient matrix"):

@@ -325,17 +325,44 @@ def test_non_finite_entries_are_refused_by_name():
     imag_pair = np.diag([0.5, 0.5, 0.0]).astype(complex)
     imag_pair[0, 1], imag_pair[1, 0] = complex(0.0, inf), complex(0.0, -inf)
     for m in (np.diag([nan, nan]), pair, inf_entry, np.diag([inf, 0.0]), imag_pair):
-        with pytest.raises(DomainError, match="non-finite"):
+        with pytest.raises(DomainError, match="^density matrix must be finite, got "):
             DensityMatrix(m)
     # the same entries from the package's own builder: amplitudes that put a
     # NaN or an inf on the diagonal, in a row and its column, or in an
     # imaginary part, refused before any division can warn
     for c in ([nan, nan], [1.0, nan], [1.0, inf, 0.0], [inf, 0.0], [1.0, complex(0.0, inf), 0.0]):
-        with pytest.raises(DomainError, match=r"^density matrix has non-finite entries \(NaN or inf\)$"):
+        with pytest.raises(DomainError, match="^amplitudes must be finite, got "):
             density_from_amplitudes(c)
-    # a single amplitude is refused for its dim first, as the matrix would be
-    with pytest.raises(DomainError, match="^density matrix needs dim >= 2$"):
+    # a single amplitude is refused for its value first, as the matrix is
+    with pytest.raises(DomainError, match=r"^amplitudes must be finite, got \(nan\+0j\)$"):
         density_from_amplitudes([nan])
+    with pytest.raises(DomainError, match=r"^density matrix must be finite, got \(nan\+0j\)$"):
+        DensityMatrix([[nan]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: density_from_amplitudes(["1", "0", "0"]), "amplitudes must be a number, got '1'"),
+    (lambda: density_from_amplitudes([True, False, False]), "amplitudes must be a number, got True"),
+    (lambda: DensityMatrix([["1", "0"], ["0", "0"]]), "density matrix must be a number, got '1'"),
+    (lambda: expectation(vacuum_density(3), [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+     "operator must be a number, got '1'"),
+    (lambda: expectation(vacuum_density(3), np.full((3, 3), math.nan)),
+     "operator must be finite, got (nan+0j)"),
+], ids=["amplitude-strings", "amplitude-bools", "matrix-strings", "operator-strings", "operator-nan"])
+def test_complex_arrays_are_numbers_by_the_rule(call, message):
+    # strings and bools were read as numbers and gave the projector on level
+    # 0, an operator of strings raised numpy's einsum TypeError, and a NaN
+    # operator gave nan+nanj
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("amplitudes, shape", [(np.ones((2, 3)), (2, 3)), (1.0, ())],
+                         ids=["matrix", "scalar"])
+def test_amplitudes_must_be_a_vector(amplitudes, shape):
+    # a 2 x 3 array was flattened into a 6-level state
+    with pytest.raises(DomainError, match=f"^amplitudes must be a 1-D vector, got shape {re.escape(str(shape))}$"):
+        density_from_amplitudes(amplitudes)
 
 
 @pytest.mark.parametrize("t, message", [

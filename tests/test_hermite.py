@@ -1,5 +1,7 @@
 """Oscillator eigenfunction tables, including points where e^(-x^2/2) underflows."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -66,4 +68,17 @@ def test_tables_are_zero_where_every_order_underflows():
     assert np.array_equal(np.signbit(table[:, 3]), np.signbit(hermite_functions(6, -1e150)))
     assert np.array_equal(table.reshape(7, 2, 3), hermite_functions(6, x.reshape(2, 3)))
     assert hermite_functions(3, 1e300).tolist() == [0.0] * 4
-    assert np.isnan(hermite_functions(3, np.nan)).all()
+
+
+@pytest.mark.parametrize("x, message", [
+    (np.nan, "x must not be NaN"),
+    ([0.5, np.nan], "x must not be NaN"),
+    (None, "x must be a number, got None"),
+    ("1", "x must be a number, got '1'"),
+    (True, "x must be a number, got True"),
+    (object(), "x must be a number, got <object"),
+], ids=["nan", "nan-entry", "none", "str", "bool", "object"])
+def test_arguments_are_numbers_and_not_nan(x, message):
+    # NaN and None gave NaN tables, and object() raised the builtin TypeError
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        hermite_functions(2, x)

@@ -92,8 +92,30 @@ _EVERY_KIND = [identity(), q_oscillator(0.1), kerr(0.1), custom(table=[1.0, 1.1,
 def test_profiles_refuse_nan_and_negative_arguments(spec, call, name, bad):
     # NaN passes a test of min < 0, so it was read as a level: identity gave
     # 1.0 and the q profile blamed an overflow
-    with pytest.raises(DomainError, match=f"^{name} must be >= 0$"):
+    first = bad[1] if isinstance(bad, list) else bad
+    with pytest.raises(DomainError, match=f"^{name} must be >= 0, got {first!r}$"):
         call(spec, bad)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (eval_f, (identity(), "1"), "profile argument must be a number, got '1'"),
+    (eval_f, (kerr(0.1), True), "profile argument must be a number, got True"),
+    (frequency, (kerr(0.1), "2"), "energy must be a number, got '2'"),
+    (eval_f, (kerr(0.1), None), "profile argument must be a number, got None"),
+    (frequency, (kerr(0.1), [0.5, None]), "energy must be a number, got None"),
+    (eval_f, (kerr(0.1), object()), "profile argument must be a number, got <object"),
+], ids=["identity-str", "kerr-bool", "frequency-str", "none", "frequency-none-entry", "object"])
+def test_profile_arguments_are_numbers_by_the_rule(call, args, message):
+    # read by np.asarray(x, float): "1" and True were levels, None was refused
+    # as "must be >= 0", and object() raised the builtin TypeError
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        call(*args)
+
+
+def test_profiles_keep_their_infinite_domain():
+    assert eval_f(identity(), math.inf) == 1.0
+    assert frequency(identity(), math.inf) == 1.0
+    assert frequency(identity(), [0.0, math.inf], "canonical").tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("chi", [math.inf, -math.inf, math.nan])

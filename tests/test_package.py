@@ -39,11 +39,11 @@ def test_every_public_name_is_exported():
 
 # The two raises of another class, each turned into one ``error:`` line by
 # ``cli``: argparse reports the first as a bad flag value, and ``_parse_state``
-# catches the second to name the accepted state forms.  The real rule raises
-# the class its caller passes for a non-finite value: DomainError, or
-# DegenerateRayError for the rays of ``tomography``.
+# catches the second to name the accepted state forms.  The finiteness half
+# of the real rule raises the class its caller passes for a non-finite value:
+# DomainError, or DegenerateRayError for the rays of ``tomography``.
 _OTHER_RAISES = {("cli", "_finite_float", "ArgumentTypeError"),
-                 ("cli", "_parse_state", "ValueError"), ("errors", "_read_real", "error")}
+                 ("cli", "_parse_state", "ValueError"), ("errors", "_finite", "error")}
 
 
 def _name(node):
@@ -138,13 +138,16 @@ def test_sizes_are_integers_by_one_rule(name, param):
             call(bad)
 
 
-# Every real argument of a public function or of PhaseSpaceDistribution (a
-# parameter named in _REAL_NAMES or annotated float or complex, and a size
-# name that the size rule leaves to a continuous axis): the calls that put a
-# value in it, each with valid values in its other arguments.
-_REAL_NAMES = {"alpha", "alpha0", "alpha1", "alpha2", "beta", "center_p", "center_q", "chi",
-               "energy", "g", "lam", "mu", "nu", "p", "p_axis", "point", "q", "q_axis", "s",
-               "sigma", "support_radius", "t", "table", "theta", "times", "x", "x_axis"}
+# Every numeric argument of a public function, of PhaseSpaceDistribution or
+# of DensityMatrix (a parameter named in _NUMERIC_NAMES or annotated with
+# float, complex or ndarray, and a size name that the size rule leaves to a
+# continuous axis) is a real one, in _REAL_CALLS: the calls that put a value
+# in it, each with valid values in its other arguments; or a complex array,
+# in _COMPLEX_ARRAYS.
+_NUMERIC_NAMES = {"alpha", "alpha0", "alpha1", "alpha2", "amplitudes", "beta", "center_p",
+                  "center_q", "chi", "energy", "g", "lam", "matrix", "mu", "nu", "op", "p",
+                  "p_axis", "point", "q", "q_axis", "sigma", "support_radius", "t", "table",
+                  "times", "x", "x_axis"}
 _AXIS = np.linspace(-4.0, 4.0, 3)
 
 
@@ -192,12 +195,16 @@ _REAL_CALLS = {
         foscillator.vacuum_density(4), kerr(0.1), 0.5, v)],
     ("deformed_wigner_values", "q"): [lambda v: foscillator.deformed_wigner_values(
         foscillator.vacuum_density(4), kerr(0.1), v, 0.5)],
+    ("eval_f", "n"): [lambda v: foscillator.eval_f(identity(), v),
+                      lambda v: foscillator.eval_f(identity(), [0.5, v])],
     ("evolve_amplitude", "alpha0"): [lambda v: foscillator.evolve_amplitude(kerr(0.1), v, 1.0)],
     ("evolve_amplitude", "t"): [lambda v: foscillator.evolve_amplitude(kerr(0.1), 0.5, v)],
     ("evolve_density", "t"):
         [lambda v: foscillator.evolve_density(foscillator.vacuum_density(4), kerr(0.1), v)],
     ("exact_deformed_report", "beta"): [lambda v: foscillator.exact_deformed_report(v, 1e-3)],
     ("exact_deformed_report", "g"): [lambda v: foscillator.exact_deformed_report(1.0, v)],
+    ("frequency", "energy"): [lambda v: foscillator.frequency(identity(), v),
+                              lambda v: foscillator.frequency(identity(), [0.5, v])],
     ("fock_tomogram_closed", "mu"): [lambda v: foscillator.fock_tomogram_closed(1, v, 0.5, 0.0)],
     ("fock_tomogram_closed", "nu"): [lambda v: foscillator.fock_tomogram_closed(1, 0.5, v, 0.0)],
     ("fock_tomogram_closed", "x"):
@@ -208,6 +215,8 @@ _REAL_CALLS = {
     ("gaussian_distribution", "sigma"): [lambda v: foscillator.gaussian_distribution(0.0, 0.0, v)],
     ("gaussian_distribution", "support_radius"):
         [lambda v: foscillator.gaussian_distribution(0.0, 0.0, 0.5, support_radius=v)],
+    ("hermite_functions", "x"): [lambda v: foscillator.hermite_functions(3, v),
+                                 lambda v: foscillator.hermite_functions(3, _with_entry(v))],
     ("heisenberg_invariant", "t"): [lambda v: foscillator.heisenberg_invariant(kerr(0.1), 4, v)],
     ("kerr", "chi"): [kerr],
     ("linear_thermo", "beta"): [foscillator.linear_thermo],
@@ -235,8 +244,6 @@ _REAL_CALLS = {
     ("radon_classical", "nu"): [lambda v: foscillator.radon_classical(_blob(), 0.5, v, [0.0])],
     ("radon_classical", "x_axis"):
         [lambda v: foscillator.radon_classical(_blob(), 1.0, 0.5, _with_entry(v))],
-    ("ray_from_scale_angle", "s"): [lambda v: foscillator.ray_from_scale_angle(v, 0.5)],
-    ("ray_from_scale_angle", "theta"): [lambda v: foscillator.ray_from_scale_angle(1.0, v)],
     ("thermal_series", "beta"): [foscillator.thermal_series],
     ("two_mode_coherent_state", "alpha1"):
         [lambda v: foscillator.two_mode_coherent_state(v, 0.2, kerr(0.1), (20, 20))],
@@ -251,30 +258,64 @@ _REAL_CALLS = {
     ("wigner_values", "q"):
         [lambda v: foscillator.wigner_values(foscillator.vacuum_density(4), v, 0.5)],
 }
-# The kernels that keep their own rule: their documented domain takes +inf
-# energies (eval_f, frequency) and clamps +-inf arguments (hermite_functions).
-_OWN_RULE = {("eval_f", "n"), ("frequency", "energy"), ("hermite_functions", "x")}
+# The kernels read by the type half alone, since their domains hold
+# infinities: each non-finite value is answered (None) or refused with the
+# start of the kernel's own message.  eval_f and frequency take E = +inf where
+# the profile allows it, as the identity does, and hermite_functions clamps
+# +-inf.
+_KERNELS = {
+    ("eval_f", "n"): {math.inf: None, -math.inf: "profile argument must be >= 0, got -inf",
+                      math.nan: "profile argument must be >= 0, got nan"},
+    ("frequency", "energy"): {math.inf: None, -math.inf: "energy must be >= 0, got -inf",
+                              math.nan: "energy must be >= 0, got nan"},
+    ("hermite_functions", "x"): {math.inf: None, -math.inf: None, math.nan: "x must not be NaN"},
+}
 # A ray's coefficients are numbers by the rule, but a non-finite one, which
 # defines no line family, is a DegenerateRayError.
-_RAYS = {(name, param) for name, param in _REAL_CALLS if param in ("mu", "nu", "s", "theta")}
+_RAYS = {(name, param) for name, param in _REAL_CALLS if param in ("mu", "nu")}
 # Complex amplitudes: 1j is valid, and each part is read by the rule.
 _COMPLEX = {key for key in _REAL_CALLS if key[1].startswith("alpha")}
 # A profile's parameter of None is absent, and refused as missing.
 _ABSENT = {("kerr", "chi"), ("q_oscillator", "lam")}
 
 
-def _real_parameters():
+def _first(template, v):
+    """``template``, a nested list, with its first entry replaced by ``v``."""
+    head = _first(template[0], v) if isinstance(template[0], list) else v
+    return [head] + template[1:]
+
+
+# Each complex array argument: the call, a valid nested list of floats whose
+# first entry a test replaces, and a valid one with an imaginary entry.
+_COMPLEX_ARRAYS = {
+    ("density_from_amplitudes", "amplitudes"):
+        (foscillator.density_from_amplitudes, [1.0, 0.5, 0.0], [1j, 0.5, 0.0]),
+    ("DensityMatrix", "matrix"):
+        (foscillator.DensityMatrix, [[1.0, 0.0], [0.0, 0.0]],
+         [[0.5, -0.5j, 0.0, 0.0], [0.5j, 0.5, 0.0, 0.0], [0.0] * 4, [0.0] * 4]),
+    ("expectation", "op"): (lambda v: foscillator.expectation(foscillator.vacuum_density(2), v),
+                            [[1.0, 0.0], [0.0, 1.0]], [[1j, 0.0], [0.0, 1.0]]),
+    ("schmidt_spectrum", "state"):
+        (foscillator.schmidt_spectrum, [[1.0, 0.0], [0.0, 0.0]], [[1j, 0.0], [0.0, 0.0]]),
+}
+
+
+def _numeric_parameters():
     functions = {name: getattr(foscillator, name) for name in foscillator.__all__
                  if inspect.isfunction(getattr(foscillator, name))}
     functions["PhaseSpaceDistribution"] = foscillator.PhaseSpaceDistribution
+    functions["DensityMatrix"] = foscillator.DensityMatrix
     return {(name, param) for name, function in functions.items()
             for param, spec in inspect.signature(function).parameters.items()
-            if param in _REAL_NAMES or spec.annotation in ("float", "complex")
+            if param in _NUMERIC_NAMES
+            or any(kind in str(spec.annotation) for kind in ("float", "complex", "ndarray"))
             or (name, param) in _SIZE_CALLS and _SIZE_CALLS[name, param] is None}
 
 
 def test_every_real_argument_has_a_call():
-    assert _real_parameters() == set(_REAL_CALLS) | _OWN_RULE
+    # a public function that gains a numeric or array argument fails here
+    # until the argument has an entry
+    assert _numeric_parameters() == set(_REAL_CALLS) | set(_COMPLEX_ARRAYS)
 
 
 @pytest.mark.parametrize("name, param", sorted(_REAL_CALLS))
@@ -285,22 +326,49 @@ def test_reals_are_finite_by_one_rule(name, param):
     complex_ok = (name, param) in _COMPLEX
     not_finite = DegenerateRayError if (name, param) in _RAYS else DomainError
     none_ok = inspect.signature(getattr(foscillator, name)).parameters[param].default is None
+    domain = _KERNELS.get((name, param), {})
     for call in _REAL_CALLS[name, param]:
         for good in ((1.0, np.float64(1.0), np.int64(1)) + ((1j,) if complex_ok else ())
-                     + ((None,) if none_ok else ())):
+                     + ((None,) if none_ok else ())
+                     + tuple(v for v, refusal in domain.items() if refusal is None)):
             call(good)
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(not_finite, match=" must be finite, got "):
+            message = domain.get(bad, "must be finite, got ")
+            if message is None:
+                continue
+            with pytest.raises(not_finite, match=re.escape(message)):
                 call(bad)
             if complex_ok:
                 with pytest.raises(DomainError, match=r"^Im \w+ must be finite, got "):
                     call(complex(0.5, bad))
-        for bad in ((True, np.True_, "1.0") + (() if none_ok else (None,))
+        for bad in ((True, np.True_, "1.0", object()) + (() if none_ok else (None,))
                     + (() if complex_ok else (1j,))):
             absent = bad is None and (name, param) in _ABSENT
             message = " needs a " if absent else " must be a number, got "
             with pytest.raises(DomainError, match=message):
                 call(bad)
+
+
+@pytest.mark.parametrize("name, param", sorted(_COMPLEX_ARRAYS))
+def test_complex_arrays_are_read_by_one_rule(name, param):
+    # strings and bools were read as numbers, an operator of strings or a
+    # coefficient matrix of them raised numpy's TypeError or UFuncTypeError,
+    # and a NaN operator gave a NaN expectation
+    call, real, imaginary = _COMPLEX_ARRAYS[name, param]
+    for good in (real, _first(real, np.float64(1.0)), np.array(real), np.array(real, dtype=int),
+                 imaginary, np.array(imaginary)):
+        call(good)
+    for bad in (True, np.True_, "1", None, object(), 10 ** 400):
+        with pytest.raises(DomainError, match=" must be a number, got "):
+            call(_first(real, bad))
+    for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+        with pytest.raises(DomainError, match=" must be finite, got "):
+            call(_first(real, bad))
+    for bad in (np.array(real, dtype=bool), np.array(real).astype(str)):
+        with pytest.raises(DomainError, match=" must be a number, got "):
+            call(bad)
+    with pytest.raises(DomainError, match=" must be finite, got "):
+        call(np.full(np.shape(real), math.nan))
 
 
 # Each process-wide cache of the package, with arguments to call it on.  A

@@ -320,3 +320,12 @@ def test_coupling_past_the_float_range_is_a_domain_error():
     # the first-order energy overflowed to -inf and was reported
     with pytest.raises(DomainError, match=re.escape("at beta = 1.0, energy = -inf leaves the float range")):
         deformed_partition(1.0, 1e308)
+
+
+def test_every_thermo_value_is_a_python_float():
+    # the exact report's energy and entropy, and chi_expectation, were np.float64
+    reports = (linear_thermo(0.5), deformed_partition(0.5, 1e-3), exact_deformed_report(0.01, 0.004))
+    values = [v for report in reports for v in vars(report).values()]
+    values += [f(0.5) for f in (partition_closed, mean_energy, occupation, occupation_second_moment,
+                                thermal_series, chi_expectation)]
+    assert [type(v) for v in values] == [float] * len(values)

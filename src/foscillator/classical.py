@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericToleranceError, _complex, _read_real, _real
+from .errors import DomainError, NumericToleranceError, _complex, _pair, _read_real, _real, _sign
 from .nonlinearity import NonlinearitySpec, frequency
 
 # Nested quadrature of densities: rules of a start level, twice that, ...
@@ -74,9 +74,7 @@ class PhaseSpaceDistribution:
     support_radius: float
 
     def __post_init__(self):
-        r = _real(self.support_radius, "support radius")
-        if not r > 0.0:
-            raise DomainError(f"support radius must be > 0, got {r!r}")
+        r = _sign(_real(self.support_radius, "support radius"), "support radius")
         if not math.isfinite(r * r + r * r):
             raise DomainError(f"support radius {r:.6g}: (q^2 + p^2)/2 leaves the float range")
 
@@ -97,6 +95,12 @@ def _cos_sin(theta):
     h2 = h * h
     d = 1.0 + h2
     return (1.0 - h2) / d, (2.0 * h) / d
+
+
+def _density_points(q, p):
+    """The points of a density: q and p read by the type half of the real
+    rule, since a density answers +-inf, then paired by ``errors._pair``."""
+    return _pair(_read_real(q, "q", array=True), _read_real(p, "p", array=True))
 
 
 @np.errstate(over="ignore")
@@ -136,10 +140,13 @@ def classical_invariants(
 
     The map is the rotation by +omega(E) t; since E is constant along the
     flow, evaluating omega at the current point equals evaluating it at the
-    initial one.  Array fields of ``point`` broadcast against t.
+    initial one.  Array fields of ``point`` broadcast against each other and
+    against t, by the pair rule ``errors._pair``.
     """
-    q, p = (_real(v, f"point {name}", array=True) for v, name in ((point.q, "q"), (point.p, "p")))
-    return PhasePoint(*_rotate(spec, q, p, _real(t, "time t", array=True), law))
+    q, p = _pair(_real(point.q, "point q", array=True), _real(point.p, "point p", array=True))
+    t = _real(t, "time t", array=True)
+    _pair(q, t, "the point and t")  # the check alone: omega is taken per point, not per time
+    return PhasePoint(*_rotate(spec, q, p, t, law))
 
 
 @dataclass(frozen=True)
@@ -175,8 +182,7 @@ def propagate_distribution(
     t = _real(t, "time t")
 
     def moved(q, p):
-        q, p = _read_real(q, "q", array=True), _read_real(p, "p", array=True)
-        return dist.density(*_rotate(spec, q, p, t, law))
+        return dist.density(*_rotate(spec, *_density_points(q, p), t, law))
 
     return _Transported(density=moved, support_radius=dist.support_radius,
                         initial=dist, spec=spec, t=t, law=law)
@@ -191,8 +197,7 @@ def gaussian_distribution(
     """Isotropic normalized Gaussian blob, unit total mass."""
     center_q, center_p, sigma = (_real(v, name) for v, name in
                                  ((center_q, "center_q"), (center_p, "center_p"), (sigma, "sigma")))
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma!r}")
+    _sign(sigma, "sigma")
     scale = 2.0 * math.pi * sigma * sigma
     norm = 1.0 / scale if scale > 0.0 else math.inf
     if norm == math.inf:
@@ -209,8 +214,8 @@ def gaussian_distribution(
 
     @np.errstate(over="ignore")  # far out the exponent overflows to -inf: the density reads 0
     def density(q, p):
-        dq = _read_real(q, "q", array=True) - center_q
-        dp = _read_real(p, "p", array=True) - center_p
+        q, p = _density_points(q, p)
+        dq, dp = q - center_q, p - center_p
         return norm * np.exp(-(dq * dq + dp * dp) / (2.0 * sigma * sigma))
 
     return PhaseSpaceDistribution(density=density, support_radius=support_radius)

@@ -3,7 +3,9 @@
 Weights follow c_n ~ alpha^n / (F(n) sqrt(n!)) with the running profile
 product F(n) = f(0) f(1) ... f(n).  Everything is assembled in log space:
 for growing profiles the product overflows long before the state itself
-stops being perfectly representable.
+stops being perfectly representable.  One formula, ``fock._coherent_weights``,
+builds the weights of both constructions: one mode is the two-mode case with
+the second mode left empty.
 
 The two-mode construction shares one profile product over the total level
 n1 + n2; for any non-identity profile that coupling is what entangles the
@@ -12,28 +14,43 @@ modes, and the Schmidt spectrum quantifies it.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .errors import DomainError, TruncationError, _complex, _count, _real
-from .fock import (DensityMatrix, _coherent_amplitudes, _log_factorials, _log_powers,
-                   _normalized, density_from_amplitudes)
+from .fock import DensityMatrix, _coherent_weights, density_from_amplitudes
 from .hermite import hermite_functions
-from .nonlinearity import NonlinearitySpec, eval_f, log_f_factorial
+from .nonlinearity import NonlinearitySpec, eval_f
 
 _TOP_WEIGHT_TOL = 1e-12  # probability left on the top level (two modes: top row and column)
 _SCHMIDT_SEPARABLE_TOL = 1e-9
 _EDGE_LEVELS = 5  # top levels an eigen residual skips
 
 
+def _read_fields(state, alphas, array: str, ndim: int) -> None:
+    """Read a state's ``alphas`` fields by ``_complex`` and its ``array``
+    field by ``_complex(array=True)``, refusing an array that is not
+    ``ndim``-D, and keep what they read."""
+    for name in alphas:
+        object.__setattr__(state, name, _complex(getattr(state, name), name))
+    value = _complex(getattr(state, array), array, array=True)
+    if value.ndim != ndim:
+        raise DomainError(f"{array} must be {ndim}-D, got shape {value.shape}")
+    object.__setattr__(state, array, value)
+
+
 @dataclass(frozen=True)
 class CoherentStateVector:
+    """One mode's amplitudes, its fields read by the rule when it is built."""
+
     alpha: complex
     spec: NonlinearitySpec
     amplitudes: np.ndarray
+
+    def __post_init__(self):
+        _read_fields(self, ("alpha",), "amplitudes", 1)
 
     @property
     def dim(self) -> int:
@@ -45,10 +62,15 @@ class CoherentStateVector:
 
 @dataclass(frozen=True)
 class TwoModeState:
+    """Two modes' joint weights, its fields read by the rule when it is built."""
+
     alpha1: complex
     alpha2: complex
     spec: NonlinearitySpec
     coefficients: np.ndarray
+
+    def __post_init__(self):
+        _read_fields(self, ("alpha1", "alpha2"), "coefficients", 2)
 
 
 @dataclass(frozen=True)
@@ -74,12 +96,13 @@ def nonlinear_coherent_state(
     The last retained weight must carry less than 1e-12 probability, so the
     truncation defect of the eigenvalue relation stays at the roundoff level.
     """
-    amps = _coherent_amplitudes(alpha, spec, dim)
+    alpha, dim = _complex(alpha, "alpha"), _count(dim, 2, "coherent state needs dim >= 2")
+    amps = _coherent_weights(alpha, 0j, spec, dim, 1)[:, 0]
     if abs(amps[-1]) ** 2 >= _TOP_WEIGHT_TOL:
         raise TruncationError(
             f"top weight {abs(amps[-1])**2:.3e} exceeds the tail criterion; increase dim"
         )
-    return CoherentStateVector(alpha=complex(alpha), spec=spec, amplitudes=amps)
+    return CoherentStateVector(alpha=alpha, spec=spec, amplitudes=amps)
 
 
 def position_wavefunction(state: CoherentStateVector, x) -> np.ndarray:
@@ -109,24 +132,13 @@ def two_mode_coherent_state(
     if not pair:
         raise DomainError("two-mode state needs a pair of dims")
     d1, d2 = (_count(v, 2, "two-mode state needs dims >= 2") for v in dims)
-    logf = log_f_factorial(spec, d1 + d2 - 2)
-    r1, ph1 = cmath.polar(alpha1)
-    r2, ph2 = cmath.polar(alpha2)
-    n1 = np.arange(d1, dtype=float)[:, None]
-    n2 = np.arange(d2, dtype=float)[None, :]
-    l1, l2 = _log_powers(r1, n1), _log_powers(r2, n2)
-    total = (n1 + n2).astype(int)
-    log_fact = _log_factorials(max(d1, d2) - 1)
-    logmag = l1 + l2 - 0.5 * log_fact[:d1, None] - 0.5 * log_fact[None, :d2] - logf[total]
-    coeff = _normalized(logmag, ph1 * n1 + ph2 * n2)
+    coeff = _coherent_weights(alpha1, alpha2, spec, d1, d2)
     edge = float(np.sum(np.abs(coeff[-1, :]) ** 2) + np.sum(np.abs(coeff[:, -1]) ** 2))
     if edge >= _TOP_WEIGHT_TOL:
         raise TruncationError(
             f"edge weight {edge:.3e} exceeds the tail criterion; increase dims"
         )
-    return TwoModeState(
-        alpha1=complex(alpha1), alpha2=complex(alpha2), spec=spec, coefficients=coeff
-    )
+    return TwoModeState(alpha1=alpha1, alpha2=alpha2, spec=spec, coefficients=coeff)
 
 
 def eigen_residual(state: CoherentStateVector) -> float:

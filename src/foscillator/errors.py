@@ -1,15 +1,23 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the input rules.
 
 Validation failures (bad arguments, degenerate configurations) derive from
 ValueError so callers can treat them uniformly; numeric-quality failures
 (a computation that ran but missed its accuracy contract) derive from
 RuntimeError and are kept distinct because they usually indicate a grid,
-truncation, or tolerance problem rather than a bad input.  The input rules
-live here too: ``_count`` for integers; ``_real`` for real numbers and
-arrays, in two halves, the type half ``_read_real`` that the kernels
-``eval_f``, ``frequency`` and ``hermite_functions`` use alone, since their
-domains hold infinities, and the finiteness half ``_finite``; and
-``_complex`` for complex numbers and arrays, read by the same two halves.
+truncation, or tolerance problem rather than a bad input.  Every input rule
+of the package lives here:
+
+* ``_count`` for sizes, levels, orders and padding;
+* ``_real`` for real numbers and arrays, in two halves: the type half
+  ``_read_real``, which the kernels ``eval_f``, ``frequency`` and
+  ``hermite_functions`` and the densities use alone, since their domains hold
+  infinities, and the finiteness half ``_finite``;
+* ``_complex`` for complex numbers and arrays, read by the same two halves;
+* ``_sign`` for a bound at 0: ``> 0`` for a support radius, a width and
+  beta, ``>= 0`` for the levels and energies of a profile;
+* ``_points`` for the q, p pairs of the Wigner maps, and its broadcast half
+  ``_pair`` for the classical points and densities;
+* ``_check_axis`` for the 1-D axes of tomograms and Wigner grids.
 """
 
 import math
@@ -109,3 +117,41 @@ def _complex(value, name: str, array: bool = False):
     if isinstance(value, (complex, np.complexfloating)):
         return complex(_real(value.real, f"Re {name}"), _real(value.imag, f"Im {name}"))
     return complex(_real(value, name))
+
+
+def _sign(x, name: str, strict: bool = True):
+    """``x``, a float or a float ndarray, the one sign rule: DomainError
+    "``name`` must be > 0, got ..." (">= 0" unless ``strict``) naming its
+    first entry in C order that is not, NaN among them.  +inf passes."""
+    low = x if type(x) is float else x.min(initial=math.inf)
+    if low > 0.0 if strict else low >= 0.0:
+        return x
+    flat = np.ravel(x)
+    first = float(flat[np.argmin(flat > 0.0 if strict else flat >= 0.0)])
+    raise DomainError(f"{name} must be {'>' if strict else '>='} 0, got {first!r}")
+
+
+def _pair(a, b, names: str = "q and p"):
+    """``a`` and ``b``, floats or float ndarrays read by a half of ``_real``,
+    broadcast together, or as they are when their shapes are equal;
+    DomainError "``names`` do not broadcast" naming both shapes otherwise."""
+    if getattr(a, "shape", ()) == getattr(b, "shape", ()):
+        return a, b
+    try:
+        return np.broadcast_arrays(a, b)
+    except ValueError:
+        shapes = f"{np.shape(a)} and {np.shape(b)}"
+        raise DomainError(f"{names} do not broadcast: shapes {shapes}") from None
+
+
+def _points(q, p) -> tuple:
+    """The points of a Wigner map: q and p read by ``_real``, then ``_pair``."""
+    return _pair(_real(q, "coordinate q", array=True), _real(p, "coordinate p", array=True))
+
+
+def _check_axis(axis, name: str = "X") -> np.ndarray:
+    """``axis`` as a 1-D float array, also for Wigner grids; DomainError naming it otherwise."""
+    x = _real(axis, f"the {name} axis", array=True)
+    if np.ndim(x) != 1:
+        raise DomainError(f"the {name} axis must be 1-D, got shape {np.shape(x)}")
+    return x

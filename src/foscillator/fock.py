@@ -344,20 +344,26 @@ def _normalized(logmag: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return mag * (np.cos(phase) + 1j * np.sin(phase))
 
 
-def _coherent_amplitudes(alpha: complex, spec: NonlinearitySpec, dim: int) -> np.ndarray:
-    """Unit-norm weights alpha^n / (F(n) sqrt(n!)), n < dim, F(n) = f(0) ... f(n), assembled
-    in log space (log F = 0 for the harmonic state); each state applies its own truncation rule."""
-    alpha = _complex(alpha, "alpha")
-    dim = _count(dim, 2, "coherent state needs dim >= 2")
-    logf = log_f_factorial(spec, dim - 1)
-    r, phase0 = cmath.polar(alpha)
-    n = np.arange(dim, dtype=float)
-    return _normalized(_log_powers(r, n) - logf - 0.5 * _log_factorials(dim - 1), phase0 * n)
+def _coherent_weights(alpha1, alpha2, spec: NonlinearitySpec, d1: int, d2: int) -> np.ndarray:
+    """Unit-norm weights c[n1, n2] = alpha1^n1 alpha2^n2 / (sqrt(n1! n2!) F(n1 + n2)),
+    n1 < d1, n2 < d2, F(n) = f(0) ... f(n), of complex alphas and dims the
+    caller has read, assembled in log space (log F = 0 for the harmonic
+    state); each state applies its own truncation rule.  One mode is the
+    case alpha2 = 0, d2 = 1: column 0 holds alpha1^n / (F(n) sqrt(n!))."""
+    logf = log_f_factorial(spec, d1 + d2 - 2)
+    half_log_fact = 0.5 * _log_factorials(max(d1, d2) - 1)
+    r1, ph1 = cmath.polar(alpha1)
+    r2, ph2 = cmath.polar(alpha2)
+    n1, n2 = np.divmod(np.arange(d1 * d2), d2)  # the level pairs, row by row
+    logmag = (_log_powers(r1, n1) + _log_powers(r2, n2) - logf[n1 + n2]
+              - half_log_fact[n1] - half_log_fact[n2])
+    return _normalized(logmag, ph1 * n1 + ph2 * n2).reshape(d1, d2)
 
 
 def coherent_density(alpha: complex, dim: int) -> DensityMatrix:
     """Harmonic coherent state on the truncated basis, the f = 1 deformed coherent state."""
-    return density_from_amplitudes(_coherent_amplitudes(alpha, identity(), dim))
+    alpha, dim = _complex(alpha, "alpha"), _count(dim, 2, "coherent state needs dim >= 2")
+    return density_from_amplitudes(_coherent_weights(alpha, 0j, identity(), dim, 1)[:, 0])
 
 
 def evolve_density(

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDeformationError, DomainError, _count, _read_real, _real
+from .errors import DegenerateDeformationError, DomainError, _count, _read_real, _real, _sign
 
 KINDS = ("identity", "q", "kerr", "custom")
 
@@ -85,10 +85,8 @@ def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
     Returns a float for scalar input, an ndarray of the shape of ``n``
     otherwise; an error names the first bad level in C order.
     """
-    n = _read_real(n, "profile argument", array=True)
+    n = _sign(_read_real(n, "profile argument", array=True), "profile argument", strict=False)
     arr = np.ravel(n)
-    if arr.size and not arr.min() >= 0.0:
-        raise DomainError(f"profile argument must be >= 0, got {float(arr[np.argmin(arr >= 0.0)])!r}")
 
     if spec.kind == "identity":
         vals = np.ones_like(arr)
@@ -152,10 +150,8 @@ def frequency(spec: NonlinearitySpec, energy, law: str = "amplitude"):
     """
     if law not in ("amplitude", "canonical"):
         raise DomainError(f"unknown frequency law {law!r}")
-    energy = _read_real(energy, "energy", array=True)
+    energy = _sign(_read_real(energy, "energy", array=True), "energy", strict=False)
     e = np.ravel(energy)
-    if e.size and not e.min() >= 0.0:
-        raise DomainError(f"energy must be >= 0, got {float(e[np.argmin(e >= 0.0)])!r}")
     if spec.kind == "identity":
         out = np.ones_like(e)
     else:

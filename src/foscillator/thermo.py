@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SeriesDivergenceError, _real
+from .errors import DomainError, SeriesDivergenceError, _real, _sign
 
 _BLOCK = 4096
 _MAX_TERMS = 10_000_000
@@ -62,9 +62,7 @@ class DeformedThermoReport:
 def _check_beta(beta: float, what: str = "", beta_min: float = 0.0, beta_max: float = math.inf):
     """``beta`` as a float; DomainError naming it at or below 0, or where
     ``what`` leaves the float range, outside [beta_min, beta_max]."""
-    beta = _real(beta, "beta")
-    if not beta > 0.0:
-        raise DomainError(f"beta must be > 0, got {beta!r}")
+    beta = _sign(_real(beta, "beta"), "beta")
     if not beta_min <= beta <= beta_max:
         bound = f">= {beta_min:.6g}" if beta < beta_min else f"<= {beta_max:.6g}"
         raise DomainError(f"at beta = {beta!r}, {what} leaves the float range: beta must be {bound}")

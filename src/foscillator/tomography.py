@@ -33,6 +33,9 @@ distribution of rho_mn exp(-i (m - n) theta) at X / r, divided by r
 (Mancini, Man'ko & Tombesi, Phys. Lett. A 213, 1 (1996)): the (0, 1) slice
 is the p distribution.  Its norm is Re Tr rho, exact with no quadrature.
 
+An X axis must be 1-D and finite, by the rule ``_check_axis`` of
+``errors``, which the Wigner grids share.
+
 Sign conventions: tiny negative values (above -1e-9) are floored to zero as
 roundoff; anything more negative is left visible, since it signals a broken
 input rather than a rounding artifact.
@@ -52,7 +55,7 @@ from .classical import (
     _row_integrals,
     propagate_distribution,
 )
-from .errors import DegenerateRayError, DomainError, _count, _real
+from .errors import DegenerateRayError, _check_axis, _count, _real
 from .fock import DensityMatrix, evolve_density
 from .hermite import hermite_functions
 from .nonlinearity import NonlinearitySpec, identity
@@ -127,14 +130,6 @@ def _radon_lines(dist: PhaseSpaceDistribution, mu: float, nu: float, x: np.ndarr
 
     values[rows], err = _row_integrals(dist.density, points, half / r, _LINE_START)
     return values, err
-
-
-def _check_axis(axis, name: str = "X") -> np.ndarray:
-    """``axis`` as a 1-D float array, also for Wigner grids; DomainError naming it otherwise."""
-    x = _real(axis, f"the {name} axis", array=True)
-    if np.ndim(x) != 1:
-        raise DomainError(f"the {name} axis must be 1-D, got shape {np.shape(x)}")
-    return x
 
 
 def radon_classical(dist: PhaseSpaceDistribution, mu: float, nu: float, x_axis) -> TomogramSlice:

@@ -51,7 +51,9 @@ square 21 x 21 grid centred on the origin have 106 distinct radii.
 
 At scattered points both maps are batched numpy contractions over blocks
 of ``_BLOCK`` points, which bounds their working memory whatever the number
-of points; neither starts threads.  Grid axes must be 1-D.
+of points; neither starts threads.  Grid axes must be 1-D, and scattered
+q and p must broadcast, by the rules ``_check_axis`` and ``_points`` of
+``errors``.
 """
 
 from __future__ import annotations
@@ -64,11 +66,10 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .classical import _cos_sin
-from .errors import DomainError, NumericToleranceError, _count, _real
+from .errors import DomainError, NumericToleranceError, _check_axis, _count, _points
 from .fock import _DIM_RULE, DensityMatrix, deformed_lowering
 from .hermite import hermite_functions
 from .nonlinearity import NonlinearitySpec, require_positive
-from .tomography import _check_axis
 
 WIGNER_VARIANTS = ("usual_parity", "deformed_parity")
 
@@ -128,17 +129,6 @@ def _in_blocks(evaluate, points: np.ndarray) -> np.ndarray:
     for start in range(0, points.size, _BLOCK):
         out[start:start + _BLOCK] = evaluate(points[start:start + _BLOCK])
     return out
-
-
-def _points(q, p) -> tuple:
-    """q and p, real by ``errors._real``, as float arrays broadcast together;
-    DomainError naming both shapes when they do not broadcast."""
-    qa, pa = _real(q, "coordinate q", array=True), _real(p, "coordinate p", array=True)
-    try:
-        return np.broadcast_arrays(qa, pa)
-    except ValueError:
-        shapes = f"{np.shape(qa)} and {np.shape(pa)}"
-        raise DomainError(f"q and p do not broadcast: shapes {shapes}") from None
 
 
 def _expi(theta: np.ndarray) -> np.ndarray:
@@ -288,7 +278,7 @@ def wigner_values(rho: DensityMatrix, q, p) -> np.ndarray:
         out.imag = np.einsum("jb,jb->b", phi_q, c.imag @ phi_p)
         return out
 
-    w = _in_blocks(block, (qa + 1j * pa).ravel()).reshape(qa.shape)
+    w = _in_blocks(block, np.ravel(qa + 1j * pa)).reshape(np.shape(qa))
     return complex(w) if np.ndim(q) == 0 and np.ndim(p) == 0 else w
 
 
@@ -412,7 +402,7 @@ def deformed_wigner_values(
     else:
         pvec = deformed_parity_operator(spec, dim)
 
-    alphas = ((qa + 1j * pa) / math.sqrt(2.0)).ravel()
+    alphas = np.ravel((qa + 1j * pa) / math.sqrt(2.0))
     eigenvalues, vecs = np.linalg.eigh(upper + upper.T)
     _check_phase_precision(float(np.max(np.abs(alphas), initial=0.0)), eigenvalues)
     weighted = pvec[:, None] * rho.matrix
@@ -433,7 +423,7 @@ def deformed_wigner_values(
             out += power.conj() * by_radius[top - d][at_radius]
         return 2.0 * out
 
-    w = _in_blocks(block, alphas).reshape(qa.shape)
+    w = _in_blocks(block, alphas).reshape(np.shape(qa))
     return complex(w) if np.ndim(q) == 0 and np.ndim(p) == 0 else w
 
 

@@ -310,6 +310,13 @@ def test_array_invariants_equal_the_per_point_calls():
             assert back.p[i, j] == pytest.approx(one.p, rel=1e-15, abs=1e-15)
 
 
+def test_invariants_refuse_a_time_that_does_not_broadcast():
+    # numpy's untyped ValueError, from the product omega(E) t
+    message = r"^the point and t do not broadcast: shapes \(2,\) and \(3,\)$"
+    with pytest.raises(DomainError, match=message):
+        classical_invariants(kerr(0.1), PhasePoint([1.0, 2.0], [0.5, 0.5]), [0.0, 1.0, 2.0])
+
+
 def test_flow_on_a_table_knot_turns_at_the_rate_above_it():
     # E = (2^2 + 0^2)/2 = 2 exactly, the knot between the segments of slope
     # 0.2 and -0.1: the point turns at f(2) + 2 (1.2 - 1.3), the rate of the

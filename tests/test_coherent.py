@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from foscillator import (
     CoherentStateVector,
     DomainError,
     TruncationError,
+    TwoModeState,
     deformed_lowering,
     eigen_residual,
     identity,
@@ -213,6 +216,36 @@ def test_two_mode_refuses_bad_dims(dims, message):
         two_mode_coherent_state(0.5, 0.5, identity(), dims)
 
 
+def test_two_mode_state_of_nan_coefficients_is_refused_when_built():
+    # schmidt_spectrum of it raised numpy's LinAlgError "SVD did not converge"
+    with pytest.raises(DomainError, match=r"^coefficients must be finite, got \(nan\+0j\)$"):
+        schmidt_spectrum(TwoModeState(1, 1, identity(), np.full((2, 2), math.nan)))
+
+
+def test_coherent_vector_of_strings_is_refused_when_built():
+    # position_wavefunction of it raised the builtin ValueError "data type
+    # must provide an itemsize"
+    with pytest.raises(DomainError, match="^amplitudes must be a number, got '1'$"):
+        position_wavefunction(CoherentStateVector(0.3, kerr(0.1), np.array(["1", "0"])), 0.0)
+
+
+def test_coherent_vector_of_nan_is_refused_when_built():
+    # eigen_residual of it returned nan
+    with pytest.raises(DomainError, match="^amplitudes must be finite, got "):
+        eigen_residual(CoherentStateVector(0.3, kerr(0.1), np.array([1.0, math.nan, 0.0])))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: CoherentStateVector(0.3, kerr(0.1), np.eye(2)),
+     r"^amplitudes must be 1-D, got shape \(2, 2\)$"),
+    (lambda: TwoModeState(0.3, 0.3, kerr(0.1), np.ones(3)),
+     r"^coefficients must be 2-D, got shape \(3,\)$"),
+], ids=["vector", "matrix"])
+def test_state_arrays_keep_their_rank(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()
+
+
 def test_schmidt_coefficients_are_numbers_by_the_rule():
     # numpy's UFuncTypeError from the SVD of a matrix of strings
     with pytest.raises(DomainError, match="^coefficient matrix must be a number, got '1'$"):
@@ -249,3 +282,22 @@ def test_two_mode_weights_match_gammaln_reference(spec):
     st = two_mode_coherent_state(a1, a2, spec, dims)
     np.testing.assert_allclose(st.coefficients, _gammaln_weights(logmag, phase),
                                rtol=0.0, atol=1e-13)
+
+
+_ALPHAS = st.complex_numbers(max_magnitude=2.5, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60)
+@given(a1=_ALPHAS, a2=_ALPHAS, d1=st.integers(2, 45), d2=st.integers(2, 45))
+def test_identity_two_mode_state_is_the_product_state_property(a1, a2, d1, d2):
+    # f = 1 puts no profile product between the modes, so the joint weights
+    # are the outer product of the one-mode weights up to rounding, and the
+    # state is separable; draws refused by the truncation rules are skipped
+    try:
+        pair = two_mode_coherent_state(a1, a2, identity(), (d1, d2))
+        c1 = nonlinear_coherent_state(a1, identity(), d1).amplitudes
+        c2 = nonlinear_coherent_state(a2, identity(), d2).amplitudes
+    except TruncationError:
+        assume(False)
+    np.testing.assert_allclose(pair.coefficients, np.outer(c1, c2), rtol=0.0, atol=1e-15)
+    assert schmidt_spectrum(pair).sigma2 < 1e-9

@@ -33,7 +33,7 @@ from foscillator import (
     vacuum_density,
 )
 from foscillator import fock
-from foscillator.fock import HAMILTONIAN_FORMS, _coherent_amplitudes, _hermiticity_residual, _log_factorials
+from foscillator.fock import HAMILTONIAN_FORMS, _coherent_weights, _hermiticity_residual, _log_factorials
 from foscillator.nonlinearity import require_positive
 
 
@@ -542,7 +542,7 @@ def _trusted_builds():
         ("vacuum", lambda: vacuum_density(20), _pure(np.eye(20)[0])),
         ("fock", lambda: fock_density(5, 20), _pure(np.eye(20)[5])),
         ("coherent", lambda: coherent_density(1.1 + 0.6j, 40),
-         _pure(_coherent_amplitudes(1.1 + 0.6j, identity(), 40))),
+         _pure(_coherent_weights(1.1 + 0.6j, 0j, identity(), 40, 1)[:, 0])),
     ]
     for spec in (kerr(0.1), q_oscillator(0.1)):
         amps = nonlinear_coherent_state(1.2 - 0.3j, spec, 40).amplitudes

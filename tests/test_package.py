@@ -138,16 +138,18 @@ def test_sizes_are_integers_by_one_rule(name, param):
             call(bad)
 
 
-# Every numeric argument of a public function, of PhaseSpaceDistribution or
-# of DensityMatrix (a parameter named in _NUMERIC_NAMES or annotated with
+# Every numeric argument of a public function or of a public container that
+# checks its fields (PhaseSpaceDistribution, DensityMatrix and the coherent
+# states in _CONTAINERS; a parameter named in _NUMERIC_NAMES or annotated with
 # float, complex or ndarray, and a size name that the size rule leaves to a
 # continuous axis) is a real one, in _REAL_CALLS: the calls that put a value
 # in it, each with valid values in its other arguments; or a complex array,
 # in _COMPLEX_ARRAYS.
 _NUMERIC_NAMES = {"alpha", "alpha0", "alpha1", "alpha2", "amplitudes", "beta", "center_p",
-                  "center_q", "chi", "energy", "g", "lam", "matrix", "mu", "nu", "op", "p",
-                  "p_axis", "point", "q", "q_axis", "sigma", "support_radius", "t", "table",
-                  "times", "x", "x_axis"}
+                  "center_q", "chi", "coefficients", "energy", "g", "lam", "matrix", "mu", "nu",
+                  "op", "p", "p_axis", "point", "q", "q_axis", "sigma", "support_radius", "t",
+                  "table", "times", "x", "x_axis"}
+_CONTAINERS = ("PhaseSpaceDistribution", "DensityMatrix", "CoherentStateVector", "TwoModeState")
 _AXIS = np.linspace(-4.0, 4.0, 3)
 
 
@@ -169,6 +171,8 @@ _REAL_CALLS = {
     ("amplitude_trajectory", "times"):
         [lambda v: foscillator.amplitude_trajectory(kerr(0.1), 0.5, _with_entry(v))],
     ("chi_expectation", "beta"): [foscillator.chi_expectation],
+    ("CoherentStateVector", "alpha"):
+        [lambda v: foscillator.CoherentStateVector(v, kerr(0.1), [1.0, 0.0])],
     ("classical_invariants", "point"): [
         lambda v: foscillator.classical_invariants(kerr(0.1), foscillator.PhasePoint(v, 0.5), 1.0),
         lambda v: foscillator.classical_invariants(kerr(0.1), foscillator.PhasePoint(0.5, v), 1.0)],
@@ -245,6 +249,10 @@ _REAL_CALLS = {
     ("radon_classical", "x_axis"):
         [lambda v: foscillator.radon_classical(_blob(), 1.0, 0.5, _with_entry(v))],
     ("thermal_series", "beta"): [foscillator.thermal_series],
+    ("TwoModeState", "alpha1"):
+        [lambda v: foscillator.TwoModeState(v, 0.2, kerr(0.1), [[1.0, 0.0], [0.0, 0.0]])],
+    ("TwoModeState", "alpha2"):
+        [lambda v: foscillator.TwoModeState(0.2, v, kerr(0.1), [[1.0, 0.0], [0.0, 0.0]])],
     ("two_mode_coherent_state", "alpha1"):
         [lambda v: foscillator.two_mode_coherent_state(v, 0.2, kerr(0.1), (20, 20))],
     ("two_mode_coherent_state", "alpha2"):
@@ -288,6 +296,12 @@ def _first(template, v):
 # Each complex array argument: the call, a valid nested list of floats whose
 # first entry a test replaces, and a valid one with an imaginary entry.
 _COMPLEX_ARRAYS = {
+    ("CoherentStateVector", "amplitudes"):
+        (lambda v: foscillator.CoherentStateVector(0.3, kerr(0.1), v), [1.0, 0.5, 0.0],
+         [1j, 0.5, 0.0]),
+    ("TwoModeState", "coefficients"):
+        (lambda v: foscillator.TwoModeState(0.3, 0.2, kerr(0.1), v), [[1.0, 0.0], [0.0, 0.0]],
+         [[1j, 0.0], [0.0, 0.0]]),
     ("density_from_amplitudes", "amplitudes"):
         (foscillator.density_from_amplitudes, [1.0, 0.5, 0.0], [1j, 0.5, 0.0]),
     ("DensityMatrix", "matrix"):
@@ -303,8 +317,7 @@ _COMPLEX_ARRAYS = {
 def _numeric_parameters():
     functions = {name: getattr(foscillator, name) for name in foscillator.__all__
                  if inspect.isfunction(getattr(foscillator, name))}
-    functions["PhaseSpaceDistribution"] = foscillator.PhaseSpaceDistribution
-    functions["DensityMatrix"] = foscillator.DensityMatrix
+    functions.update((name, getattr(foscillator, name)) for name in _CONTAINERS)
     return {(name, param) for name, function in functions.items()
             for param, spec in inspect.signature(function).parameters.items()
             if param in _NUMERIC_NAMES
@@ -369,6 +382,76 @@ def test_complex_arrays_are_read_by_one_rule(name, param):
             call(bad)
     with pytest.raises(DomainError, match=" must be finite, got "):
         call(np.full(np.shape(real), math.nan))
+
+
+# The five parameters bounded at 0 by the sign rule ``errors._sign``: a call
+# that puts a value in it, the name its messages use, whether the bound is
+# strict (> 0) or not (>= 0), and None if the call answers the least value
+# the rule allows, or else the start of the message of the range rule that
+# refuses it next.  The strict three are read by ``_real`` first, so their
+# NaN and -inf are refused as not finite; the two kernels answer +inf, and
+# their sign rule refuses NaN.
+_SIGNED = {
+    ("PhaseSpaceDistribution", "support_radius"):
+        (lambda v: foscillator.PhaseSpaceDistribution(lambda q, p: 0.0 * q, v), "support radius",
+         True, None),
+    ("gaussian_distribution", "sigma"): (lambda v: foscillator.gaussian_distribution(0.0, 0.0, v),
+                                         "sigma", True, "sigma = 5e-324 is too small"),
+    ("linear_thermo", "beta"): (foscillator.linear_thermo, "beta", True,
+                                "at beta = 5e-324, Z = 1/(2 sinh(beta/2)) leaves the float range"),
+    ("eval_f", "n"):
+        (lambda v: foscillator.eval_f(identity(), v), "profile argument", False, None),
+    ("frequency", "energy"): (lambda v: foscillator.frequency(identity(), v), "energy", False, None),
+}
+
+
+@pytest.mark.parametrize("name, param", sorted(_SIGNED))
+def test_sign_bounds_are_one_rule(name, param):
+    # five checks written by hand, each with its own message, are one rule;
+    # -0.0 is the bound itself, refused where the bound is strict
+    call, label, strict, next_rule = _SIGNED[name, param]
+    bound = f"{label} must be {'>' if strict else '>='} 0, got "
+    below = (0.0, -0.0) if strict else ()
+    for bad in below + (math.nextafter(0.0, -math.inf), -1.0):
+        with pytest.raises(DomainError, match=f"^{re.escape(bound + repr(bad))}$"):
+            call(bad)
+    for bad in (math.nan, -math.inf):
+        message = f"{label} must be finite, got " if strict else bound
+        with pytest.raises(DomainError, match=f"^{re.escape(message + repr(bad))}$"):
+            call(bad)
+    least = math.nextafter(0.0, math.inf) if strict else 0.0
+    for value in (least,) if strict else (least, -0.0):
+        assert errors._sign(value, label, strict) is value
+        if next_rule is None:
+            call(value)
+        else:
+            with pytest.raises(DomainError, match=f"^{re.escape(next_rule)}"):
+                call(value)
+
+
+# The five point evaluations, each on q and p: the pair rule ``errors._pair``
+# refuses shapes that do not broadcast, with the Wigner maps' message.
+_PAIRS = {
+    "wigner_values": lambda q, p: foscillator.wigner_values(foscillator.vacuum_density(4), q, p),
+    "deformed_wigner_values": lambda q, p: foscillator.deformed_wigner_values(
+        foscillator.vacuum_density(4), kerr(0.1), q, p),
+    "classical_invariants": lambda q, p: foscillator.classical_invariants(
+        kerr(0.1), foscillator.PhasePoint(q, p), 0.5).q,
+    "gaussian density": lambda q, p: _blob().density(q, p),
+    "transported density":
+        lambda q, p: foscillator.propagate_distribution(_blob(), kerr(0.1), 0.5).density(q, p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIRS))
+def test_point_pairs_are_one_rule(name):
+    # the classical evaluations raised numpy's untyped ValueError
+    call = _PAIRS[name]
+    with pytest.raises(DomainError,
+                       match=r"^q and p do not broadcast: shapes \(2,\) and \(3,\)$"):
+        call([1.0, 2.0], [1.0, 2.0, 3.0])
+    assert np.shape(call([1.0, 2.0], [[1.0], [2.0], [3.0]])) == (3, 2)
+    assert np.shape(call(np.ones((2, 3)), np.ones((2, 3)))) == (2, 3)
 
 
 # Each process-wide cache of the package, with arguments to call it on.  A

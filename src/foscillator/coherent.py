@@ -4,7 +4,8 @@ Weights follow c_n ~ alpha^n / (F(n) sqrt(n!)) with the running profile
 product F(n) = f(0) f(1) ... f(n).  Everything is assembled in log space:
 for growing profiles the product overflows long before the state itself
 stops being perfectly representable.  One formula, ``fock._coherent_weights``,
-builds the weights of both constructions: one mode is the two-mode case with
+builds the weights of both constructions from the table log F(n) that each
+builder takes from ``log_f_factorial``: one mode is the two-mode case with
 the second mode left empty.
 
 The two-mode construction shares one profile product over the total level
@@ -19,10 +20,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, _complex, _count, _real
+from .errors import DomainError, TruncationError, _complex, _count, _instance, _real
 from .fock import DensityMatrix, _coherent_weights, density_from_amplitudes
 from .hermite import hermite_functions
-from .nonlinearity import NonlinearitySpec, eval_f
+from .nonlinearity import NonlinearitySpec, eval_f, log_f_factorial
 
 _TOP_WEIGHT_TOL = 1e-12  # probability left on the top level (two modes: top row and column)
 _SCHMIDT_SEPARABLE_TOL = 1e-9
@@ -32,7 +33,8 @@ _EDGE_LEVELS = 5  # top levels an eigen residual skips
 def _read_fields(state, alphas, array: str, ndim: int) -> None:
     """Read a state's ``alphas`` fields by ``_complex`` and its ``array``
     field by ``_complex(array=True)``, refusing an array that is not
-    ``ndim``-D, and keep what they read."""
+    ``ndim``-D, and keep what they read; its ``spec`` is checked by type."""
+    _instance(state.spec, NonlinearitySpec, "spec")
     for name in alphas:
         object.__setattr__(state, name, _complex(getattr(state, name), name))
     value = _complex(getattr(state, array), array, array=True)
@@ -97,7 +99,7 @@ def nonlinear_coherent_state(
     truncation defect of the eigenvalue relation stays at the roundoff level.
     """
     alpha, dim = _complex(alpha, "alpha"), _count(dim, 2, "coherent state needs dim >= 2")
-    amps = _coherent_weights(alpha, 0j, spec, dim, 1)[:, 0]
+    amps = _coherent_weights(alpha, 0j, log_f_factorial(spec, dim - 1), dim, 1)[:, 0]
     if abs(amps[-1]) ** 2 >= _TOP_WEIGHT_TOL:
         raise TruncationError(
             f"top weight {abs(amps[-1])**2:.3e} exceeds the tail criterion; increase dim"
@@ -107,6 +109,7 @@ def nonlinear_coherent_state(
 
 def position_wavefunction(state: CoherentStateVector, x) -> np.ndarray:
     """psi(x) = sum_n c_n phi_n(x) in the oscillator eigenbasis."""
+    state = _instance(state, CoherentStateVector, "state")
     phi = hermite_functions(state.dim - 1, _real(x, "x", array=True))
     vals = np.tensordot(state.amplitudes, phi, axes=(0, 0))
     return complex(vals) if np.ndim(x) == 0 else vals
@@ -132,7 +135,7 @@ def two_mode_coherent_state(
     if not pair:
         raise DomainError("two-mode state needs a pair of dims")
     d1, d2 = (_count(v, 2, "two-mode state needs dims >= 2") for v in dims)
-    coeff = _coherent_weights(alpha1, alpha2, spec, d1, d2)
+    coeff = _coherent_weights(alpha1, alpha2, log_f_factorial(spec, d1 + d2 - 2), d1, d2)
     edge = float(np.sum(np.abs(coeff[-1, :]) ** 2) + np.sum(np.abs(coeff[:, -1]) ** 2))
     if edge >= _TOP_WEIGHT_TOL:
         raise TruncationError(
@@ -148,6 +151,7 @@ def eigen_residual(state: CoherentStateVector) -> float:
     the ladder has nowhere to lower from above the cut, so the top
     ``_EDGE_LEVELS`` are excluded from the residual.
     """
+    state = _instance(state, CoherentStateVector, "state")
     resid = _lowering_residual(state.spec, state.amplitudes[:, None], state.alpha)
     return float(np.linalg.norm(resid[:max(1, state.dim - _EDGE_LEVELS)]))
 
@@ -158,7 +162,7 @@ def two_mode_eigen_residuals(state: TwoModeState):
     Each deformed mode operator lowers one index and evaluates the profile
     at the total level: (A_1 c)[n1, n2] = sqrt(n1+1) f(n1+n2+1) c[n1+1, n2].
     """
-    c = state.coefficients
+    c = _instance(state, TwoModeState, "state").coefficients
     k1, k2 = (max(1, d - _EDGE_LEVELS) for d in c.shape)
     r1 = _lowering_residual(state.spec, c, state.alpha1)
     # mode 2 lowers the column index: mode 1's formula on the transpose

@@ -17,7 +17,8 @@ of the package lives here:
   beta, ``>= 0`` for the levels and energies of a profile;
 * ``_points`` for the q, p pairs of the Wigner maps, and its broadcast half
   ``_pair`` for the classical points and densities;
-* ``_check_axis`` for the 1-D axes of tomograms and Wigner grids.
+* ``_check_axis`` for the 1-D axes of tomograms and Wigner grids;
+* ``_instance`` for the objects: a profile, a state, a density or a point.
 """
 
 import math
@@ -155,3 +156,12 @@ def _check_axis(axis, name: str = "X") -> np.ndarray:
     if np.ndim(x) != 1:
         raise DomainError(f"the {name} axis must be 1-D, got shape {np.shape(x)}")
     return x
+
+
+def _instance(value, kind: type, name: str):
+    """``value`` if it is a ``kind`` (a subclass among them, such as a
+    transported density), the one rule for every object argument;
+    DomainError "``name`` must be a ``kind``, got ..." naming its type otherwise."""
+    if isinstance(value, kind):
+        return value
+    raise DomainError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, _complex, _count, _real
-from .nonlinearity import NonlinearitySpec, identity, log_f_factorial, require_positive
+from .errors import DomainError, TruncationError, _complex, _count, _instance, _real
+from .nonlinearity import NonlinearitySpec, identity, require_positive
 
 HAMILTONIAN_FORMS = ("symmetric", "normal", "normal_half", "kerr")
 
@@ -114,7 +114,7 @@ def hamiltonian_diagonal(
 
     The array is the caller's own copy of the shared level table.
     """
-    return _level_energies(spec, dim, form)[1].copy()
+    return _level_energies(_instance(spec, NonlinearitySpec, "spec"), dim, form)[1].copy()
 
 
 def heisenberg_invariant(
@@ -128,7 +128,7 @@ def heisenberg_invariant(
     superdiagonal is built, from one evaluation of the profile.
     """
     t = _real(t, "time t")
-    fvals, h = _level_energies(spec, dim, form)
+    fvals, h = _level_energies(_instance(spec, NonlinearitySpec, "spec"), dim, form)
     if fvals is None:  # the kerr form's H reads no profile, but Q does
         fvals = require_positive(spec, dim - 1)
     idx = np.arange(dim - 1)
@@ -344,13 +344,13 @@ def _normalized(logmag: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return mag * (np.cos(phase) + 1j * np.sin(phase))
 
 
-def _coherent_weights(alpha1, alpha2, spec: NonlinearitySpec, d1: int, d2: int) -> np.ndarray:
+def _coherent_weights(alpha1, alpha2, logf: np.ndarray, d1: int, d2: int) -> np.ndarray:
     """Unit-norm weights c[n1, n2] = alpha1^n1 alpha2^n2 / (sqrt(n1! n2!) F(n1 + n2)),
-    n1 < d1, n2 < d2, F(n) = f(0) ... f(n), of complex alphas and dims the
-    caller has read, assembled in log space (log F = 0 for the harmonic
-    state); each state applies its own truncation rule.  One mode is the
+    n1 < d1, n2 < d2, of complex alphas and dims the caller has read, and
+    ``logf`` = log F(n) for n = 0 .. d1 + d2 - 2, F(n) = f(0) ... f(n), from
+    the caller's profile (zeros for the harmonic state); assembled in log
+    space, and each state applies its own truncation rule.  One mode is the
     case alpha2 = 0, d2 = 1: column 0 holds alpha1^n / (F(n) sqrt(n!))."""
-    logf = log_f_factorial(spec, d1 + d2 - 2)
     half_log_fact = 0.5 * _log_factorials(max(d1, d2) - 1)
     r1, ph1 = cmath.polar(alpha1)
     r2, ph2 = cmath.polar(alpha2)
@@ -361,9 +361,10 @@ def _coherent_weights(alpha1, alpha2, spec: NonlinearitySpec, d1: int, d2: int) 
 
 
 def coherent_density(alpha: complex, dim: int) -> DensityMatrix:
-    """Harmonic coherent state on the truncated basis, the f = 1 deformed coherent state."""
+    """Harmonic coherent state on the truncated basis, the f = 1 deformed
+    coherent state: F(n) = 1, so log F is zero and no profile is evaluated."""
     alpha, dim = _complex(alpha, "alpha"), _count(dim, 2, "coherent state needs dim >= 2")
-    return density_from_amplitudes(_coherent_weights(alpha, 0j, identity(), dim, 1)[:, 0])
+    return density_from_amplitudes(_coherent_weights(alpha, 0j, np.zeros(dim), dim, 1)[:, 0])
 
 
 def evolve_density(
@@ -390,8 +391,8 @@ def evolve_density(
       the spectrum by at most a few eps ||rho||_F at any t (Weyl's
       inequality), so the result is not re-diagonalised.
     """
-    t = _real(t, "time t")
-    h = _level_energies(spec, rho.dim, form)[1]
+    rho, t = _instance(rho, DensityMatrix, "rho"), _real(t, "time t")
+    h = _level_energies(_instance(spec, NonlinearitySpec, "spec"), rho.dim, form)[1]
     e = np.exp(-1j * _angles(h, t))
     phase = np.outer(e, e.conj())
     np.fill_diagonal(phase, 1.0)
@@ -404,7 +405,7 @@ def evolve_density(
 
 def expectation(rho: DensityMatrix, op: np.ndarray) -> complex:
     """Tr(rho op) for a dim x dim operator, its entries read as complex by the rule."""
-    op = _complex(op, "operator", array=True)
+    rho, op = _instance(rho, DensityMatrix, "rho"), _complex(op, "operator", array=True)
     if op.shape != (rho.dim, rho.dim):
         raise DomainError("operator and state dimensions differ")
     return complex(np.einsum("ij,ji->", rho.matrix, op))

@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDeformationError, DomainError, _count, _read_real, _real, _sign
+from .errors import (DegenerateDeformationError, DomainError, _count, _instance, _read_real,
+                     _real, _sign)
 
 KINDS = ("identity", "q", "kerr", "custom")
 
@@ -85,6 +86,7 @@ def eval_f(spec: NonlinearitySpec, n) -> np.ndarray:
     Returns a float for scalar input, an ndarray of the shape of ``n``
     otherwise; an error names the first bad level in C order.
     """
+    _instance(spec, NonlinearitySpec, "spec")
     n = _sign(_read_real(n, "profile argument", array=True), "profile argument", strict=False)
     arr = np.ravel(n)
 
@@ -148,6 +150,7 @@ def frequency(spec: NonlinearitySpec, energy, law: str = "amplitude"):
     where omega is not finite, such as lam E past ~710 for the canonical law
     of the q profile, where f is finite but f^2 is not.
     """
+    _instance(spec, NonlinearitySpec, "spec")
     if law not in ("amplitude", "canonical"):
         raise DomainError(f"unknown frequency law {law!r}")
     energy = _sign(_read_real(energy, "energy", array=True), "energy", strict=False)
@@ -172,9 +175,19 @@ def frequency(spec: NonlinearitySpec, energy, law: str = "amplitude"):
 
 
 def f_factorial(spec: NonlinearitySpec, n: int) -> float:
-    """Product f(0) f(1) ... f(n); requires every factor > 0."""
+    """Product f(0) f(1) ... f(n); requires every factor > 0.
+
+    The product rounds once per factor.  DomainError naming n when it is not
+    a normal double, past the float range or below its normal range;
+    ``log_f_factorial`` gives log F(n) there.
+    """
     n = _count(n, 0, "f_factorial needs an integer n >= 0")
-    return float(np.prod(require_positive(spec, n)))
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        product = float(np.prod(require_positive(spec, n)))
+    if not np.finfo(float).tiny <= product < np.inf:
+        raise DomainError(
+            f"at n = {n}, F(n) = f(0) ... f(n) = {product!r} leaves the float range")
+    return product
 
 
 def log_f_factorial(spec: NonlinearitySpec, n_max: int) -> np.ndarray:
@@ -201,6 +214,7 @@ def require_positive(spec: NonlinearitySpec, n_max: int) -> np.ndarray:
 
 def spec_to_dict(spec: NonlinearitySpec) -> dict:
     """JSON-ready description: the kind and its one parameter, if it has one."""
+    _instance(spec, NonlinearitySpec, "spec")
     fields = {field: getattr(spec, attr) for field, attr in _PARAMETERS.values()}
     return {"kind": spec.kind, **{field: list(value) if field == "table" else value
                                   for field, value in fields.items() if value is not None}}

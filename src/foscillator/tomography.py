@@ -7,25 +7,11 @@ truncated state it is the q distribution of the state turned by the free
 oscillator.  Both satisfy the homogeneity w(sX, s mu, s nu) = w/|s| and
 integrate to one over X.
 
-Classical line integrals use nested trapezoid rules: 32, 64, 128, ...
-uniform intervals per chord, each doubling evaluating the density only at
-the new nodes, until two successive levels agree to 1e-11 relative to
-max(1, peak); the first two levels come from one density call on the
-nodes of the second.  The density is negligible at both chord ends, so the
-rule converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 385
-(2014)),
-and its even spacing leaves no stretch of the chord sampled more coarsely
-than another, unlike Clenshaw-Curtis, whose middle nodes are pi/2 wider
-apart (Trefethen, SIAM Rev. 50, 67 (2008)).  A density with filaments finer
-than 4096 intervals per line resolve raises ``NumericToleranceError``
-instead of returning an unresolved slice.  The norm, the integral of the
-slice over X, is by Fubini the integral of the density over its support
-disk; it runs in polar coordinates, Clenshaw-Curtis in the radius and the
-periodic trapezoid rule in the angle.  A density from
-``propagate_distribution`` is integrated there as its initial density on
-rings turned by omega(r^2/2) t, one frequency per ring, so its cost does
-not grow with the time; its lines evaluate the transported density point
-by point.
+A classical slice takes its line integrals from ``classical._radon_lines``
+and its norm, the integral of the slice over X, which by Fubini is the
+integral of the density over its support disk, from
+``classical._disk_quadrature``; ``classical`` states their quadrature rules
+beside its code.
 
 H = n takes q to q cos theta + p sin theta in time theta, so with
 r = |(mu, nu)| and theta = atan2(nu, mu) a quantum slice is the q
@@ -48,14 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import (
-    _LINE_START,
-    PhaseSpaceDistribution,
-    _disk_quadrature,
-    _row_integrals,
-    propagate_distribution,
-)
-from .errors import DegenerateRayError, _check_axis, _count, _real
+from .classical import (PhaseSpaceDistribution, _disk_quadrature, _radon_lines,
+                        propagate_distribution)
+from .errors import DegenerateRayError, _check_axis, _count, _instance, _real
 from .fock import DensityMatrix, evolve_density
 from .hermite import hermite_functions
 from .nonlinearity import NonlinearitySpec, identity
@@ -105,47 +86,20 @@ def _floor_roundoff(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _radon_lines(dist: PhaseSpaceDistribution, mu: float, nu: float, x: np.ndarray):
-    """(1/r) integral of the density along each line mu q + nu p = X, and the
-    error estimate of the nested rule.
-
-    The line is clipped to the support disk and parametrized by arclength
-    from the foot point, so the 1/r Jacobian of the delta function is
-    explicit.  A line that misses the disk gets exactly 0 and no density
-    call; the chord's half-length is taken relative to the radius, so no
-    square of X or of the radius is formed.
-    """
-    r = math.hypot(mu, nu)
-    radius = dist.support_radius
-    values = np.zeros(x.shape)
-    rows = np.flatnonzero(np.abs(x) < radius * r)
-    foot = x[rows] / r
-    s = foot / radius
-    half = radius * np.sqrt(np.maximum((1.0 - s) * (1.0 + s), 0.0))
-    q0, p0 = (mu / r) * foot, (nu / r) * foot
-    dq, dp = (-nu / r) * half, (mu / r) * half
-
-    def points(i, u):
-        return q0[i, None] + dq[i, None] * u, p0[i, None] + dp[i, None] * u
-
-    values[rows], err = _row_integrals(dist.density, points, half / r, _LINE_START)
-    return values, err
-
-
 def radon_classical(dist: PhaseSpaceDistribution, mu: float, nu: float, x_axis) -> TomogramSlice:
     """Classical tomogram of a phase-space density along one ray.
 
-    Each line integral runs on nested trapezoid rules from 32 intervals that
-    double until two successive levels agree to 1e-11 relative to
-    max(1, peak); the norm is ``phase_space_integral`` of the density, which
-    by Fubini equals the slice integrated over X.  ``quadrature_error``
-    carries the larger estimate.  A density too filamented for 4096
-    intervals per line raises ``NumericToleranceError`` instead of returning
-    a wrong slice.  ``x_axis`` must be 1-D (``DomainError``).
+    The values are the line integrals of ``classical._radon_lines``; the
+    norm is ``phase_space_integral`` of the density, which by Fubini equals
+    the slice integrated over X.  ``quadrature_error`` carries the larger
+    estimate of the two.  A density too filamented for the nested rules
+    raises ``NumericToleranceError`` instead of returning a wrong slice.
+    ``x_axis`` must be 1-D (``DomainError``).
     """
-    _check_ray(mu, nu)
+    dist = _instance(dist, PhaseSpaceDistribution, "dist")
+    r = _check_ray(mu, nu)
     x_axis = _check_axis(x_axis)
-    values, err = _radon_lines(dist, mu, nu, x_axis)
+    values, err = _radon_lines(dist, mu, nu, r, x_axis)
     norm, norm_err = _disk_quadrature(dist)
     return TomogramSlice(mu=float(mu), nu=float(nu), x_axis=x_axis,
                          values=_floor_roundoff(values), norm=float(norm),
@@ -190,6 +144,7 @@ def quantum_tomogram(
     sqrt2 (mu Re alpha + nu Im alpha).  The norm is Re Tr rho.  ``x_axis``
     must be 1-D (``DomainError``).
     """
+    rho = _instance(rho, DensityMatrix, "rho")
     _check_ray(mu, nu)
     x_axis = _check_axis(x_axis)
     values = _floor_roundoff(_quantum_eval(rho, mu, nu, x_axis))

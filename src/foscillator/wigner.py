@@ -66,7 +66,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .classical import _cos_sin
-from .errors import DomainError, NumericToleranceError, _check_axis, _count, _points
+from .errors import DomainError, NumericToleranceError, _check_axis, _count, _instance, _points
 from .fock import _DIM_RULE, DensityMatrix, deformed_lowering
 from .hermite import hermite_functions
 from .nonlinearity import NonlinearitySpec, require_positive
@@ -265,7 +265,7 @@ def wigner_values(rho: DensityMatrix, q, p) -> np.ndarray:
     No hermiticity of rho is assumed in the sum, so the imaginary part is a
     faithful diagnostic of the input rather than zero by construction.
     """
-    qa, pa = _points(q, p)
+    rho, (qa, pa) = _instance(rho, DensityMatrix, "rho"), _points(q, p)
     c = _hermite_gauss_coefficients(rho.matrix)
     top = c.shape[0] - 1
 
@@ -327,6 +327,7 @@ def _axis_table(axis: np.ndarray, top: int) -> np.ndarray:
 def wigner_from_density(rho: DensityMatrix, q_axis, p_axis) -> WignerGrid:
     """W on the cartesian grid q_axis x p_axis; one Hermite table serves
     both axes when they are equal."""
+    rho = _instance(rho, DensityMatrix, "rho")
     q_axis, p_axis = _check_axis(q_axis, "q"), _check_axis(p_axis, "p")
     _warn_if_grid_small(rho, q_axis, p_axis)
     c = _hermite_gauss_coefficients(rho.matrix)
@@ -337,21 +338,28 @@ def wigner_from_density(rho: DensityMatrix, q_axis, p_axis) -> WignerGrid:
 
 
 def deformed_parity_operator(spec: NonlinearitySpec, dim: int) -> np.ndarray:
-    """diag(exp(i pi n f(n)^2)); reduces to (-1)^n for the identity profile."""
+    """diag(exp(i pi n f(n)^2)); reduces to (-1)^n for the identity profile.
+
+    Raises NumericToleranceError when the phases pi n f(n)^2 are too large
+    to be carried at double precision.
+    """
     dim = _count(dim, 2, _DIM_RULE)
     fvals = require_positive(spec, dim - 1)
     n = np.arange(dim, dtype=float)
-    return np.exp(1j * math.pi * n * fvals * fvals)
+    with np.errstate(over="ignore"):  # a phase past the float range is inf, and refused
+        phases = math.pi * n * fvals * fvals
+    _check_phase_precision(float(np.max(phases)), "deformed parity", "pi n f(n)^2")
+    return np.exp(1j * phases)
 
 
-def _check_phase_precision(r_max: float, eigenvalues: np.ndarray) -> None:
-    # U_f = V diag(e^(-2i r lambda)) V+: a phase of size s carries a rounding
-    # error of eps * s, which no later step can recover.
-    span = 2.0 * r_max * float(np.max(np.abs(eigenvalues)))
+def _check_phase_precision(span: float, operator: str, phases: str) -> None:
+    """NumericToleranceError naming ``operator`` and its ``phases`` when
+    angles of up to ``span`` rad carry a rounding error eps * span above
+    _PHASE_TOL, which no later step can recover."""
     error = np.finfo(float).eps * span
     if error > _PHASE_TOL:
         raise NumericToleranceError(
-            f"deformed exponential lost phase precision: phases 2 r lambda reach {span:.3e} rad, "
+            f"{operator} lost phase precision: phases {phases} reach {span:.3e} rad, "
             f"so they carry an absolute error of {error:.3e}"
         )
 
@@ -395,7 +403,7 @@ def deformed_wigner_values(
         raise DomainError(f"unknown wigner variant {variant!r}")
     pad = _count(pad, 0, "pad must be >= 0")
     qa, pa = _points(q, p)
-    dim = rho.dim
+    dim = _instance(rho, DensityMatrix, "rho").dim
     upper = deformed_lowering(spec, dim + pad).real
     if variant == "usual_parity":
         pvec = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
@@ -404,7 +412,9 @@ def deformed_wigner_values(
 
     alphas = np.ravel((qa + 1j * pa) / math.sqrt(2.0))
     eigenvalues, vecs = np.linalg.eigh(upper + upper.T)
-    _check_phase_precision(float(np.max(np.abs(alphas), initial=0.0)), eigenvalues)
+    r_max = float(np.max(np.abs(alphas), initial=0.0))
+    _check_phase_precision(2.0 * r_max * float(np.max(np.abs(eigenvalues))),
+                           "deformed exponential", "2 r lambda")
     weighted = pvec[:, None] * rho.matrix
     levels, partners = np.nonzero(np.abs(weighted) >= _RHO_SKIP)
     top = int(np.max(np.maximum(levels, partners), initial=0))

@@ -32,7 +32,7 @@ from foscillator import (
     q_oscillator,
     vacuum_density,
 )
-from foscillator import fock
+from foscillator import fock, nonlinearity
 from foscillator.fock import HAMILTONIAN_FORMS, _coherent_weights, _hermiticity_residual, _log_factorials
 from foscillator.nonlinearity import require_positive
 
@@ -468,14 +468,48 @@ def test_log_factorials_match_gammaln():
     np.testing.assert_allclose(table[2:], expected[2:], rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("alpha, dim", [(0.7, 12), (1.5 + 0.8j, 40), (-3.0 + 2.0j, 90), (6.0 - 2.5j, 160)])
-def test_coherent_density_matches_gammaln_reference(alpha, dim):
+def _check_harmonic_against_poisson(alpha, dim):
+    """coherent_density, and nonlinear_coherent_state of the identity
+    profile where its tail criterion lets it build the state, against the
+    Poisson amplitudes from gammaln, independent of the log-factorial table.
+    Each weight is the exponential of a log of a few hundred at most, rounded
+    to a few eps of its size; 1e-13 bounds what that leaves on an entry
+    (4.8e-15 is the largest seen, at |alpha| = 6.5)."""
     n = np.arange(dim, dtype=float)
     r, phase = abs(alpha), math.atan2(complex(alpha).imag, complex(alpha).real)
     c = np.exp(n * math.log(r) - 0.5 * gammaln(n + 1.0) - 0.5 * r * r) * np.exp(1j * phase * n)
     c /= np.linalg.norm(c)
     rho = coherent_density(alpha, dim)
     np.testing.assert_allclose(rho.matrix, np.outer(c, c.conj()), rtol=0.0, atol=1e-13)
+    if abs(c[-1]) ** 2 < 1e-13:  # nonlinear_coherent_state refuses a top weight >= 1e-12
+        amps = nonlinear_coherent_state(alpha, identity(), dim).amplitudes
+        np.testing.assert_allclose(amps, c, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("alpha, dim", [(0.7, 12), (1.5 + 0.8j, 40), (-3.0 + 2.0j, 90), (6.0 - 2.5j, 160)])
+def test_coherent_density_matches_gammaln_reference(alpha, dim):
+    _check_harmonic_against_poisson(alpha, dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.floats(1e-3, 6.5), phase=st.floats(-math.pi, math.pi), extra=st.integers(0, 60))
+def test_harmonic_coherent_states_match_gammaln_reference_for_drawn_alpha_and_dim(r, phase, extra):
+    # a dim whose top levels hold a Poisson population far below both
+    # builders' tail criteria
+    dim = math.ceil(r * r + 8.0 * r + 12.0) + extra
+    _check_harmonic_against_poisson(complex(r * math.cos(phase), r * math.sin(phase)), dim)
+
+
+def test_coherent_density_evaluates_no_profile(monkeypatch):
+    # F(n) = 1: the harmonic state took log F from log_f_factorial(identity(), dim - 1)
+    def refuse(*args):
+        raise AssertionError("a profile was evaluated")
+
+    monkeypatch.setattr(nonlinearity, "eval_f", refuse)
+    with pytest.raises(AssertionError, match="a profile was evaluated"):
+        nonlinear_coherent_state(1.0 + 0.5j, identity(), 40)
+    rho = coherent_density(1.0 + 0.5j, 40)
+    assert rho.matrix[0, 0].real == pytest.approx(math.exp(-1.25), rel=1e-12)
 
 
 def test_density_from_amplitudes_scales_a_vector_whose_norm_overflows():
@@ -542,7 +576,7 @@ def _trusted_builds():
         ("vacuum", lambda: vacuum_density(20), _pure(np.eye(20)[0])),
         ("fock", lambda: fock_density(5, 20), _pure(np.eye(20)[5])),
         ("coherent", lambda: coherent_density(1.1 + 0.6j, 40),
-         _pure(_coherent_weights(1.1 + 0.6j, 0j, identity(), 40, 1)[:, 0])),
+         _pure(_coherent_weights(1.1 + 0.6j, 0j, np.zeros(40), 40, 1)[:, 0])),
     ]
     for spec in (kerr(0.1), q_oscillator(0.1)):
         amps = nonlinear_coherent_state(1.2 - 0.3j, spec, 40).amplitudes

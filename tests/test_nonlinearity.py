@@ -326,6 +326,17 @@ def test_f_factorial_kerr_value():
     assert f_factorial(kerr(0.5), 2) == pytest.approx(math.sqrt(0.75), rel=1e-14)
 
 
+@pytest.mark.parametrize("spec, n, product", [(kerr(0.5), 400, "inf"),
+                                              (custom([1e-200, 1e-200, 1e-200]), 2, "0.0")])
+def test_f_factorial_refuses_a_product_past_the_float_range(spec, n, product):
+    # the first printed numpy's overflow warning and returned inf, the
+    # second returned 0.0 from three positive factors
+    message = f"at n = {n}, F(n) = f(0) ... f(n) = {product} leaves the float range"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        f_factorial(spec, n)
+    assert np.isfinite(log_f_factorial(spec, n)[-1])
+
+
 def test_f_factorial_base_case_and_recurrence():
     spec = kerr(0.3)
     assert f_factorial(spec, 0) == pytest.approx(eval_f(spec, 0), rel=1e-15)

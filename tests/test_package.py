@@ -454,6 +454,116 @@ def test_point_pairs_are_one_rule(name):
     assert np.shape(call(np.ones((2, 3)), np.ones((2, 3)))) == (2, 3)
 
 
+# Every object argument of a public function or container: a parameter
+# annotated with a profile, a state, a density or a point, each with the call
+# that puts a value in it and valid values in its other arguments.  The type
+# rule ``errors._instance`` refuses any other object, naming the argument.
+_OBJECTS = ("NonlinearitySpec", "DensityMatrix", "PhaseSpaceDistribution", "PhasePoint",
+            "CoherentStateVector", "TwoModeState")
+_OBJECT_CALLS = {
+    ("amplitude_trajectory", "spec"): lambda v: foscillator.amplitude_trajectory(v, 0.5, [1.0]),
+    ("classical_invariants", "point"):
+        lambda v: foscillator.classical_invariants(kerr(0.1), v, 0.5),
+    ("classical_invariants", "spec"): lambda v: foscillator.classical_invariants(
+        v, foscillator.PhasePoint(0.5, 0.5), 0.5),
+    ("classical_tomogram_evolved", "dist"):
+        lambda v: foscillator.classical_tomogram_evolved(v, kerr(0.1), 1.0, 1.0, 0.5, [0.0]),
+    ("classical_tomogram_evolved", "spec"):
+        lambda v: foscillator.classical_tomogram_evolved(_blob(), v, 1.0, 1.0, 0.5, [0.0]),
+    ("CoherentStateVector", "spec"):
+        lambda v: foscillator.CoherentStateVector(0.3, v, [1.0, 0.0]),
+    ("deformed_lowering", "spec"): lambda v: foscillator.deformed_lowering(v, 4),
+    ("deformed_parity_operator", "spec"): lambda v: foscillator.deformed_parity_operator(v, 4),
+    ("deformed_wigner", "rho"):
+        lambda v: foscillator.deformed_wigner(v, kerr(0.1), [0.0], [0.0]),
+    ("deformed_wigner", "spec"):
+        lambda v: foscillator.deformed_wigner(foscillator.vacuum_density(4), v, [0.0], [0.0]),
+    ("deformed_wigner_values", "rho"):
+        lambda v: foscillator.deformed_wigner_values(v, kerr(0.1), 0.0, 0.0),
+    ("deformed_wigner_values", "spec"): lambda v: foscillator.deformed_wigner_values(
+        foscillator.vacuum_density(4), v, 0.0, 0.0),
+    ("eigen_residual", "state"): foscillator.eigen_residual,
+    ("eval_f", "spec"): lambda v: foscillator.eval_f(v, 1.0),
+    ("evolve_amplitude", "spec"): lambda v: foscillator.evolve_amplitude(v, 0.5, 1.0),
+    ("evolve_density", "rho"): lambda v: foscillator.evolve_density(v, kerr(0.1), 1.0),
+    ("evolve_density", "spec"):
+        lambda v: foscillator.evolve_density(foscillator.vacuum_density(4), v, 1.0, "kerr"),
+    ("expectation", "rho"): lambda v: foscillator.expectation(v, np.eye(4)),
+    ("f_factorial", "spec"): lambda v: foscillator.f_factorial(v, 3),
+    ("frequency", "spec"): lambda v: foscillator.frequency(v, 1.0),
+    ("hamiltonian_diagonal", "spec"): lambda v: foscillator.hamiltonian_diagonal(v, 4, "kerr"),
+    ("heisenberg_invariant", "spec"):
+        lambda v: foscillator.heisenberg_invariant(v, 4, 1.0, "kerr"),
+    ("log_f_factorial", "spec"): lambda v: foscillator.log_f_factorial(v, 3),
+    ("nonlinear_coherent_state", "spec"):
+        lambda v: foscillator.nonlinear_coherent_state(0.3, v, 20),
+    ("phase_space_integral", "dist"): foscillator.phase_space_integral,
+    ("position_wavefunction", "state"): lambda v: foscillator.position_wavefunction(v, 0.0),
+    ("propagate_distribution", "dist"):
+        lambda v: foscillator.propagate_distribution(v, kerr(0.1), 1.0),
+    ("propagate_distribution", "spec"):
+        lambda v: foscillator.propagate_distribution(_blob(), v, 1.0),
+    ("quantum_tomogram", "rho"): lambda v: foscillator.quantum_tomogram(v, 1.0, 0.0, [0.0]),
+    ("radon_classical", "dist"): lambda v: foscillator.radon_classical(v, 1.0, 0.0, [0.0]),
+    ("spec_to_dict", "spec"): foscillator.spec_to_dict,
+    ("two_mode_coherent_state", "spec"):
+        lambda v: foscillator.two_mode_coherent_state(0.2, 0.2, v, (20, 20)),
+    ("two_mode_eigen_residuals", "state"): foscillator.two_mode_eigen_residuals,
+    ("TwoModeState", "spec"):
+        lambda v: foscillator.TwoModeState(0.2, 0.2, v, [[1.0, 0.0], [0.0, 0.0]]),
+    ("wigner_from_density", "rho"): lambda v: foscillator.wigner_from_density(v, [0.0], [0.0]),
+    ("wigner_values", "rho"): lambda v: foscillator.wigner_values(v, 0.0, 0.0),
+}
+
+
+def _object_parameters():
+    functions = {name: getattr(foscillator, name) for name in foscillator.__all__
+                 if inspect.isfunction(getattr(foscillator, name))}
+    functions.update((name, getattr(foscillator, name)) for name in _CONTAINERS)
+    return {(name, param): kind for name, function in functions.items()
+            for param, spec in inspect.signature(function).parameters.items()
+            for kind in _OBJECTS if kind in str(spec.annotation)
+            and (name, param) not in _COMPLEX_ARRAYS}
+
+
+def test_every_object_argument_has_a_call():
+    # a public function that gains an object argument fails here until the
+    # argument has an entry
+    assert set(_object_parameters()) == set(_OBJECT_CALLS)
+
+
+@pytest.mark.parametrize("name, param", sorted(_OBJECT_CALLS))
+def test_objects_are_read_by_one_type_rule(name, param):
+    # each raised the builtin AttributeError or TypeError, or was kept
+    # unchecked until a density or profile was evaluated
+    kind = _object_parameters()[name, param]
+    other = foscillator.vacuum_density(2) if kind == "NonlinearitySpec" else kerr(0.1)
+    for bad in (None, "kerr", {}, (1.0, 2.0), [[1.0, 0.0], [0.0, 0.0]], np.eye(2), other):
+        with pytest.raises(DomainError,
+                           match=f"^{param} must be a {kind}, got {type(bad).__name__}$"):
+            _OBJECT_CALLS[name, param](bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: foscillator.eval_f("kerr", 1.0), "spec must be a NonlinearitySpec, got str"),
+    (lambda: foscillator.evolve_density(np.eye(3) / 3, identity(), 1.0),
+     "rho must be a DensityMatrix, got ndarray"),
+    (lambda: foscillator.wigner_values([[1, 0], [0, 0]], 0, 0),
+     "rho must be a DensityMatrix, got list"),
+    (lambda: foscillator.quantum_tomogram(None, 1, 0, [0.0]),
+     "rho must be a DensityMatrix, got NoneType"),
+    (lambda: foscillator.radon_classical({}, 1, 0, [0.0]),
+     "dist must be a PhaseSpaceDistribution, got dict"),
+    (lambda: foscillator.classical_invariants(identity(), (1.0, 2.0), 0.5),
+     "point must be a PhasePoint, got tuple"),
+], ids=["eval_f", "evolve_density", "wigner_values", "quantum_tomogram", "radon_classical",
+        "classical_invariants"])
+def test_objects_of_the_wrong_type_are_domain_errors(call, message):
+    # each raised the builtin AttributeError
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # Each process-wide cache of the package, with arguments to call it on.  A
 # cache hands the same objects to every caller, so each array it returns
 # must be read-only.

@@ -37,9 +37,9 @@ from foscillator import (
     wigner_values,
 )
 import foscillator.classical as classical_module
-from foscillator.classical import _BLOCK, _clenshaw_curtis, _periodic_trapezoid
+from foscillator.classical import _BLOCK, _clenshaw_curtis, _periodic_trapezoid, _radon_lines
 from foscillator.hermite import hermite_functions
-from foscillator.tomography import _quantum_eval, _radon_lines
+from foscillator.tomography import _quantum_eval
 
 
 def test_gaussian_marginal():
@@ -467,7 +467,8 @@ def test_lines_outside_the_support_are_exact_zeros_without_density_calls():
         return blob.density(q, p)
 
     x = np.array([-1e300, -5e299, 0.0, 5e299, 1e300])
-    values, _ = _radon_lines(PhaseSpaceDistribution(counted, blob.support_radius), 0.6, 0.8, x)
+    values, _ = _radon_lines(PhaseSpaceDistribution(counted, blob.support_radius), 0.6, 0.8,
+                             math.hypot(0.6, 0.8), x)
     assert shapes and all(rows == 1 for rows, _ in shapes)  # the line through X = 0 only
     assert values[[0, 1, 3, 4]].tolist() == [0.0] * 4
     ref = _gauss_legendre_slice(blob, 0.6, 0.8, np.array([0.0]), 200)

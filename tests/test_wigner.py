@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -257,6 +258,22 @@ def test_violent_profile_names_lost_phase_precision():
     spec = custom(table=[1.0 + 1e7 * k for k in range(16)])
     with pytest.raises(NumericToleranceError, match="phase precision"):
         deformed_wigner_values(vacuum_density(6), spec, 2.0, 1.0, "usual_parity")
+
+
+def test_deformed_parity_names_lost_phase_precision():
+    # phases pi n f(n)^2 up to 6.2e12 rad, each off by ~1.4e-3 rad, were
+    # exponentiated unguarded; the map at r = 1e-5 passed the exponential's
+    # guard and answered
+    message = ("deformed parity lost phase precision: phases pi n f(n)^2 reach 6.175e+12 rad, "
+               "so they carry an absolute error of 1.371e-03")
+    with pytest.raises(NumericToleranceError, match=f"^{re.escape(message)}$"):
+        deformed_parity_operator(q_oscillator(1.0), 30)
+    with pytest.raises(NumericToleranceError, match=f"^{re.escape(message)}$"):
+        deformed_wigner_values(coherent_density(0.5, 30), q_oscillator(1.0), 1e-5, 0.0,
+                               "deformed_parity")
+    # the benchmark's strongest profiles at dim 30 stay near 2.6e3 rad
+    for spec in (q_oscillator(0.2), kerr(0.2)):
+        assert np.all(np.abs(np.abs(deformed_parity_operator(spec, 30)) - 1.0) < 1e-15)
 
 
 def test_import_leaves_scipy_linalg_unloaded():

@@ -34,20 +34,22 @@ basis and trimmed back, since the exponential mixes levels beyond any fixed
 truncation.  With alpha = r e^(i phi) and D_phi = diag(e^(i n phi)) the
 generator is -2i r D_phi H D_phi+, where H = i (A_f+ - A_f) is Hermitian and
 tridiagonal (Man'ko, Marmo, Sudarshan & Zaccaria, Phys. Scr. 55, 528 (1997)).
-H is itself a diagonal similarity of a real matrix: S = D+ H D with
-D = diag(i^n) is real, symmetric and tridiagonal, and its off-diagonal is
-A_f's superdiagonal sqrt(n) f(n).  So one real eigendecomposition
-S = V diag(lambda) V^T serves every point of a map, its eigenvectors are
-real, and the factor i^d that D puts on offset d joins the angular factor:
+S = D+ H D with D = diag(i^n) is real and tridiagonal, with the off-diagonal
+sqrt(n) f(n) and a zero diagonal, so P S P = -S: the anticommutation above
+pairs its eigenvectors, (x_k, P x_k) / sqrt2 for +-sigma_k, and one SVD of
+half its size gives them all (``_ladder_modes``).  D's factor i^d on offset
+d joins the angular factor, and on offset d the -sigma half weighs (-1)^d
+times the +sigma half, so the phases e^(-+2i r sigma) of a pair join as
 
-    W(alpha) = 2 sum_d z^d sum_k e^(-2i r lambda_k) T[d, k],   z = i e^(i phi).
+    W(alpha) = 2 sum_d z^d Q[d](r),   z = i e^(i phi),
+    Q[d](r) = sum_k T[d, k] cos(2 r sigma_k), or -i sum_k T[d, k] sin(2 r sigma_k) for odd d,
 
-The powers z^d come from z = i alpha / |alpha| by repeated multiplication,
-the negative ones as conjugates; each product adds at most a few eps, so
-|z^d - (i e^(i phi))^d| <= 3 |d| eps (1.7 |d| eps is the worst seen over
-random points).  The phases e^(-2i r lambda) depend on r alone and are
-evaluated once per distinct radius of a block: the 441 points of a
-square 21 x 21 grid centred on the origin have 106 distinct radii.
+with T[d, k] = sum over j - m = d of P_m rho_mj x_mk x_jk, half as wide as
+the spectrum.  Q is formed once per distinct radius of a block (a square
+21 x 21 grid centred on the origin has 106) and gathered once per point;
+the sum over d runs by Horner's rule in z^2 for d >= 0 and in its conjugate
+for d < 0.  It is off by at most about 3 eps sum_d max(|d|, 1) |Q[d]|, from
+the roundings of z, of z^2 and of each step.
 
 At scattered points both maps are batched numpy contractions over blocks
 of ``_BLOCK`` points, which bounds their working memory whatever the number
@@ -67,7 +69,7 @@ import numpy as np
 
 from .classical import _cos_sin
 from .errors import DomainError, NumericToleranceError, _check_axis, _count, _instance, _points
-from .fock import _DIM_RULE, DensityMatrix, deformed_lowering
+from .fock import _DIM_RULE, DensityMatrix
 from .hermite import hermite_functions
 from .nonlinearity import NonlinearitySpec, require_positive
 
@@ -128,15 +130,6 @@ def _in_blocks(evaluate, points: np.ndarray) -> np.ndarray:
     out = np.empty(points.shape, dtype=complex)
     for start in range(0, points.size, _BLOCK):
         out[start:start + _BLOCK] = evaluate(points[start:start + _BLOCK])
-    return out
-
-
-def _expi(theta: np.ndarray) -> np.ndarray:
-    """exp(i theta), its cosine and sine from ``_cos_sin``."""
-    c, s = _cos_sin(theta)
-    out = np.empty(c.shape, dtype=complex)
-    out.real = c
-    out.imag = s
     return out
 
 
@@ -343,9 +336,12 @@ def deformed_parity_operator(spec: NonlinearitySpec, dim: int) -> np.ndarray:
     Raises NumericToleranceError when the phases pi n f(n)^2 are too large
     to be carried at double precision.
     """
-    dim = _count(dim, 2, _DIM_RULE)
-    fvals = require_positive(spec, dim - 1)
-    n = np.arange(dim, dtype=float)
+    return _deformed_parity(require_positive(spec, _count(dim, 2, _DIM_RULE) - 1))
+
+
+def _deformed_parity(fvals: np.ndarray) -> np.ndarray:
+    """exp(i pi n f(n)^2) on the levels of f(0), f(1), ..., guarded."""
+    n = np.arange(fvals.size, dtype=float)
     with np.errstate(over="ignore"):  # a phase past the float range is inf, and refused
         phases = math.pi * n * fvals * fvals
     _check_phase_precision(float(np.max(phases)), "deformed parity", "pi n f(n)^2")
@@ -355,25 +351,49 @@ def deformed_parity_operator(spec: NonlinearitySpec, dim: int) -> np.ndarray:
 def _check_phase_precision(span: float, operator: str, phases: str) -> None:
     """NumericToleranceError naming ``operator`` and its ``phases`` when
     angles of up to ``span`` rad carry a rounding error eps * span above
-    _PHASE_TOL, which no later step can recover."""
+    _PHASE_TOL, which no later step can recover, or are not numbers."""
     error = np.finfo(float).eps * span
-    if error > _PHASE_TOL:
+    if not error <= _PHASE_TOL:
         raise NumericToleranceError(
             f"{operator} lost phase precision: phases {phases} reach {span:.3e} rad, "
             f"so they carry an absolute error of {error:.3e}"
         )
 
 
-def _diagonal_weights(weighted: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """T[d + dim - 1, k] = sum over j - m = d of weighted[m, j] V[m, k] V[j, k],
-    for d = 1-dim..dim-1 and real V, summed row by row: row m of
-    ``weighted`` lands on offsets -m..dim-1-m."""
-    dim = weighted.shape[0]
-    t = np.zeros((2 * dim - 1, vecs.shape[1]), dtype=complex)
-    kept = vecs[:dim]
-    for m in range(dim):
-        t[dim - 1 - m:2 * dim - 1 - m] += weighted[m][:, None] * (kept[m] * kept)
-    return t
+def _ladder_modes(fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, x): S's eigenvalues sigma >= 0 on len(fvals) levels and x, with
+    the eigenvectors (x_k, P x_k) / sqrt2 of +-sigma_k, from one SVD
+    S[even, odd] = U diag(sigma) W^T: x_k is u_k on the even levels and w_k
+    on the odd ones.  For an odd count, U's last column is the zero mode,
+    x = (u, 0) = P x."""
+    size, odd = fvals.size, fvals.size // 2
+    with np.errstate(over="ignore"):  # an s(n) past the float range makes sigma nan: refused
+        s = np.sqrt(np.arange(1.0, size)) * fvals[1:]
+    u, sigma, wt = np.linalg.svd((np.diag(s, 1) + np.diag(s, -1))[0::2, 1::2])
+    x = np.zeros((size, size - odd))
+    x[0::2] = u
+    x[1::2, :odd] = wt.T
+    return np.append(sigma, np.zeros(size - 2 * odd)), x
+
+
+def _offset_weights(weighted: np.ndarray, x: np.ndarray) -> list:
+    """[even, odd]: T[d, k] = sum over j - m = d of weighted[m, j] x[m, k] x[j, k],
+    as real views of the complex tables [k, i, sign] of offsets +-2i (0 once)
+    and of -i times offsets +-(2i + 1).  Row m of ``weighted`` lands on
+    offsets -m, -m + 1, ..., formed _BLOCK // len(weighted) rows at a time.
+    """
+    size = weighted.shape[0]
+    kept = x[:size]
+    t = np.zeros((2 * size - 1, x.shape[1]), dtype=complex)
+    rows = max(1, _BLOCK // size)
+    for first in range(0, size, rows):
+        products = weighted[first:first + rows, :, None] * (kept[first:first + rows, None] * kept)
+        for m, row in enumerate(products, first):
+            t[size - 1 - m:2 * size - 1 - m] += row
+    signed = np.stack((t[size - 1:].T, t[size - 1::-1].T), axis=-1)
+    signed[:, 0, 1] = 0.0
+    signed[:, 1::2] *= -1j
+    return [signed[:, parity::2].reshape(x.shape[1], -1).view(float) for parity in (0, 1)]
 
 
 def deformed_wigner_values(
@@ -386,52 +406,52 @@ def deformed_wigner_values(
 ) -> np.ndarray:
     """Deformed transform at phase-space points, broadcast over q, p.
 
-    One eigendecomposition of the real tridiagonal S = D+ H D on the padded
-    basis (dim + pad), S = V diag(lambda) V^T with D = diag(i^n) and
-    H = i (A_f+ - A_f), serves every point alpha = r e^(i phi):
-
-        W(alpha) = 2 sum_d z^d Q[d](r),   Q[d](r) = sum_k e^(-2i r lambda_k) T[d, k],
-
-    with z = i e^(i phi) and T[d, k] = sum over j - m = d (j, m < dim) of
-    P_m rho_mj V_mk V_jk.  Q is formed once per distinct radius of a block;
-    z^d by repeated multiplication (error at most 3 |d| eps), z^-d as its
-    conjugate.  Levels past the last with an entry |rho_mj| >= 1e-16 are
-    left out, as in the standard map.  Raises NumericToleranceError when
-    the phases 2 r lambda are too large to be carried at double precision.
+    P S P = -S pairs S's eigenpairs as +-sigma, (x, P x) / sqrt2, and one SVD
+    of S[even, odd], half the padded basis of dim + pad levels, gives them
+    (``_ladder_modes``).  The weights keep the +sigma half; a pair's phases
+    join as real cos(2 r sigma) and -i sin(2 r sigma), formed once per
+    distinct radius; the angular sum runs by Horner's rule in z^2, off by at
+    most about 3 eps sum_d max(|d|, 1) |Q[d]| (see the module docstring).
+    Levels past the last with an entry |rho_mj| >= 1e-16 are left out, as in
+    the standard map.  Raises NumericToleranceError when the phases 2 r sigma
+    are too large to be carried at double precision, or are not numbers.
     """
     if variant not in WIGNER_VARIANTS:
         raise DomainError(f"unknown wigner variant {variant!r}")
     pad = _count(pad, 0, "pad must be >= 0")
     qa, pa = _points(q, p)
     dim = _instance(rho, DensityMatrix, "rho").dim
-    upper = deformed_lowering(spec, dim + pad).real
+    fvals = require_positive(spec, dim + pad - 1)
     if variant == "usual_parity":
         pvec = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     else:
-        pvec = deformed_parity_operator(spec, dim)
+        pvec = _deformed_parity(fvals[:dim])
 
     alphas = np.ravel((qa + 1j * pa) / math.sqrt(2.0))
-    eigenvalues, vecs = np.linalg.eigh(upper + upper.T)
+    sigma, x = _ladder_modes(fvals)
     r_max = float(np.max(np.abs(alphas), initial=0.0))
-    _check_phase_precision(2.0 * r_max * float(np.max(np.abs(eigenvalues))),
-                           "deformed exponential", "2 r lambda")
+    _check_phase_precision(2.0 * r_max * float(sigma[0]), "deformed exponential", "2 r lambda")
     weighted = pvec[:, None] * rho.matrix
     levels, partners = np.nonzero(np.abs(weighted) >= _RHO_SKIP)
     top = int(np.max(np.maximum(levels, partners), initial=0))
-    t = _diagonal_weights(weighted[:top + 1, :top + 1], vecs)
+    tables, steps = _offset_weights(weighted[:top + 1, :top + 1], x), top // 2 + 1
 
     def block(a: np.ndarray) -> np.ndarray:
         r = np.abs(a)
         radii, at_radius = np.unique(r, return_inverse=True)
-        by_radius = t @ _expi(-2.0 * np.outer(eigenvalues, radii))
+        # terms[i, parity, sign]: Q at offset sign (2i + parity), per radius
+        terms = np.zeros((steps, 2, 2, radii.size), dtype=complex)
+        for parity, (table, phase) in enumerate(zip(tables, _cos_sin(2.0 * np.outer(sigma, radii)))):
+            by_radius = (phase.T @ table).view(complex).reshape(radii.size, -1, 2)
+            terms[:by_radius.shape[1], parity] = by_radius.transpose(1, 2, 0)
+        terms = np.take(terms, at_radius, axis=-1)
         z = 1j * np.divide(a, r, out=np.ones_like(a), where=r > 0)
-        out = by_radius[top][at_radius]
-        power = np.ones_like(z)
-        for d in range(1, top + 1):
-            power *= z
-            out += power * by_radius[top + d][at_radius]
-            out += power.conj() * by_radius[top - d][at_radius]
-        return 2.0 * out
+        z = np.stack((z, z.conj()))
+        out, z2 = terms[-1], z * z
+        for i in range(steps - 2, -1, -1):
+            out *= z2
+            out += terms[i]
+        return 2.0 * np.sum(out[0] + z * out[1], axis=0)
 
     w = _in_blocks(block, alphas).reshape(np.shape(qa))
     return complex(w) if np.ndim(q) == 0 and np.ndim(p) == 0 else w
@@ -453,6 +473,5 @@ def deformed_wigner(
     accepted only because the benchmark harness (``foscbench``) passes it.
     """
     q_axis, p_axis = _check_axis(q_axis, "q"), _check_axis(p_axis, "p")
-    qq, pp = np.meshgrid(q_axis, p_axis, indexing="ij")
-    vals = deformed_wigner_values(rho, spec, qq, pp, variant, pad)
+    vals = deformed_wigner_values(rho, spec, q_axis[:, None], p_axis, variant, pad)
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=vals)

@@ -26,6 +26,7 @@ from foscillator import (
     deformed_parity_operator,
     deformed_wigner,
     deformed_wigner_values,
+    eval_f,
     evolve_density,
     fock_density,
     hermite_functions,
@@ -258,6 +259,15 @@ def test_violent_profile_names_lost_phase_precision():
     spec = custom(table=[1.0 + 1e7 * k for k in range(16)])
     with pytest.raises(NumericToleranceError, match="phase precision"):
         deformed_wigner_values(vacuum_density(6), spec, 2.0, 1.0, "usual_parity")
+
+
+def test_generator_past_the_float_range_is_refused():
+    # s(n) = sqrt(n) f(n) overflows to inf: the dense eigensolver raised
+    # numpy's LinAlgError, and the SVD answers nan, which the guard refuses
+    spec = custom(table=[1.0] + [1e308] * 5)
+    for q in (0.0, 1.0):
+        with pytest.raises(NumericToleranceError, match="^deformed exponential lost phase precision: .* nan rad"):
+            deformed_wigner_values(vacuum_density(4), spec, q, 0.0, "usual_parity", pad=2)
 
 
 def test_deformed_parity_names_lost_phase_precision():
@@ -618,7 +628,7 @@ def test_gauss_hermite_samples_of_w_return_the_state(dim, seed):
 
 
 # ---------------------------------------------------------------------------
-# The deformed map on the real tridiagonal eigenproblem
+# The deformed map on the half-size decomposition of the ladder generator
 
 
 def _custom_profile(c):
@@ -649,19 +659,78 @@ def test_deformed_map_matches_expm_on_random_mixed_states(dim, seed, pad, spec, 
     assert np.max(np.abs(w - ref)) < 1e-12
 
 
+def _custom_levels(c):
+    # up to 150 levels
+    return custom(table=[1.0 + c * math.sqrt(k) for k in range(150)])
+
+
+@settings(max_examples=60)
+@given(size=st.integers(2, 150), spec=st.one_of(st.floats(0.0, 0.3).map(kerr),
+                                               st.floats(0.001, 0.1).map(q_oscillator),
+                                               st.floats(0.0, 0.5).map(_custom_levels)))
+@example(size=2, spec=kerr(0.1))
+@example(size=3, spec=q_oscillator(0.05))
+@example(size=3, spec=_custom_levels(0.5))
+def test_half_size_svd_gives_every_eigenpair_of_the_ladder_generator(size, spec):
+    # S = tridiag(s, 0, s) with s(n) = sqrt(n) f(n), and require_positive makes
+    # every s(n) > 0: S is an unreduced tridiagonal matrix, so its spectrum is
+    # simple, and P S P = -S maps the eigenvector of each sigma > 0 to the one
+    # of -sigma.  So the pairing is well defined: one partner per sigma, and
+    # one zero mode when N is odd.  The bounds are those of a backward-stable
+    # SVD, 4 N eps ||S|| (0.95 N eps ||S|| on the residual was the worst of 400
+    # random draws).
+    fvals = eval_f(spec, np.arange(size))
+    sigma, x = wigner_module._ladder_modes(fvals)
+    s = np.sqrt(np.arange(1.0, size)) * fvals[1:]
+    big = np.diag(s, 1) + np.diag(s, -1)
+    half, eps, norm = size // 2, np.finfo(float).eps, sigma[0]
+    plus = x[:, :half] / math.sqrt(2.0)
+    minus = ((-1.0) ** np.arange(size))[:, None] * plus
+    vecs = np.hstack([plus, minus, x[:, half:]])
+    values = np.concatenate([sigma[:half], -sigma[:half], sigma[half:]])
+    assert np.max(np.abs(big @ vecs - vecs * values)) <= 4 * size * eps * norm
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(size))) <= 4 * size * eps
+    assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(big))) <= 4 * size * eps * norm
+    # each -sigma vector, P times its +sigma partner, is the reference's
+    # eigenvector of -sigma up to sign, as the +sigma one is of +sigma; their
+    # errors scale as eps ||S|| / gap
+    _, reference = np.linalg.eigh(big)
+    for ours, theirs in [(minus, reference[:, :half]), (plus, reference[:, ::-1][:, :half])]:
+        assert np.max(np.abs(np.abs(np.einsum("nk,nk->k", ours, theirs)) - 1.0)) < 1e-12
+    # odd N: exactly one zero mode, supported on the even levels
+    assert np.sum(np.abs(values) <= 4 * size * eps * norm) == size % 2 == sigma.size - half
+    if size % 2:
+        assert sigma[-1] == 0.0 and not np.any(x[1::2, -1])
+        assert abs(np.linalg.norm(x[0::2, -1]) - 1.0) <= 4 * size * eps
+
+
+@settings(max_examples=60)
+@given(dim=st.integers(2, 20), seed=st.integers(0, 2 ** 32 - 1), pad=st.integers(0, 15),
+       spec=_PROFILES, r=st.floats(0.0, 3.0), phi=st.floats(-math.pi, math.pi))
+def test_usual_parity_values_are_real_for_random_mixed_states(dim, seed, pad, spec, r, phi):
+    # the ordinary parity anticommutes with the deformed ladder, so W is real
+    # for a hermitian rho; the sum does not assume it, and its imaginary part
+    # is rounding alone (8.3e-17 was the worst of 1000 draws)
+    rho = _random_mixed_state(dim, seed)
+    alpha = r * np.exp(1j * np.array([phi, 0.0, 0.5 * math.pi, phi + 1.0]))
+    w = deformed_wigner_values(rho, spec, math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag,
+                               "usual_parity", pad)
+    assert np.max(np.abs(w.imag)) <= 1e-13
+
+
 def test_deformed_grid_larger_than_one_block_matches_point_calls(monkeypatch):
     # 91 x 91 = 8281 points: the second block repeats radii of the first, and
     # each block evaluates the radial phases once per radius of its own
     ax = np.linspace(-3.0, 3.0, 91)
     assert ax.size ** 2 > wigner_module._BLOCK
     columns = []
-    expi = wigner_module._expi
+    cos_sin = wigner_module._cos_sin
 
     def counted(theta):
         columns.append(theta.shape[-1])
-        return expi(theta)
+        return cos_sin(theta)
 
-    monkeypatch.setattr(wigner_module, "_expi", counted)
+    monkeypatch.setattr(wigner_module, "_cos_sin", counted)
     rho = nonlinear_coherent_state(0.8 + 0.4j, kerr(0.1), 16).density()
     qq, pp = np.meshgrid(ax, ax, indexing="ij")
     radii = np.abs((qq + 1j * pp).ravel() / math.sqrt(2.0))

@@ -13,13 +13,17 @@ each order m + n, built by Risbo's stable recursion (J. Geodesy 70, 383
 (1996)).  These matrices do not depend on the state: those of orders up to
 ``_CACHED_ORDER`` (every order of a state of up to 64 levels) are built once
 per process and kept read-only in stacks of 16 consecutive orders, 6.7 MB
-at the cap, and a state's cached orders are contracted with its
-anti-diagonals in one batched product per stack; higher orders are stepped
-per state from the last cached one.  On a cartesian grid the map is two
-matrix products with the Hermite tables of its axes.  A table depends only
-on its axis, so one table per distinct axis (of up to ``_AXIS_POINTS``
-points, the last ``_AXIS_TABLES`` axes) is built to the cap and kept for
-the process.  Orders past the last populated entry of rho cost nothing.
+at the cap; higher orders are stepped per state from the last cached one.
+No index array places a number: rho's anti-diagonals enter the stacks'
+layout through one skewed strided view, each stack meets them in one
+batched product, and C[j, k] is read through a second view from row j + k
+of the sums, zero past the top order, times the Fourier phase of column k.
+On a cartesian grid the map is two chains of real products, Phi_q^T Re C
+Phi_p and Phi_q^T Im C Phi_p, with the Hermite tables of its axes.  A
+table depends only on its axis, so one table per distinct axis (of up to
+``_AXIS_POINTS`` points, the last ``_AXIS_TABLES`` axes) is built to the
+cap and kept for the process.  Orders past the last populated entry of rho
+cost nothing.
 
 Two deformed variants are provided, differing in which parity enters the
 trace against the exponential of the deformed ladder generator:
@@ -187,30 +191,10 @@ def _rotation(order: int) -> np.ndarray:
     return r
 
 
-def _cached_orders(m: np.ndarray, top: int) -> np.ndarray:
-    """by[N, j] = sum_m R^N[j, m] rho[m, N-m] for N <= top <= _CACHED_ORDER,
-    zero for j > N: one batched product per group of ``_STACKS``.
-
-    rho's anti-diagonal of order N is laid out on the columns of R^N,
-    anti[N, c] = rho[c-1, N+1-c], with zeros where rho has no entry and at
-    the zero columns; the layers are zero past R^N, so every layer of a
-    group meets the group's full width.
-    """
-    _rotation(top)  # builds R^0 .. R^top into the stacks
-    stacks = _STACKS[:top // _GROUP + 1]
-    width = stacks[-1].shape[2]
-    d = min(m.shape[0], top + 1)
-    levels = np.arange(d)
-    # 2d - 1 >= top + 1 rows: top <= 2 (dim - 1), and d = top + 1 otherwise
-    anti = np.zeros((2 * d - 1, width), dtype=complex)
-    anti[levels[:, None] + levels, levels[:, None] + 1] = m[:d, :d]
-    parts = anti.view(float).reshape(2 * d - 1, width, 2)
-    by = np.zeros((top + 1, width - 2, 2))
-    for first, stack in zip(range(0, top + 1, _GROUP), stacks):
-        layers = stack[:top + 1 - first]
-        n, rows, cols = layers.shape
-        by[first:first + n, :rows] = layers @ parts[first:first + n, :cols]
-    return by.view(complex)[..., 0]
+def _skew(a: np.ndarray, size: int, column: int) -> np.ndarray:
+    """The view s[i, k] = a[i + k, i + column], i, k < size, of a C-contiguous ``a`` holding them."""
+    rows, cols = a.strides
+    return np.ndarray((size, size), a.dtype, a, column * cols, (rows + cols, rows))
 
 
 def _hermite_gauss_coefficients(m: np.ndarray) -> np.ndarray:
@@ -220,36 +204,46 @@ def _hermite_gauss_coefficients(m: np.ndarray) -> np.ndarray:
     Hermite function rotated by pi/4, which R^N expands in phi_j(sqrt2 q)
     phi_(N-j)(sqrt2 y); the transform over y takes phi_k to (-i)^k phi_k:
 
-        C[j, N-j] = 2 sqrt(pi) (-i)^(N-j) sum_m R^N[j, m] rho[m, N-m].
+        C[j, N-j] = 2 sqrt(pi) (-i)^(N-j) by[N, j],   by[N, j] = sum_m R^N[j, m] rho[m, N-m].
 
-    The orders stop at the largest m + n with |rho[m, n]| >= _RHO_SKIP.
-    Orders N <= _CACHED_ORDER are read from the process-wide stacks that
-    ``_rotation`` fills (at most 127 matrices, 6.7 MB) and summed a stack at
-    a time by ``_cached_orders``; past the cap the carried columns are
-    stepped on from the cached R^_CACHED_ORDER, one order at a time, and not
-    kept.
+    The orders stop at top, the largest m + n with |rho[m, n]| >= _RHO_SKIP.
+    Up to _CACHED_ORDER, rho's anti-diagonal of order N lies on the columns
+    of R^N in its layer of ``_STACKS`` as anti[N, c] = rho[c-1, N+1-c], zero
+    where rho has no entry and at the zero columns; the layers are zero past
+    R^N, so a whole stack meets anti in one batched product.  Past the cap
+    the carried columns are stepped on from R^_CACHED_ORDER and not kept.
     """
     dim = m.shape[0]
-    levels, partners = np.nonzero(np.abs(m) >= _RHO_SKIP)
-    top = int(np.max(levels + partners, initial=0))
+    orders = np.add.outer(np.arange(dim), np.arange(dim))
+    top = int(np.max(orders, initial=0, where=np.abs(m) >= _RHO_SKIP))
     cached = min(top, _CACHED_ORDER)
-    c = np.zeros((top + 1, top + 1), dtype=complex)
-    orders, j = np.tril_indices(cached + 1)
-    c[j, orders - j] = _cached_orders(m, cached)[orders, j]
+    r = _rotation(cached)  # builds R^0 .. R^cached into the stacks
+    stacks = _STACKS[:cached // _GROUP + 1]
+    width = stacks[-1].shape[2]
+    d = min(dim, cached + 1)
+    # 2d - 1 >= cached + 1 rows: cached <= 2 (dim - 1), and d = cached + 1 otherwise
+    anti = np.zeros((2 * d - 1, width), dtype=complex)
+    _skew(anti, d, 1)[...] = m[:d, :d]
+    parts = anti.view(float).reshape(2 * d - 1, width, 2)
+    # C[j, k] = by[j + k, j] reads rows up to 2 top, zero past top, and columns up to top
+    by = np.zeros((2 * top + 1, max(width - 2, top + 1), 2))
+    for first, stack in zip(range(0, cached + 1, _GROUP), stacks):
+        layers = stack[:cached + 1 - first]
+        n, rows, cols = layers.shape
+        by[first:first + n, :rows] = layers @ parts[first:first + n, :cols]
+    by = by.view(complex)[..., 0]
     if top > _CACHED_ORDER:
         # carried columns lo..hi and a neighbour on each side; the step reads
         # a neighbour only where it is a zero column of the cached matrix
         lo, hi = max(0, _CACHED_ORDER - dim + 1), min(_CACHED_ORDER, dim - 1)
-        r = _rotation(_CACHED_ORDER)[:, lo:hi + 3]
+        r = r[:, lo:hi + 3]
         # diagonal dim-1-N of the column-reversed rho is rho[m, N-m] over the
         # carried columns of R^N
-        anti = m[:, ::-1]
+        flipped = m[:, ::-1]
         for order in range(_CACHED_ORDER + 1, top + 1):
             r = _rotation_step(r, order, dim)
-            j = np.arange(order + 1)
-            c[j, order - j] = r[:, 1:-1] @ np.diagonal(anti, dim - 1 - order)
-    c *= _FOURIER_PHASES[np.arange(top + 1) % 4]
-    return c
+            by[order, :order + 1] = r[:, 1:-1] @ np.diagonal(flipped, dim - 1 - order)
+    return _skew(by, top + 1, 0) * _FOURIER_PHASES[np.arange(top + 1) % 4]
 
 
 def wigner_values(rho: DensityMatrix, q, p) -> np.ndarray:
@@ -267,8 +261,7 @@ def wigner_values(rho: DensityMatrix, q, p) -> np.ndarray:
         phi_q = hermite_functions(top, math.sqrt(2.0) * z.real)
         phi_p = hermite_functions(top, math.sqrt(2.0) * z.imag)
         out = np.empty(z.shape, dtype=complex)
-        out.real = np.einsum("jb,jb->b", phi_q, c.real @ phi_p)
-        out.imag = np.einsum("jb,jb->b", phi_q, c.imag @ phi_p)
+        out.real, out.imag = (np.einsum("jb,jb->b", phi_q, part @ phi_p) for part in (c.real, c.imag))
         return out
 
     w = _in_blocks(block, np.ravel(qa + 1j * pa)).reshape(np.shape(qa))
@@ -277,15 +270,15 @@ def wigner_values(rho: DensityMatrix, q, p) -> np.ndarray:
 
 def _warn_if_grid_small(rho: DensityMatrix, q_axis: np.ndarray, p_axis: np.ndarray) -> None:
     # Support estimate from the level where cumulative population reaches
-    # 1 - 1e-6; a grid stopping short of it cannot hold the tail mass.  An
+    # 1 - 1e-6, or the last level; a grid that stops short of it on any side
+    # of the origin (extent 0 if it misses it) cannot hold the tail mass.  An
     # empty grid holds no mass to lose.
     if q_axis.size == 0 or p_axis.size == 0:
         return
-    pops = np.real(np.diagonal(rho.matrix))
-    covered = np.nonzero(np.cumsum(pops) >= 1.0 - 1e-6)[0]
-    n_top = int(covered[0]) if covered.size else rho.dim - 1
-    reach = math.sqrt(2.0 * n_top + 1.0) + 2.0
-    extent = min(np.max(np.abs(q_axis)), np.max(np.abs(p_axis)))
+    covered = np.cumsum(rho.matrix.diagonal().real) >= 1.0 - 1e-6
+    covered[-1] = True
+    reach = math.sqrt(2.0 * int(np.argmax(covered)) + 1.0) + 2.0
+    extent = max(0.0, min(-q_axis.min(), q_axis.max(), -p_axis.min(), p_axis.max()))
     if extent < reach:
         warnings.warn(
             f"grid extent {extent:.2f} is below the state support estimate {reach:.2f}; "
@@ -326,8 +319,10 @@ def wigner_from_density(rho: DensityMatrix, q_axis, p_axis) -> WignerGrid:
     c = _hermite_gauss_coefficients(rho.matrix)
     top = c.shape[0] - 1
     phi_q = _axis_table(q_axis, top)
-    phi_p = phi_q if np.array_equal(p_axis, q_axis) else _axis_table(p_axis, top)
-    return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=phi_q.T @ c @ phi_p)
+    phi_p = phi_q if p_axis is q_axis or np.array_equal(p_axis, q_axis) else _axis_table(p_axis, top)
+    values = np.empty((q_axis.size, p_axis.size), dtype=complex)
+    values.real, values.imag = (phi_q.T @ part @ phi_p for part in (c.real, c.imag))
+    return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=values)
 
 
 def deformed_parity_operator(spec: NonlinearitySpec, dim: int) -> np.ndarray:
@@ -416,10 +411,16 @@ def deformed_wigner_values(
     the standard map.  Raises NumericToleranceError when the phases 2 r sigma
     are too large to be carried at double precision, or are not numbers.
     """
+    qa, pa = _points(q, p)
+    w = _deformed_map(rho, spec, qa + 1j * pa, variant, pad)
+    return complex(w) if np.ndim(q) == 0 and np.ndim(p) == 0 else w
+
+
+def _deformed_map(rho: DensityMatrix, spec: NonlinearitySpec, points, variant: str, pad: int) -> np.ndarray:
+    """The deformed transform at the points q + i p, which its caller has read."""
     if variant not in WIGNER_VARIANTS:
         raise DomainError(f"unknown wigner variant {variant!r}")
     pad = _count(pad, 0, "pad must be >= 0")
-    qa, pa = _points(q, p)
     dim = _instance(rho, DensityMatrix, "rho").dim
     fvals = require_positive(spec, dim + pad - 1)
     if variant == "usual_parity":
@@ -427,7 +428,7 @@ def deformed_wigner_values(
     else:
         pvec = _deformed_parity(fvals[:dim])
 
-    alphas = np.ravel((qa + 1j * pa) / math.sqrt(2.0))
+    alphas = np.ravel(points / math.sqrt(2.0))
     sigma, x = _ladder_modes(fvals)
     r_max = float(np.max(np.abs(alphas), initial=0.0))
     _check_phase_precision(2.0 * r_max * float(sigma[0]), "deformed exponential", "2 r lambda")
@@ -453,8 +454,7 @@ def deformed_wigner_values(
             out += terms[i]
         return 2.0 * np.sum(out[0] + z * out[1], axis=0)
 
-    w = _in_blocks(block, alphas).reshape(np.shape(qa))
-    return complex(w) if np.ndim(q) == 0 and np.ndim(p) == 0 else w
+    return _in_blocks(block, alphas).reshape(np.shape(points))
 
 
 def deformed_wigner(
@@ -473,5 +473,5 @@ def deformed_wigner(
     accepted only because the benchmark harness (``foscbench``) passes it.
     """
     q_axis, p_axis = _check_axis(q_axis, "q"), _check_axis(p_axis, "p")
-    vals = deformed_wigner_values(rho, spec, q_axis[:, None], p_axis, variant, pad)
+    vals = _deformed_map(rho, spec, q_axis[:, None] + 1j * p_axis, variant, pad)
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=vals)

@@ -85,6 +85,19 @@ def test_grid_coverage_warning():
     rho = coherent_density(1.5, 30)
     with pytest.warns(RuntimeWarning):
         wigner_from_density(rho, np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))
+    # an axis that stops at the origin holds half of the vacuum's mass,
+    # however far its other end reaches; one that misses the origin, less
+    vacuum, full = coherent_density(0, 20), np.linspace(-8.0, 8.0, 81)
+    for half in [np.linspace(0.0, 8.0, 81), np.linspace(-8.0, 0.0, 81)]:
+        for q_axis, p_axis in [(half, full), (full, half)]:
+            with pytest.warns(RuntimeWarning, match="grid extent 0.00 is below"):
+                grid = wigner_from_density(vacuum, q_axis, p_axis)
+            assert grid.normalization() == pytest.approx(0.5, abs=1e-6)
+    with pytest.warns(RuntimeWarning, match="grid extent 0.00 is below"):
+        wigner_from_density(vacuum, np.linspace(2.0, 8.0, 61), full)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wigner_from_density(vacuum, full, full).normalization() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_deformed_parity_identity_profile():
@@ -435,6 +448,54 @@ def test_cached_rotations_give_the_uncached_coefficients_bit_for_bit(dim):
     np.testing.assert_array_equal(cold[past], reference[past])
 
 
+def _coefficients_through_index_arrays(m):
+    # C of _hermite_gauss_coefficients from the same stack products and
+    # steps, with rho's anti-diagonals placed in anti, and C read from by,
+    # through explicit index arrays
+    dim, group = m.shape[0], wigner_module._GROUP
+    levels, partners = np.nonzero(np.abs(m) >= wigner_module._RHO_SKIP)
+    top = int(np.max(levels + partners, initial=0))
+    cached = min(top, wigner_module._CACHED_ORDER)
+    wigner_module._rotation(cached)
+    stacks = wigner_module._STACKS[:cached // group + 1]
+    width = stacks[-1].shape[2]
+    d = min(dim, cached + 1)
+    i = np.arange(d)
+    anti = np.zeros((2 * d - 1, width), dtype=complex)
+    anti[i[:, None] + i, i[:, None] + 1] = m[:d, :d]
+    parts = anti.view(float).reshape(2 * d - 1, width, 2)
+    by = np.zeros((cached + 1, width - 2, 2))
+    for first, stack in zip(range(0, cached + 1, group), stacks):
+        layers = stack[:cached + 1 - first]
+        n, rows, cols = layers.shape
+        by[first:first + n, :rows] = layers @ parts[first:first + n, :cols]
+    c = np.zeros((top + 1, top + 1), dtype=complex)
+    orders, j = np.tril_indices(cached + 1)
+    c[j, orders - j] = by.view(complex)[orders, j, 0]
+    lo, hi = max(0, cached - dim + 1), min(cached, dim - 1)
+    r = wigner_module._rotation(cached)[:, lo:hi + 3]
+    for order in range(cached + 1, top + 1):
+        r = wigner_module._rotation_step(r, order, dim)
+        j = np.arange(order + 1)
+        c[j, order - j] = r[:, 1:-1] @ np.diagonal(m[:, ::-1], dim - 1 - order)
+    return c * wigner_module._FOURIER_PHASES[np.arange(top + 1) % 4]
+
+
+@settings(max_examples=40)
+@given(dim=st.integers(2, 150), seed=st.integers(0, 2 ** 32 - 1), cut=st.floats(0.0, 0.9))
+@example(dim=2, seed=1, cut=0.9)
+@example(dim=64, seed=2, cut=0.9)
+@example(dim=65, seed=3, cut=0.9)
+@example(dim=71, seed=4, cut=0.9)
+@example(dim=73, seed=5, cut=0.9)
+def test_skewed_views_place_the_anti_diagonals_as_index_arrays_do(dim, seed, cut):
+    # tops 2 floor(cut (dim - 1)) from 0 to 268; the examples give 0, 112 and
+    # 114 (the last stack), 126 (the cap) and 128 (stepped past it)
+    m = _random_mixed_state(dim, seed, cut).matrix
+    np.testing.assert_array_equal(wigner_module._hermite_gauss_coefficients(m),
+                                  _coefficients_through_index_arrays(m))
+
+
 def test_rotation_cache_stops_at_its_cap_and_is_read_only():
     wigner_module._rotation.cache_clear()
     wigner_values(_random_mixed_state(200, 5), 0.1, 0.2)  # top 358
@@ -503,11 +564,12 @@ def _laguerre_reference(rho, qq, pp):
     return 2.0 * acc
 
 
-def _random_mixed_state(dim, seed):
-    # complex entries, support below the checked tail of the basis
+def _random_mixed_state(dim, seed, cut=0.9):
+    # complex entries on levels 0 .. cut (dim - 1), top 2 floor(cut (dim - 1)):
+    # support below the checked tail of the basis
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    a[np.arange(dim) > 0.9 * (dim - 1)] = 0.0
+    a[np.arange(dim) > cut * (dim - 1)] = 0.0
     rho = a @ a.conj().T
     return DensityMatrix(rho / np.trace(rho).real)
 
@@ -547,6 +609,29 @@ def test_standard_map_grid_points_and_laguerre_reference_agree(rhos, q_axis, p_a
         points = wigner_values(rho, qq, pp)
         np.testing.assert_allclose(grid, points, rtol=0, atol=1e-14)
         np.testing.assert_allclose(grid, _laguerre_reference(rho, qq, pp), rtol=0, atol=1e-13)
+
+
+@settings(max_examples=40)
+@given(rho=st.one_of(_STATES, _PAST_CAP), q_axis=_AXES, p_axis=_AXES)
+def test_real_grid_products_agree_with_the_complex_product(rho, q_axis, p_axis):
+    # Re W and Im W are each a chain of two real products over T = top + 1
+    # terms, as in the complex product phi_q^T C phi_p, whose parts multiply
+    # phi by exact zeros.  Each chain of either route is within
+    # (2 gamma_T + gamma_T^2) |phi_q|^T |part of C| |phi_p| of the exact sum
+    # (gamma_T = T u / (1 - T u), u = eps / 2), so the routes differ by at
+    # most twice that, below (2 T + 1) eps times the sum of magnitudes.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "grid extent", RuntimeWarning)
+        grid = wigner_from_density(rho, q_axis, p_axis).values
+    c = wigner_module._hermite_gauss_coefficients(rho.matrix)
+    top = c.shape[0] - 1
+    phi_q = hermite_functions(top, math.sqrt(2.0) * q_axis)
+    phi_p = hermite_functions(top, math.sqrt(2.0) * p_axis)
+    reference = phi_q.T @ c @ phi_p
+    eps = np.finfo(float).eps
+    for ours, theirs, part in [(grid.real, reference.real, c.real), (grid.imag, reference.imag, c.imag)]:
+        bound = (2 * (top + 1) + 1) * eps * (np.abs(phi_q).T @ np.abs(part) @ np.abs(phi_p))
+        assert np.all(np.abs(ours - theirs) <= bound)
 
 
 @settings(max_examples=20)
